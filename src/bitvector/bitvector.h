@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -157,6 +158,12 @@ class Bitvector {
   // Raw word access for the compression codec and storage layer.
   const std::vector<uint64_t>& words() const { return words_; }
   std::vector<uint64_t>& mutable_words() { return words_; }
+  // Moves the word array out and leaves this bitvector empty (size 0): how
+  // a finished result hands its buffer to a serializer without a copy.
+  std::vector<uint64_t> TakeWords() && {
+    size_ = 0;
+    return std::move(words_);
+  }
 
   static uint64_t WordCount(uint64_t bits) { return (bits + 63) / 64; }
 

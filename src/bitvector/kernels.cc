@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/cpu.h"
+
 namespace bix {
 namespace kernels {
 
@@ -214,10 +216,7 @@ bool TierUsable(Tier t) { return CpuSupports(t) && TableForTier(t) != nullptr; }
 // avx512 on an avx2-only box runs avx2, never silently the other way up.
 Tier DetectTier() {
   Tier ceiling = Tier::kAvx512;
-  const char* force = std::getenv("BIX_FORCE_SCALAR");
-  if (force != nullptr && force[0] != '\0' && force[0] != '0') {
-    return Tier::kScalar;
-  }
+  if (ScalarForcedByEnv()) return Tier::kScalar;
   const char* name = std::getenv("BIX_KERNEL_TIER");
   if (name != nullptr) {
     if (std::strcmp(name, "scalar") == 0) return Tier::kScalar;

@@ -1,16 +1,47 @@
 #include "compress/bytes.h"
 
+#include <bit>
+#include <cstring>
+
 #include "util/math.h"
 
 namespace bix {
 
-std::vector<uint8_t> BitvectorToBytes(const Bitvector& bv) {
-  const uint64_t n_bytes = CeilDiv(bv.size(), 8);
-  std::vector<uint8_t> out(n_bytes, 0);
-  const std::vector<uint64_t>& words = bv.words();
-  for (uint64_t j = 0; j < n_bytes; ++j) {
-    out[j] = static_cast<uint8_t>(words[j >> 3] >> ((j & 7) * 8));
+void StoreWordsLe(const uint64_t* words, size_t n_bytes, uint8_t* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (n_bytes > 0) std::memcpy(out, words, n_bytes);
+  } else {
+    const size_t full = n_bytes / 8;
+    for (size_t i = 0; i < full; ++i) {
+      const uint64_t w = __builtin_bswap64(words[i]);
+      std::memcpy(out + 8 * i, &w, sizeof(w));
+    }
+    for (size_t j = 8 * full; j < n_bytes; ++j) {
+      out[j] = static_cast<uint8_t>(words[full] >> ((j & 7) * 8));
+    }
   }
+}
+
+void LoadWordsLe(const uint8_t* in, size_t n_bytes, uint64_t* words) {
+  const size_t full = n_bytes / 8;
+  if (n_bytes % 8 != 0) words[full] = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (n_bytes > 0) std::memcpy(words, in, n_bytes);
+  } else {
+    for (size_t i = 0; i < full; ++i) {
+      uint64_t w;
+      std::memcpy(&w, in + 8 * i, sizeof(w));
+      words[i] = __builtin_bswap64(w);
+    }
+    for (size_t j = 8 * full; j < n_bytes; ++j) {
+      words[full] |= static_cast<uint64_t>(in[j]) << ((j & 7) * 8);
+    }
+  }
+}
+
+std::vector<uint8_t> BitvectorToBytes(const Bitvector& bv) {
+  std::vector<uint8_t> out(CeilDiv(bv.size(), 8));
+  StoreWordsLe(bv.words().data(), out.size(), out.data());
   return out;
 }
 
@@ -18,10 +49,7 @@ Bitvector BitvectorFromBytes(const std::vector<uint8_t>& bytes,
                              uint64_t bit_count) {
   BIX_CHECK(bytes.size() == CeilDiv(bit_count, 8));
   Bitvector bv(bit_count);
-  std::vector<uint64_t>& words = bv.mutable_words();
-  for (uint64_t j = 0; j < bytes.size(); ++j) {
-    words[j >> 3] |= static_cast<uint64_t>(bytes[j]) << ((j & 7) * 8);
-  }
+  LoadWordsLe(bytes.data(), bytes.size(), bv.mutable_words().data());
   return bv;
 }
 

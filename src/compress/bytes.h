@@ -1,6 +1,7 @@
 #ifndef BIX_COMPRESS_BYTES_H_
 #define BIX_COMPRESS_BYTES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -19,6 +20,17 @@ std::vector<uint8_t> BitvectorToBytes(const Bitvector& bv);
 // CeilDiv(bit_count, 8) and padding bits must be zero.
 Bitvector BitvectorFromBytes(const std::vector<uint8_t>& bytes,
                              uint64_t bit_count);
+
+// The little-endian byte image of a 64-bit word array — the layout every
+// serialized bitmap uses (above, and the result words of a wire response).
+// One memcpy on little-endian hosts, a byte swap per word elsewhere.
+//
+// StoreWordsLe writes the first `n_bytes` bytes of the image of `words`
+// (which holds at least CeilDiv(n_bytes, 8) words) to `out`.
+void StoreWordsLe(const uint64_t* words, size_t n_bytes, uint8_t* out);
+// LoadWordsLe overwrites words[0, CeilDiv(n_bytes, 8)) with the image in
+// `in`; a partial last word gets zero high bytes.
+void LoadWordsLe(const uint8_t* in, size_t n_bytes, uint64_t* words);
 
 }  // namespace bix
 

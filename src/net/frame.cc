@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
+#include "compress/bytes.h"
+#include "util/check.h"
 #include "util/crc32c.h"
 
 namespace bix {
@@ -23,6 +26,21 @@ void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     out->push_back(static_cast<uint8_t>(v >> (8 * i)));
   }
+}
+
+void AppendWords(std::vector<uint8_t>* out,
+                 const std::vector<uint64_t>& words) {
+  const size_t at = out->size();
+  out->resize(at + 8 * words.size());
+  StoreWordsLe(words.data(), 8 * words.size(), out->data() + at);
+}
+
+void PutLe(uint8_t* p, uint64_t v, int n) {
+  for (int i = 0; i < n; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+size_t MessageBytes(const NetResponse& resp) {
+  return std::min<size_t>(resp.message.size(), 0xFFFF);
 }
 
 uint16_t ReadU16(const uint8_t* p) {
@@ -88,6 +106,14 @@ class PayloadReader {
     remaining_ -= n;
     return true;
   }
+  bool ReadWords(size_t n, std::vector<uint64_t>* out) {
+    if (remaining_ / 8 < n) return false;
+    out->resize(n);
+    LoadWordsLe(p_, 8 * n, out->data());
+    p_ += 8 * n;
+    remaining_ -= 8 * n;
+    return true;
+  }
   size_t remaining() const { return remaining_; }
 
  private:
@@ -95,20 +121,23 @@ class PayloadReader {
   size_t remaining_;
 };
 
-std::vector<uint8_t> WrapFrame(FrameType type, uint8_t flags,
-                               uint32_t request_id,
-                               const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> out;
-  out.reserve(kNetHeaderBytes + payload.size());
-  out.push_back(kNetMagic);
-  out.push_back(kNetVersion);
-  out.push_back(static_cast<uint8_t>(type));
-  out.push_back(flags);
-  AppendU32(&out, request_id);
-  AppendU32(&out, static_cast<uint32_t>(payload.size()));
-  AppendU32(&out, Crc32c(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+// A frame is built in one buffer: the encoder reserves its exact size,
+// leaves a header slot, appends the payload behind it, and this stamps the
+// header once the payload CRC is known, so the payload is never copied.
+std::vector<uint8_t> FinishFrame(std::vector<uint8_t> frame, FrameType type,
+                                 uint8_t flags, uint32_t request_id) {
+  const size_t payload_len = frame.size() - kNetHeaderBytes;
+  BIX_CHECK_MSG(payload_len <= std::numeric_limits<uint32_t>::max(),
+                "frame payload does not fit the u32 length field");
+  uint8_t* h = frame.data();
+  h[0] = kNetMagic;
+  h[1] = kNetVersion;
+  h[2] = static_cast<uint8_t>(type);
+  h[3] = flags;
+  PutLe(h + 4, request_id, 4);
+  PutLe(h + 8, payload_len, 4);
+  PutLe(h + 12, Crc32c(h + kNetHeaderBytes, payload_len), 4);
+  return frame;
 }
 
 }  // namespace
@@ -194,34 +223,34 @@ Frame FrameParser::Next() {
 }
 
 std::vector<uint8_t> EncodeRequest(const NetRequest& req) {
-  std::vector<uint8_t> payload;
+  std::vector<uint8_t> frame(kNetHeaderBytes);  // header slot
   switch (req.type) {
     case FrameType::kPing:
       break;
     case FrameType::kInterval:
-      payload.reserve(16);
-      AppendU32(&payload, req.lo);
-      AppendU32(&payload, req.hi);
-      AppendU64(&payload, req.deadline_micros);
+      frame.reserve(kNetHeaderBytes + 16);
+      AppendU32(&frame, req.lo);
+      AppendU32(&frame, req.hi);
+      AppendU64(&frame, req.deadline_micros);
       break;
     case FrameType::kMembership:
-      payload.reserve(12 + 4 * req.values.size());
-      AppendU64(&payload, req.deadline_micros);
-      AppendU32(&payload, static_cast<uint32_t>(req.values.size()));
-      for (uint32_t v : req.values) AppendU32(&payload, v);
+      frame.reserve(kNetHeaderBytes + 12 + 4 * req.values.size());
+      AppendU64(&frame, req.deadline_micros);
+      AppendU32(&frame, static_cast<uint32_t>(req.values.size()));
+      for (uint32_t v : req.values) AppendU32(&frame, v);
       break;
     case FrameType::kWriteBatch:
-      payload.reserve(12 + 4 * req.inserts.size() + 12 * req.updates.size() +
-                      8 * req.deletes.size());
-      AppendU32(&payload, static_cast<uint32_t>(req.inserts.size()));
-      AppendU32(&payload, static_cast<uint32_t>(req.updates.size()));
-      AppendU32(&payload, static_cast<uint32_t>(req.deletes.size()));
-      for (uint32_t v : req.inserts) AppendU32(&payload, v);
+      frame.reserve(kNetHeaderBytes + 12 + 4 * req.inserts.size() +
+                    12 * req.updates.size() + 8 * req.deletes.size());
+      AppendU32(&frame, static_cast<uint32_t>(req.inserts.size()));
+      AppendU32(&frame, static_cast<uint32_t>(req.updates.size()));
+      AppendU32(&frame, static_cast<uint32_t>(req.deletes.size()));
+      for (uint32_t v : req.inserts) AppendU32(&frame, v);
       for (const NetUpdate& u : req.updates) {
-        AppendU64(&payload, u.rid);
-        AppendU32(&payload, u.value);
+        AppendU64(&frame, u.rid);
+        AppendU32(&frame, u.value);
       }
-      for (uint64_t rid : req.deletes) AppendU64(&payload, rid);
+      for (uint64_t rid : req.deletes) AppendU64(&frame, rid);
       break;
     case FrameType::kResponse:
       break;  // not a request type; encodes as an empty ping-like frame
@@ -229,26 +258,31 @@ std::vector<uint8_t> EncodeRequest(const NetRequest& req) {
   uint8_t flags = 0;
   if (req.count_only) flags |= kNetFlagCountOnly;
   if (req.traced) flags |= kNetFlagTraced;
-  return WrapFrame(req.type, flags, req.request_id, payload);
+  return FinishFrame(std::move(frame), req.type, flags, req.request_id);
+}
+
+uint64_t ResponsePayloadBytes(const NetResponse& resp) {
+  return 1 + 2 + MessageBytes(resp) + 8 + 8 + 4 + 8 * resp.words.size() + 4 +
+         resp.trace.size();
 }
 
 std::vector<uint8_t> EncodeResponse(const NetResponse& resp) {
-  std::vector<uint8_t> payload;
-  payload.reserve(1 + 2 + resp.message.size() + 8 + 8 + 4 +
-                  8 * resp.words.size() + 4 + resp.trace.size());
-  payload.push_back(static_cast<uint8_t>(resp.code));
-  const uint16_t msg_len = static_cast<uint16_t>(
-      std::min<size_t>(resp.message.size(), 0xFFFF));
-  AppendU16(&payload, msg_len);
-  payload.insert(payload.end(), resp.message.begin(),
-                 resp.message.begin() + msg_len);
-  AppendU64(&payload, resp.count);
-  AppendU64(&payload, resp.row_bits);
-  AppendU32(&payload, static_cast<uint32_t>(resp.words.size()));
-  for (uint64_t w : resp.words) AppendU64(&payload, w);
-  AppendU32(&payload, static_cast<uint32_t>(resp.trace.size()));
-  payload.insert(payload.end(), resp.trace.begin(), resp.trace.end());
-  return WrapFrame(FrameType::kResponse, 0, resp.request_id, payload);
+  std::vector<uint8_t> frame;
+  frame.reserve(kNetHeaderBytes + ResponsePayloadBytes(resp));
+  frame.resize(kNetHeaderBytes);  // header slot
+  frame.push_back(static_cast<uint8_t>(resp.code));
+  const size_t msg_len = MessageBytes(resp);
+  AppendU16(&frame, static_cast<uint16_t>(msg_len));
+  frame.insert(frame.end(), resp.message.begin(),
+               resp.message.begin() + msg_len);
+  AppendU64(&frame, resp.count);
+  AppendU64(&frame, resp.row_bits);
+  AppendU32(&frame, static_cast<uint32_t>(resp.words.size()));
+  AppendWords(&frame, resp.words);
+  AppendU32(&frame, static_cast<uint32_t>(resp.trace.size()));
+  frame.insert(frame.end(), resp.trace.begin(), resp.trace.end());
+  return FinishFrame(std::move(frame), FrameType::kResponse, 0,
+                     resp.request_id);
 }
 
 Result<NetRequest> DecodeRequest(const Frame& frame) {
@@ -353,15 +387,11 @@ Result<NetResponse> DecodeResponse(const Frame& frame) {
       !r.ReadU32(&word_count)) {
     return Status::InvalidArgument("truncated response payload");
   }
-  if (r.remaining() < 8ull * word_count) {
+  // The count is checked against the bytes actually present before the
+  // word array is sized, so a lying count cannot force an allocation.
+  if (!r.ReadWords(word_count, &resp.words)) {
     return Status::InvalidArgument(
         "response word count disagrees with payload length");
-  }
-  resp.words.reserve(word_count);
-  for (uint32_t i = 0; i < word_count; ++i) {
-    uint64_t w = 0;
-    r.ReadU64(&w);
-    resp.words.push_back(w);
   }
   uint32_t trace_len = 0;
   if (!r.ReadU32(&trace_len) || !r.ReadBytes(trace_len, &resp.trace)) {

@@ -141,9 +141,14 @@ struct NetResponse {
   std::string trace;
 };
 
-// Serialize a complete wire frame (header + payload).
+// Serialize a complete wire frame (header + payload), built in one
+// exactly-sized buffer. A message longer than 65,535 bytes is truncated.
 std::vector<uint8_t> EncodeRequest(const NetRequest& req);
 std::vector<uint8_t> EncodeResponse(const NetResponse& resp);
+
+// The payload length EncodeResponse(resp) produces, without encoding: what
+// a sender checks against the peer's max_payload_bytes first.
+uint64_t ResponsePayloadBytes(const NetResponse& resp);
 
 // Decode a parsed frame's payload. InvalidArgument on a structurally
 // inconsistent payload (counts disagreeing with the byte length, truncated

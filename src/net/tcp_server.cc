@@ -33,6 +33,22 @@ double SecondsSince(ClockInterface::TimePoint then,
   return std::chrono::duration<double>(now - then).count();
 }
 
+// Encodes `resp`, or in its place a typed OutOfRange error carrying no
+// words when its payload exceeds the cap: an oversized result fails its own
+// request instead of poisoning the peer's frame parser.
+std::vector<uint8_t> EncodeWithinCap(const NetResponse& resp,
+                                     uint64_t max_payload_bytes) {
+  const uint64_t payload = ResponsePayloadBytes(resp);
+  if (payload <= max_payload_bytes) return EncodeResponse(resp);
+  NetResponse err;
+  err.request_id = resp.request_id;
+  err.code = Status::Code::kOutOfRange;
+  err.message = "response payload of " + std::to_string(payload) +
+                " bytes exceeds the " + std::to_string(max_payload_bytes) +
+                "-byte frame cap";
+  return EncodeResponse(err);
+}
+
 }  // namespace
 
 struct TcpServer::Connection {
@@ -450,10 +466,11 @@ void TcpServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
             resp.count = result.count;
             if (result.status.ok() && result.rows.size() > 0) {
               resp.row_bits = result.rows.size();
-              resp.words = result.rows.words();
+              resp.words = std::move(result.rows).TakeWords();
             }
             if (result.trace != nullptr) resp.trace = result.trace->Render();
-            CompleteRequest(conn_ref, id, EncodeResponse(resp));
+            CompleteRequest(conn_ref, id,
+                            EncodeWithinCap(resp, options_.max_payload_bytes));
           });
       return;
     }

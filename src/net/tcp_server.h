@@ -35,6 +35,9 @@ struct TcpServerOptions {
   // answered with one typed Unavailable frame and closed, instead of
   // adding load the service already cannot carry.
   uint32_t max_connections = 64;
+  // Largest frame payload either way. A request over it is refused from
+  // its header; a query response over it is replaced by a typed OutOfRange
+  // error. Keep it equal to the clients' NetClientOptions.max_payload_bytes.
   uint64_t max_payload_bytes = kNetDefaultMaxPayloadBytes;
   // A connection with nothing pending in either direction for this long is
   // culled.

@@ -1,5 +1,13 @@
 #include "util/crc32c.h"
 
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
+#include "util/cpu.h"
+
 namespace bix {
 namespace {
 
@@ -42,9 +50,44 @@ inline uint32_t LoadLe32(const uint8_t* p) {
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
+#if defined(__x86_64__)
+// The target attribute enables SSE4.2 for this function alone, so the rest
+// of the translation unit keeps the build's baseline ISA; Select() calls it
+// only after CPUID reported the instruction.
+__attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t crc,
+                                                       const void* data,
+                                                       size_t n) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint64_t c = crc ^ 0xFFFFFFFFu;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t v;
+    std::memcpy(&v, p, sizeof(v));  // x86 is little-endian: v is LE bytes
+    c = _mm_crc32_u64(c, v);
+  }
+  uint32_t c32 = static_cast<uint32_t>(c);
+  for (; n > 0; ++p, --n) c32 = _mm_crc32_u8(c32, *p);
+  return c32 ^ 0xFFFFFFFFu;
+}
+#endif
+
+using ExtendFn = uint32_t (*)(uint32_t, const void*, size_t);
+
+ExtendFn Select() {
+  if (ScalarForcedByEnv()) return &Crc32cExtendPortable;
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sse4.2")) return &ExtendSse42;
+#endif
+  return &Crc32cExtendPortable;
+}
+
 }  // namespace
 
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n) {
+  static const ExtendFn extend = Select();
+  return extend(crc, data, n);
+}
+
+uint32_t Crc32cExtendPortable(uint32_t crc, const void* data, size_t n) {
   const Tables& tb = GetTables();
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t c = crc ^ 0xFFFFFFFFu;

@@ -6,10 +6,13 @@
 
 namespace bix {
 
-// CRC32C (Castagnoli polynomial, reflected 0x82F63B78) — the checksum the
-// storage layer stamps on every stored bitmap blob and on index-file
-// headers/records. Software slice-by-8 implementation: endianness- and
-// alignment-safe, ~1 byte/cycle, no special instructions required.
+// CRC32C (Castagnoli polynomial, reflected 0x82F63B78) — the checksum
+// stamped on every stored bitmap blob, index-file header and record, WAL
+// record and wire frame. The implementation is selected once per process
+// by CPUID: the SSE4.2 `crc32` instruction (8 bytes per instruction) where
+// the CPU has it, otherwise the portable slice-by-8 tables (endianness- and
+// alignment-safe, ~1 byte/cycle). BIX_FORCE_SCALAR=1, which also pins the
+// SIMD kernel tiers, pins the portable path. Both give identical values.
 //
 // `Crc32c(p, n)` checksums one buffer; `Crc32cExtend(crc, p, n)` continues
 // a running checksum so multi-field records can be covered without
@@ -23,6 +26,11 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n);
 inline uint32_t Crc32c(const void* data, size_t n) {
   return Crc32cExtend(0, data, n);
 }
+
+// The portable slice-by-8 implementation, whatever the CPU: the fallback
+// Crc32cExtend selects without SSE4.2, and the reference tests compare the
+// selected path against.
+uint32_t Crc32cExtendPortable(uint32_t crc, const void* data, size_t n);
 
 }  // namespace bix
 

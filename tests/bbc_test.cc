@@ -25,11 +25,15 @@ void ExpectRoundtrip(const Bitvector& bv) {
 
 TEST(BytesTest, RoundtripVariousSizes) {
   Rng rng(1);
-  for (uint64_t n : {1u, 7u, 8u, 9u, 63u, 64u, 65u, 1000u}) {
+  for (uint64_t n : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 65u, 1000u, 1'000'000u}) {
     Bitvector bv = RandomBitvector(n, 0.5, &rng);
     std::vector<uint8_t> bytes = BitvectorToBytes(bv);
-    EXPECT_EQ(bytes.size(), (n + 7) / 8);
-    EXPECT_EQ(BitvectorFromBytes(bytes, n), bv);
+    ASSERT_EQ(bytes.size(), (n + 7) / 8);
+    for (uint64_t i = 0; i < n; ++i) {
+      ASSERT_EQ((bytes[i / 8] >> (i % 8)) & 1, bv.Get(i) ? 1 : 0)
+          << "n " << n << " bit " << i;
+    }
+    EXPECT_EQ(BitvectorFromBytes(bytes, n), bv) << "n " << n;
   }
 }
 

@@ -6,7 +6,9 @@
 // address,undefined sanitizers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "net/frame.h"
@@ -112,6 +114,127 @@ TEST(NetFrame, ResponseRoundTrip) {
   EXPECT_EQ(out.row_bits, 200u);
   EXPECT_EQ(out.words, resp.words);
   EXPECT_EQ(out.trace, resp.trace);
+}
+
+// Byte-at-a-time encoders written from the layouts in frame.h and
+// checksummed with the portable CRC: the reference the one-buffer encoders
+// must match byte for byte, so the wire never drifts.
+void PutLe(std::vector<uint8_t>* out, uint64_t v, int n) {
+  for (int i = 0; i < n; ++i) {
+    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
+}
+
+std::vector<uint8_t> ReferenceFrame(FrameType type, uint8_t flags,
+                                    uint32_t request_id,
+                                    const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> frame = {kNetMagic, kNetVersion,
+                                static_cast<uint8_t>(type), flags};
+  PutLe(&frame, request_id, 4);
+  PutLe(&frame, payload.size(), 4);
+  PutLe(&frame, Crc32cExtendPortable(0, payload.data(), payload.size()), 4);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
+}
+
+std::vector<uint8_t> ReferenceEncodeResponse(const NetResponse& resp) {
+  std::vector<uint8_t> payload;
+  payload.push_back(static_cast<uint8_t>(resp.code));
+  const size_t msg_len = std::min<size_t>(resp.message.size(), 0xFFFF);
+  PutLe(&payload, msg_len, 2);
+  payload.insert(payload.end(), resp.message.begin(),
+                 resp.message.begin() + msg_len);
+  PutLe(&payload, resp.count, 8);
+  PutLe(&payload, resp.row_bits, 8);
+  PutLe(&payload, resp.words.size(), 4);
+  for (uint64_t w : resp.words) PutLe(&payload, w, 8);
+  PutLe(&payload, resp.trace.size(), 4);
+  payload.insert(payload.end(), resp.trace.begin(), resp.trace.end());
+  return ReferenceFrame(FrameType::kResponse, 0, resp.request_id, payload);
+}
+
+TEST(NetFrame, EncodeRequestMatchesByteAtATimeReference) {
+  NetRequest interval;
+  interval.type = FrameType::kInterval;
+  interval.request_id = 3;
+  interval.lo = 4;
+  interval.hi = 17;
+  interval.deadline_micros = 1'000'000;
+  std::vector<uint8_t> payload;
+  PutLe(&payload, 4, 4);
+  PutLe(&payload, 17, 4);
+  PutLe(&payload, 1'000'000, 8);
+  EXPECT_EQ(EncodeRequest(interval),
+            ReferenceFrame(FrameType::kInterval, 0, 3, payload));
+
+  const NetRequest membership = SampleMembership();
+  payload.clear();
+  PutLe(&payload, membership.deadline_micros, 8);
+  PutLe(&payload, membership.values.size(), 4);
+  for (uint32_t v : membership.values) PutLe(&payload, v, 4);
+  EXPECT_EQ(EncodeRequest(membership),
+            ReferenceFrame(FrameType::kMembership,
+                           kNetFlagCountOnly | kNetFlagTraced, 42, payload));
+
+  NetRequest batch;
+  batch.type = FrameType::kWriteBatch;
+  batch.request_id = 9;
+  batch.inserts = {3, 1};
+  batch.updates = {{10, 7}};
+  batch.deletes = {5, 6, 8};
+  payload.clear();
+  PutLe(&payload, 2, 4);
+  PutLe(&payload, 1, 4);
+  PutLe(&payload, 3, 4);
+  PutLe(&payload, 3, 4);
+  PutLe(&payload, 1, 4);
+  PutLe(&payload, 10, 8);
+  PutLe(&payload, 7, 4);
+  for (uint64_t rid : batch.deletes) PutLe(&payload, rid, 8);
+  EXPECT_EQ(EncodeRequest(batch),
+            ReferenceFrame(FrameType::kWriteBatch, 0, 9, payload));
+}
+
+TEST(NetFrame, EncodeResponseMatchesByteAtATimeReference) {
+  Rng rng(125043);
+  std::vector<NetResponse> cases;
+  // 0, 1 and an odd number of words, and a 1M-row bitmap (15,625 words).
+  for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{15'625}}) {
+    NetResponse resp;
+    resp.request_id = static_cast<uint32_t>(1000 + n);
+    resp.count = 3 * n;
+    resp.row_bits = 64 * n;
+    for (size_t i = 0; i < n; ++i) resp.words.push_back(rng.engine()());
+    cases.push_back(resp);
+  }
+  NetResponse annotated = cases[2];
+  annotated.message = "served from a degraded cache";
+  annotated.trace = "query 1.5ms\n  eval 1.0ms";
+  cases.push_back(annotated);
+  NetResponse long_message;
+  long_message.request_id = 9;
+  long_message.code = Status::Code::kInvalidArgument;
+  long_message.message = std::string(70'000, 'm');  // truncated to 65,535
+  long_message.trace = "t";
+  cases.push_back(long_message);
+
+  for (const NetResponse& resp : cases) {
+    const std::vector<uint8_t> bytes = EncodeResponse(resp);
+    ASSERT_EQ(bytes, ReferenceEncodeResponse(resp))
+        << "request " << resp.request_id;
+    EXPECT_EQ(bytes.size(), kNetHeaderBytes + ResponsePayloadBytes(resp));
+    FrameParser parser;
+    ASSERT_TRUE(parser.Feed(bytes.data(), bytes.size()).ok());
+    ASSERT_TRUE(parser.HasFrame());
+    const NetResponse out = DecodeResponse(parser.Next()).value();
+    EXPECT_EQ(out.request_id, resp.request_id);
+    EXPECT_EQ(out.code, resp.code);
+    EXPECT_EQ(out.message, resp.message.substr(0, 0xFFFF));
+    EXPECT_EQ(out.count, resp.count);
+    EXPECT_EQ(out.row_bits, resp.row_bits);
+    EXPECT_EQ(out.words, resp.words);
+    EXPECT_EQ(out.trace, resp.trace);
+  }
 }
 
 TEST(NetFrame, ErrorResponseRoundTrip) {

@@ -300,6 +300,31 @@ TEST(NetServerTest, OversizedFrameRejectedFromHeaderAlone) {
   EXPECT_EQ(resp.code, Status::Code::kOutOfRange);
 }
 
+// The other direction: a result bigger than the frame cap comes back as a
+// typed OutOfRange for that request alone. The client's parser never sees
+// an oversized frame, so the same connection keeps serving.
+TEST(NetServerTest, OversizedResultGetsTypedErrorAndConnectionSurvives) {
+  TcpServerOptions opts;
+  opts.max_payload_bytes = 1024;  // a 20,000-row bitmap is 2,500 bytes
+  ServeSetup setup(opts);
+  NetClientOptions client_opts;
+  client_opts.max_payload_bytes = 1024;
+  NetClient client = setup.Client(client_opts);
+
+  const Result<NetResponse> bitmap = client.Call(Interval(0, 0, 40));
+  ASSERT_TRUE(bitmap.ok()) << bitmap.status().ToString();
+  EXPECT_EQ(bitmap.value().code, Status::Code::kOutOfRange);
+  EXPECT_TRUE(bitmap.value().words.empty());
+
+  NetRequest count = Interval(0, 0, 40);
+  count.count_only = true;
+  const Result<NetResponse> counted = client.Call(count);
+  ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+  ASSERT_EQ(counted.value().code, Status::Code::kOk);
+  EXPECT_EQ(counted.value().count, setup.Reference(count).Count());
+  EXPECT_EQ(setup.server->stats().parse_errors, 0u);
+}
+
 TEST(NetServerTest, ConnectionCapRejectsWithTypedOverloadError) {
   TcpServerOptions opts;
   opts.max_connections = 2;

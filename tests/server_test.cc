@@ -283,11 +283,19 @@ TEST_F(QueryServiceTest, PerQueryMetricsAreRecorded) {
 
 TEST_F(QueryServiceTest, ServiceStatsRollUpPerQueryBlocks) {
   QueryService service(&*index_, SmallService());
-  std::vector<QueryResult> results = service.ExecuteBatch({
-      ServiceQuery::Interval(IntervalQuery{0, 5, false}),
-      ServiceQuery::Interval(IntervalQuery{0, 5, false}),
-      ServiceQuery::Membership({1, 2, 3}),
-  });
+  // The first interval query resolves before its repeat is submitted, so
+  // the repeat finds its bitmaps resident. Submitted together, the two
+  // could run at once on the two workers and both miss.
+  std::vector<QueryResult> results;
+  results.push_back(
+      service.Submit(ServiceQuery::Interval(IntervalQuery{0, 5, false}))
+          .get());
+  for (QueryResult& r : service.ExecuteBatch({
+           ServiceQuery::Interval(IntervalQuery{0, 5, false}),
+           ServiceQuery::Membership({1, 2, 3}),
+       })) {
+    results.push_back(std::move(r));
+  }
   uint64_t scans = 0;
   for (const QueryResult& r : results) {
     ASSERT_TRUE(r.status.ok());

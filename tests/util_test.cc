@@ -119,6 +119,39 @@ TEST(Crc32cTest, SliceLoopMatchesByteLoop) {
   }
 }
 
+// The CPUID-selected implementation (the SSE4.2 instruction on x86-64,
+// unless BIX_FORCE_SCALAR pins the portable path) against the portable
+// slice-by-8 reference: every short length at every alignment, a 1 MiB
+// buffer, and running checksums handed from one implementation to the
+// other mid-buffer.
+TEST(Crc32cTest, SelectedMatchesPortableReference) {
+  Rng rng(20261017);
+  constexpr size_t kMiB = size_t{1} << 20;
+  std::vector<uint8_t> buf(kMiB + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.engine()());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(Crc32c(p, len), Crc32cExtendPortable(0, p, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  const uint32_t whole = Crc32cExtendPortable(0, buf.data(), kMiB);
+  EXPECT_EQ(Crc32c(buf.data(), kMiB), whole);
+  for (size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                       size_t{4095}, size_t{65539}, kMiB - 1, kMiB}) {
+    const uint8_t* rest = buf.data() + split;
+    EXPECT_EQ(Crc32cExtend(Crc32cExtendPortable(0, buf.data(), split), rest,
+                           kMiB - split),
+              whole)
+        << "portable then selected, split " << split;
+    EXPECT_EQ(Crc32cExtendPortable(Crc32cExtend(0, buf.data(), split), rest,
+                                   kMiB - split),
+              whole)
+        << "selected then portable, split " << split;
+  }
+}
+
 TEST(MathTest, CeilDiv) {
   EXPECT_EQ(CeilDiv(0, 8), 0u);
   EXPECT_EQ(CeilDiv(1, 8), 1u);
