@@ -47,6 +47,16 @@ Bitvector Bitvector::AllOnes(uint64_t size) {
   return bv;
 }
 
+Bitvector Bitvector::FromWords(uint64_t size, std::vector<uint64_t> words) {
+  BIX_CHECK(words.size() == WordCount(size));
+  BIX_CHECK_MSG(size % 64 == 0 || (words.back() >> (size % 64)) == 0,
+                "FromWords: bits set past size");
+  Bitvector bv;
+  bv.size_ = size;
+  bv.words_ = std::move(words);
+  return bv;
+}
+
 void Bitvector::Resize(uint64_t new_size) {
   size_ = new_size;
   words_.resize(WordCount(new_size), 0);

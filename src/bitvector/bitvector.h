@@ -67,6 +67,10 @@ class Bitvector {
                                  const std::vector<uint64_t>& positions);
   // All-ones bitmap of `size` bits.
   static Bitvector AllOnes(uint64_t size);
+  // Adopts `words` (exactly WordCount(size) of them, bits past `size`
+  // clear) without copying or zero-filling: how a result assembled block by
+  // block becomes a bitmap. The inverse of TakeWords().
+  static Bitvector FromWords(uint64_t size, std::vector<uint64_t> words);
 
   uint64_t size() const { return size_; }
   bool empty() const { return size_ == 0; }

@@ -1,5 +1,6 @@
 #include "compress/bytes.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -7,17 +8,16 @@
 
 namespace bix {
 
-void StoreWordsLe(const uint64_t* words, size_t n_bytes, uint8_t* out) {
+void AppendWordsLe(const uint64_t* words, size_t n_bytes,
+                   std::vector<uint8_t>* out) {
   if constexpr (std::endian::native == std::endian::little) {
-    if (n_bytes > 0) std::memcpy(out, words, n_bytes);
+    const auto* image = reinterpret_cast<const uint8_t*>(words);
+    out->insert(out->end(), image, image + n_bytes);
   } else {
-    const size_t full = n_bytes / 8;
-    for (size_t i = 0; i < full; ++i) {
-      const uint64_t w = __builtin_bswap64(words[i]);
-      std::memcpy(out + 8 * i, &w, sizeof(w));
-    }
-    for (size_t j = 8 * full; j < n_bytes; ++j) {
-      out[j] = static_cast<uint8_t>(words[full] >> ((j & 7) * 8));
+    for (size_t j = 0; j < n_bytes; j += 8) {
+      const uint64_t w = __builtin_bswap64(words[j / 8]);
+      const auto* image = reinterpret_cast<const uint8_t*>(&w);
+      out->insert(out->end(), image, image + std::min<size_t>(8, n_bytes - j));
     }
   }
 }
@@ -40,8 +40,10 @@ void LoadWordsLe(const uint8_t* in, size_t n_bytes, uint64_t* words) {
 }
 
 std::vector<uint8_t> BitvectorToBytes(const Bitvector& bv) {
-  std::vector<uint8_t> out(CeilDiv(bv.size(), 8));
-  StoreWordsLe(bv.words().data(), out.size(), out.data());
+  const size_t n_bytes = CeilDiv(bv.size(), 8);
+  std::vector<uint8_t> out;
+  out.reserve(n_bytes);
+  AppendWordsLe(bv.words().data(), n_bytes, &out);
   return out;
 }
 

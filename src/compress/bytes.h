@@ -25,9 +25,11 @@ Bitvector BitvectorFromBytes(const std::vector<uint8_t>& bytes,
 // serialized bitmap uses (above, and the result words of a wire response).
 // One memcpy on little-endian hosts, a byte swap per word elsewhere.
 //
-// StoreWordsLe writes the first `n_bytes` bytes of the image of `words`
-// (which holds at least CeilDiv(n_bytes, 8) words) to `out`.
-void StoreWordsLe(const uint64_t* words, size_t n_bytes, uint8_t* out);
+// AppendWordsLe appends the first `n_bytes` bytes of the image of `words`
+// (which holds at least CeilDiv(n_bytes, 8) words) to `out` in one pass:
+// the bytes are written once, never zero-filled first.
+void AppendWordsLe(const uint64_t* words, size_t n_bytes,
+                   std::vector<uint8_t>* out);
 // LoadWordsLe overwrites words[0, CeilDiv(n_bytes, 8)) with the image in
 // `in`; a partial last word gets zero high bytes.
 void LoadWordsLe(const uint8_t* in, size_t n_bytes, uint64_t* words);

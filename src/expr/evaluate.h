@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "bitvector/bitvector.h"
 #include "compress/codec.h"
@@ -99,14 +100,19 @@ uint64_t EvaluateExprDecodedCount(const ExprPtr& expr, uint64_t row_count,
                                   const DecodedLeafFetcher& fetch,
                                   TraceSink* trace = nullptr);
 
-// Count-only evaluation: the popcount of the expression's result without
-// handing back a bitmap. Pure-leaf roots count the fetched handle directly
-// and binary-AND roots fold the count into the combine pass
-// (Bitvector::AndWithCount); everything else counts the scratch
-// accumulator in place.
-uint64_t EvaluateExprSharedCount(const ExprPtr& expr, uint64_t row_count,
-                                 const SharedLeafFetcher& fetch,
-                                 TraceSink* trace = nullptr);
+// Blocked union evaluation (DESIGN.md section 12): the OR of `constituents`
+// in one pass over the words, for leaves that are all plain (`fetch` must
+// not return a Roaring handle). The constituents are compiled once into a
+// postfix program — an n-ary OR over the constituents, leaf word pointers
+// resolved up front, `x & ~y` as andnot — which runs over L1-sized blocks
+// through kernels::Ops. Each finished block is popcounted and, when `rows`
+// is non-null, appended to the result, so the answer is written once (never
+// zero-filled first) and counted in the same pass. Returns the count.
+// `trace` (nullable) gets one "kernel" span for the whole evaluation.
+uint64_t EvaluateUnionBlocked(const std::vector<ExprPtr>& constituents,
+                              uint64_t row_count,
+                              const DecodedLeafFetcher& fetch, Bitvector* rows,
+                              TraceSink* trace = nullptr);
 
 // By-value compatibility wrapper over EvaluateExprShared (tests and
 // examples; the fetcher's return value is moved, not copied).

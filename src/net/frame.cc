@@ -28,13 +28,6 @@ void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
   }
 }
 
-void AppendWords(std::vector<uint8_t>* out,
-                 const std::vector<uint64_t>& words) {
-  const size_t at = out->size();
-  out->resize(at + 8 * words.size());
-  StoreWordsLe(words.data(), 8 * words.size(), out->data() + at);
-}
-
 void PutLe(uint8_t* p, uint64_t v, int n) {
   for (int i = 0; i < n; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
@@ -278,7 +271,7 @@ std::vector<uint8_t> EncodeResponse(const NetResponse& resp) {
   AppendU64(&frame, resp.count);
   AppendU64(&frame, resp.row_bits);
   AppendU32(&frame, static_cast<uint32_t>(resp.words.size()));
-  AppendWords(&frame, resp.words);
+  AppendWordsLe(resp.words.data(), 8 * resp.words.size(), &frame);
   AppendU32(&frame, static_cast<uint32_t>(resp.trace.size()));
   frame.insert(frame.end(), resp.trace.begin(), resp.trace.end());
   return FinishFrame(std::move(frame), FrameType::kResponse, 0,

@@ -180,28 +180,31 @@ uint64_t QueryExecutor::EvaluateCountRewritten(
 }
 
 Result<Bitvector> QueryExecutor::TryEvaluateRewritten(
-    const std::vector<ExprPtr>& exprs, const CancelToken* cancel) {
-  Result<Bitvector> result = EvalCore(exprs, cancel, /*count_out=*/nullptr);
-  if (!result.ok() || !index_->reordered()) return result;
+    const std::vector<ExprPtr>& exprs, const CancelToken* cancel,
+    uint64_t* count) {
+  Bitvector rows;
+  Status status = EvalCore(exprs, cancel, &rows, count);
+  if (!status.ok()) return status;
+  if (!index_->reordered()) return rows;
   // Reordered index (DESIGN.md section 18): EvalCore's bits are index
   // positions; permute them back so callers only ever see original RIDs.
-  return MapToOriginalRids(result.value(), index_->row_order());
+  return MapToOriginalRids(rows, index_->row_order());
 }
 
 Result<uint64_t> QueryExecutor::TryEvaluateCountRewritten(
     const std::vector<ExprPtr>& exprs, const CancelToken* cancel) {
   uint64_t count = 0;
-  Result<Bitvector> r = EvalCore(exprs, cancel, &count);
-  if (!r.ok()) return r.status();
+  Status status = EvalCore(exprs, cancel, /*rows=*/nullptr, &count);
+  if (!status.ok()) return status;
   return count;
 }
 
 Result<Bitvector> QueryExecutor::TryEvaluateRewrittenMerged(
     const std::vector<ExprPtr>& exprs, const DeltaView& delta,
     const ValueSet& pred, const CancelToken* cancel) {
-  Result<Bitvector> result = EvalCore(exprs, cancel, /*count_out=*/nullptr);
-  if (!result.ok()) return result;
-  Bitvector merged = std::move(result.value());
+  Bitvector merged;
+  Status status = EvalCore(exprs, cancel, &merged, /*count=*/nullptr);
+  if (!status.ok()) return status;
   // The overlay is keyed by original RIDs (the writable index never
   // renumbers), so a reordered base's answer must be mapped back *before*
   // the merge: override/tombstone/append positions then line up.
@@ -219,9 +222,9 @@ Result<Bitvector> QueryExecutor::TryEvaluateRewrittenMerged(
   return merged;
 }
 
-Result<Bitvector> QueryExecutor::EvalCore(const std::vector<ExprPtr>& exprs,
-                                          const CancelToken* cancel,
-                                          uint64_t* count_out) {
+Status QueryExecutor::EvalCore(const std::vector<ExprPtr>& exprs,
+                               const CancelToken* cancel, Bitvector* rows_out,
+                               uint64_t* count_out) {
   if (options_.cold_pool_per_query) cache_->DropPool();
   ClockInterface* clock =
       options_.clock != nullptr ? options_.clock : RealClock::Get();
@@ -244,22 +247,20 @@ Result<Bitvector> QueryExecutor::EvalCore(const std::vector<ExprPtr>& exprs,
 
   Bitvector result;
   uint64_t count = 0;
-  // Per-constituent evaluation and the OR across constituents, shared by
-  // both fetch disciplines. Everything flows as handles: leaves are
-  // borrowed from the cache in whatever form it holds resident (plain, or
-  // Roaring container form combined without full decode), the first
-  // constituent's scratch becomes the accumulator (a borrowed single-leaf
-  // constituent is OR-ed into a fresh zero buffer instead of being
-  // copied), later constituents are OR-ed in place. Count-only
-  // single-constituent queries skip the accumulator entirely
+  // Node-at-a-time evaluation and the OR across constituents, for what the
+  // blocked union does not cover: the one-constituent-at-a-time strategies
+  // and Roaring leaves. Leaves are borrowed from the cache in whatever form
+  // it holds resident (plain, or Roaring container form combined without
+  // full decode), the first constituent's scratch becomes the accumulator
+  // (a borrowed single-leaf constituent is OR-ed into a fresh zero buffer
+  // instead of being copied), later constituents are OR-ed in place.
+  // Count-only single-constituent queries skip the accumulator entirely
   // (EvaluateExprDecodedCount counts fetched handles / folds the popcount
   // into the final combine).
   auto accumulate = [&](const std::vector<const ExprPtr*>& order,
                         const DecodedLeafFetcher& fetch) {
-    if (count_out != nullptr && order.size() == 1) {
-      const uint64_t c =
-          EvaluateExprDecodedCount(*order[0], rows, fetch, trace_);
-      if (error.ok()) count = c;
+    if (rows_out == nullptr && order.size() == 1) {
+      count = EvaluateExprDecodedCount(*order[0], rows, fetch, trace_);
       return;
     }
     bool first = true;
@@ -279,10 +280,7 @@ Result<Bitvector> QueryExecutor::EvalCore(const std::vector<ExprPtr>& exprs,
       }
     }
     if (first) result = Bitvector(rows);  // no constituents: empty result
-    if (count_out != nullptr) {
-      count = result.Count();
-      result = Bitvector();  // count-only: nothing to hand back
-    }
+    if (count_out != nullptr) count = result.Count();
   };
 
   if (options_.strategy == EvalStrategy::kQueryWise ||
@@ -317,9 +315,9 @@ Result<Bitvector> QueryExecutor::EvalCore(const std::vector<ExprPtr>& exprs,
     // Component-wise (paper Section 6.3): fetch every distinct bitmap the
     // whole query needs exactly once, in component order (all of component
     // n's bitmaps on behalf of all constituents, then component n-1, ...),
-    // then combine per constituent. The map holds handles, so a bitmap
-    // referenced by several constituents is decoded once and combined in
-    // place each time — never copied per leaf reference.
+    // then combine. The map holds handles, so a bitmap referenced by
+    // several constituents is decoded once and never copied per leaf
+    // reference.
     std::vector<BitmapKey> leaves;
     for (const ExprPtr& e : exprs) CollectLeaves(e, &leaves);
     std::sort(leaves.begin(), leaves.end(),
@@ -334,33 +332,44 @@ Result<Bitvector> QueryExecutor::EvalCore(const std::vector<ExprPtr>& exprs,
                  leaves.end());
     std::unordered_map<uint64_t, DecodedBitmap> fetched;
     fetched.reserve(leaves.size());
+    bool all_plain = true;
     for (const BitmapKey& key : leaves) {
-      // Per-fetch budget check (TryFetchDecoded re-checks internally; this
-      // keeps the loop's exit typed even for caches that do not).
+      // Both caches check the budget on every fetch themselves, so an
+      // expired or cancelled query stops here with its typed status.
       Result<DecodedBitmap> r =
           cache_->TryFetchDecoded(key, &stats_, cancel, trace_);
       if (!r.ok()) {
         error = r.status();
         break;
       }
+      all_plain = all_plain && !r.value().is_roaring();
       fetched.emplace(key.Packed(), std::move(r).value());
     }
     if (error.ok()) {
-      std::vector<const ExprPtr*> order;
-      for (const ExprPtr& e : exprs) order.push_back(&e);
       DecodedLeafFetcher fetch = [&fetched](BitmapKey key) -> DecodedBitmap {
         auto it = fetched.find(key.Packed());
         BIX_CHECK(it != fetched.end());
         return it->second;
       };
-      accumulate(order, fetch);
+      if (all_plain) {
+        // Every bitmap the query needs is resident and plain: one blocked
+        // pass computes the whole union (DESIGN.md section 12).
+        count = EvaluateUnionBlocked(exprs, rows, fetch,
+                                     rows_out != nullptr ? &result : nullptr,
+                                     trace_);
+      } else {
+        std::vector<const ExprPtr*> order;
+        for (const ExprPtr& e : exprs) order.push_back(&e);
+        accumulate(order, fetch);
+      }
     }
   }
 
   charge_cpu();
   if (!error.ok()) return error;
+  if (rows_out != nullptr) *rows_out = std::move(result);
   if (count_out != nullptr) *count_out = count;
-  return result;
+  return Status::OK();
 }
 
 }  // namespace bix

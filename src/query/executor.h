@@ -104,8 +104,13 @@ class QueryExecutor {
   // strategies, so a query past its deadline (or cancelled mid-flight)
   // stops evaluating within one fetch and resolves DeadlineExceeded /
   // Cancelled — with the partial IoStats it accumulated still in stats().
+  //
+  // `count` (nullable) receives the result's popcount on success. The
+  // blocked union evaluation counts in the same pass that writes the
+  // result, so a caller that needs both never re-reads the bitmap.
   Result<Bitvector> TryEvaluateRewritten(const std::vector<ExprPtr>& exprs,
-                                         const CancelToken* cancel = nullptr);
+                                         const CancelToken* cancel = nullptr,
+                                         uint64_t* count = nullptr);
   // Fallible count-only variant (the serving path's COUNT entry point).
   Result<uint64_t> TryEvaluateCountRewritten(
       const std::vector<ExprPtr>& exprs, const CancelToken* cancel = nullptr);
@@ -162,12 +167,14 @@ class QueryExecutor {
   // Reorders constituents for kBufferAware (greedy shared-leaf chaining).
   void OrderForSharing(std::vector<const ExprPtr*>* order);
   // Shared machinery of the value and count-only entry points: evaluates
-  // `exprs` under the configured strategy over shared bitmap handles. When
-  // `count_out` is null the OR of the constituents is returned; when
-  // non-null only the count is produced (*count_out) and the returned
-  // bitvector is empty.
-  Result<Bitvector> EvalCore(const std::vector<ExprPtr>& exprs,
-                             const CancelToken* cancel, uint64_t* count_out);
+  // `exprs` under the configured strategy over shared bitmap handles. On
+  // success the OR of the constituents goes to *rows_out and its popcount
+  // to *count_out; either may be null (no rows_out is count-only: no
+  // result bitmap is materialized). Component-wise evaluation over plain
+  // leaves runs the blocked union (EvaluateUnionBlocked); the other
+  // strategies and Roaring leaves evaluate node at a time.
+  Status EvalCore(const std::vector<ExprPtr>& exprs, const CancelToken* cancel,
+                  Bitvector* rows_out, uint64_t* count_out);
 
   const BitmapIndex* index_;
   ExecutorOptions options_;

@@ -745,11 +745,11 @@ QueryResult QueryService::Execute(QueryExecutor* executor, const Task& task,
       if (count.ok()) result.count = count.value();
       eval_status = count.status();
     } else {
-      Result<Bitvector> rows = executor->TryEvaluateRewritten(exprs, cancel);
-      if (rows.ok()) {
-        result.rows = std::move(rows).value();
-        result.count = result.rows.Count();
-      }
+      // The count comes from the evaluation pass itself; the result is not
+      // read a second time to count it.
+      Result<Bitvector> rows =
+          executor->TryEvaluateRewritten(exprs, cancel, &result.count);
+      if (rows.ok()) result.rows = std::move(rows).value();
       eval_status = rows.status();
     }
   }

@@ -656,7 +656,12 @@ TEST_F(ObservabilityServiceTest, TracingIsObservationOnlyForAllEncodings) {
       ASSERT_TRUE(plain[i].status.ok()) << plain[i].status.ToString();
       ASSERT_TRUE(traced[i].status.ok()) << traced[i].status.ToString();
       EXPECT_EQ(plain[i].trace, nullptr);
-      EXPECT_NE(traced[i].trace, nullptr);
+      ASSERT_NE(traced[i].trace, nullptr);
+      // Traced queries take the same blocked union as untraced ones: one
+      // kernel span for the whole combine, not one per operator node.
+      std::vector<const TraceSpan*> kernels;
+      CollectNamed(*traced[i].trace, "kernel", &kernels);
+      EXPECT_EQ(kernels.size(), 1u);
       EXPECT_EQ(plain[i].count, traced[i].count);
       EXPECT_TRUE(plain[i].rows == traced[i].rows);
       // IoStats equality, field by field.

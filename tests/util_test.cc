@@ -86,6 +86,19 @@ TEST(Crc32cTest, ExtendComposesAcrossSplits) {
     crc = Crc32cExtend(crc, data.data() + split, data.size() - split);
     EXPECT_EQ(crc, whole) << "split at " << split;
   }
+  // Splits inside a lane of the three-lane SSE4.2 loop (8 KiB long lanes,
+  // 256 B short lanes): each side runs its own stripes, and the halves
+  // still compose.
+  Rng rng(81);
+  std::vector<uint8_t> buf(2 * 3 * 8192 + 3 * 256 + 5);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  const uint32_t buf_whole = Crc32c(buf.data(), buf.size());
+  for (size_t split : {size_t{100}, size_t{8192 + 13}, size_t{2 * 8192 + 4095},
+                       size_t{3 * 8192 + 256 + 77}, size_t{5 * 8192 + 1}}) {
+    uint32_t crc = Crc32c(buf.data(), split);
+    crc = Crc32cExtend(crc, buf.data() + split, buf.size() - split);
+    EXPECT_EQ(crc, buf_whole) << "split at " << split;
+  }
 }
 
 TEST(Crc32cTest, DetectsEverySingleBitFlip) {
@@ -131,6 +144,18 @@ TEST(Crc32cTest, SelectedMatchesPortableReference) {
   for (auto& b : buf) b = static_cast<uint8_t>(rng.engine()());
   for (size_t offset = 0; offset < 8; ++offset) {
     for (size_t len = 0; len <= 1024; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(Crc32c(p, len), Crc32cExtendPortable(0, p, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  // Lane boundaries of the three-lane loop: one short stripe (3 x 256 B)
+  // and one long stripe (3 x 8 KiB), each minus one, exact and plus one,
+  // and two long stripes + one short stripe + a 7-byte tail.
+  for (size_t len : {size_t{767}, size_t{768}, size_t{769}, size_t{24575},
+                     size_t{24576}, size_t{24577},
+                     size_t{49152 + 768 + 7}}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
       const uint8_t* p = buf.data() + offset;
       ASSERT_EQ(Crc32c(p, len), Crc32cExtendPortable(0, p, len))
           << "offset " << offset << " len " << len;

@@ -3,13 +3,16 @@
 // tail words, empty and all-ones operands, and destination aliasing), the
 // copy-count tripwires that keep by-value bitmap handoffs from silently
 // returning, and bit-identical results across the query-wise,
-// component-wise, buffer-aware, and count-only evaluation paths.
+// component-wise (blocked union), buffer-aware, and count-only evaluation
+// paths.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/bitmap_index_facade.h"
 #include "expr/evaluate.h"
 #include "query/executor.h"
 #include "server/query_service.h"
@@ -266,6 +269,43 @@ TEST(CopyTripwireTest, WarmedRoaringAndPerformsZeroFullDecodes) {
 
 // ------------------------------------- cross-path bit-identical results --
 
+// Every evaluation path against the naive scan, bitmap and count-only: the
+// three strategies over a cold private pool, and the component-wise
+// strategy over a warmed shared cache (the service's configuration), which
+// must copy no bitmap bytes. Component-wise evaluation over plain leaves is
+// the blocked union; the other strategies evaluate node at a time.
+void ExpectAllPathsMatchNaive(const Column& col, const BitmapIndex& index,
+                              const std::vector<uint32_t>& values,
+                              const std::string& label) {
+  SCOPED_TRACE(label);
+  const Bitvector expected = NaiveEvaluateMembership(col, values);
+  for (EvalStrategy strategy :
+       {EvalStrategy::kQueryWise, EvalStrategy::kComponentWise,
+        EvalStrategy::kBufferAware}) {
+    ExecutorOptions opts;
+    opts.strategy = strategy;
+    QueryExecutor exec(&index, opts);
+    std::vector<ExprPtr> exprs = exec.RewriteMembership(values);
+    ASSERT_EQ(exec.EvaluateCountRewritten(exprs), expected.Count());
+    ASSERT_EQ(exec.EvaluateRewritten(exprs), expected);
+  }
+  ShardedBitmapCache cache(&index.store(), 64ull << 20, 4);
+  ExecutorOptions opts;
+  opts.cold_pool_per_query = false;
+  QueryExecutor exec(&index, opts, &cache);
+  std::vector<ExprPtr> exprs = exec.RewriteMembership(values);
+  exec.EvaluateRewritten(exprs);  // warm: every leaf now cache-resident
+  BitvectorCopyStats::Reset();
+  uint64_t count = 0;
+  Result<Bitvector> warm = exec.TryEvaluateRewritten(exprs, nullptr, &count);
+  const uint64_t count_only = exec.EvaluateCountRewritten(exprs);
+  EXPECT_EQ(BitvectorCopyStats::bytes(), 0u);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_EQ(warm.value(), expected);
+  ASSERT_EQ(count, expected.Count());
+  ASSERT_EQ(count_only, expected.Count());
+}
+
 TEST(EvalPathEquivalenceTest, AllStrategiesAndCountAgreeOnSeededWorkload) {
   Column col = GenerateZipfColumn(
       {.rows = 5000, .cardinality = 25, .zipf_z = 1.0, .seed = 77});
@@ -276,34 +316,56 @@ TEST(EvalPathEquivalenceTest, AllStrategiesAndCountAgreeOnSeededWorkload) {
            std::vector<std::vector<uint32_t>>{{25}, {5, 5}}) {
         Decomposition d = Decomposition::Make(25, bases).value();
         BitmapIndex index = BitmapIndex::Build(col, d, enc, compressed);
-        auto run = [&](EvalStrategy strategy,
-                       const std::vector<uint32_t>& values,
-                       uint64_t* count_out) {
-          ExecutorOptions opts;
-          opts.strategy = strategy;
-          QueryExecutor exec(&index, opts);
-          std::vector<ExprPtr> exprs = exec.RewriteMembership(values);
-          *count_out = exec.EvaluateCountRewritten(exprs);
-          return exec.EvaluateRewritten(exprs);
-        };
         for (int q = 0; q < 10; ++q) {
           std::vector<uint32_t> values;
           const size_t n = rng.UniformInt(1, 6);
           for (size_t i = 0; i < n; ++i) {
             values.push_back(static_cast<uint32_t>(rng.UniformInt(0, 24)));
           }
-          uint64_t c_query = 0, c_comp = 0, c_buf = 0;
-          Bitvector query_wise = run(EvalStrategy::kQueryWise, values, &c_query);
-          Bitvector comp_wise =
-              run(EvalStrategy::kComponentWise, values, &c_comp);
-          Bitvector buf_aware = run(EvalStrategy::kBufferAware, values, &c_buf);
-          const Bitvector expected = NaiveEvaluateMembership(col, values);
-          ASSERT_EQ(query_wise, expected) << EncodingKindName(enc);
-          ASSERT_EQ(comp_wise, expected) << EncodingKindName(enc);
-          ASSERT_EQ(buf_aware, expected) << EncodingKindName(enc);
-          ASSERT_EQ(c_query, expected.Count()) << EncodingKindName(enc);
-          ASSERT_EQ(c_comp, expected.Count()) << EncodingKindName(enc);
-          ASSERT_EQ(c_buf, expected.Count()) << EncodingKindName(enc);
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectAllPathsMatchNaive(col, index, values,
+                                       EncodingKindName(enc)));
+        }
+      }
+    }
+  }
+
+  // Shapes the blocked union must get right at its edges: row counts that
+  // end mid-word and mid-block (256-word blocks), plain and Gray-reordered
+  // indexes, and membership sets whose rewrite has a constant-true
+  // constituent (the whole domain) or a NOT at a constituent's root (a top
+  // suffix, or the top value alone), which set bits past the last row.
+  std::vector<std::vector<uint32_t>> sets;
+  sets.emplace_back();
+  for (uint32_t v = 0; v < 25; ++v) sets.back().push_back(v);
+  sets.push_back({22, 23, 24});
+  sets.push_back({24});
+  sets.push_back({0, 12, 24});
+  for (int q = 0; q < 2; ++q) {
+    sets.emplace_back();
+    const size_t n = rng.UniformInt(1, 8);
+    for (size_t i = 0; i < n; ++i) {
+      sets.back().push_back(static_cast<uint32_t>(rng.UniformInt(0, 24)));
+    }
+  }
+  for (uint64_t rows : {uint64_t{1}, uint64_t{63}, uint64_t{65},
+                        uint64_t{16383}, uint64_t{16385}, uint64_t{1000003}}) {
+    Column edge = GenerateZipfColumn(
+        {.rows = rows, .cardinality = 25, .zipf_z = 1.0, .seed = rows});
+    for (EncodingKind enc : AllEncodingKinds()) {
+      for (ReorderStrategy reorder :
+           {ReorderStrategy::kNone, ReorderStrategy::kGrayCode}) {
+        IndexConfig config;
+        config.encoding = enc;
+        config.bases_msb_first = {5, 5};
+        config.reorder = reorder;
+        BitmapIndex index = BuildIndex(edge, config).value();
+        for (const std::vector<uint32_t>& values : sets) {
+          ASSERT_NO_FATAL_FAILURE(ExpectAllPathsMatchNaive(
+              edge, index, values,
+              std::string(EncodingKindName(enc)) + " rows=" +
+                  std::to_string(rows) +
+                  (reorder == ReorderStrategy::kNone ? "" : " gray")));
         }
       }
     }
