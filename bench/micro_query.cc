@@ -113,10 +113,10 @@ void BM_CachedMembership(benchmark::State& state) {
   QueryExecutor exec(&index, opts, &cache);
   const std::vector<uint32_t> values = {6, 19, 20, 21, 22, 35};
   auto exprs = exec.RewriteMembership(values);
-  exec.EvaluateRewritten(exprs);  // warm the cache
+  exec.TryEvaluateRewritten(exprs).value();  // warm the cache
   CopyCounter copies(state);
   for (auto _ : state) {
-    Bitvector r = exec.EvaluateRewritten(exprs);
+    Bitvector r = exec.TryEvaluateRewritten(exprs).value();
     benchmark::DoNotOptimize(r);
   }
   state.SetLabel(EncodingKindName(AllEncodingKinds()[state.range(0)]));
@@ -134,10 +134,10 @@ void BM_CachedMembershipCount(benchmark::State& state) {
   QueryExecutor exec(&index, opts, &cache);
   const std::vector<uint32_t> values = {6, 19, 20, 21, 22, 35};
   auto exprs = exec.RewriteMembership(values);
-  exec.EvaluateRewritten(exprs);  // warm the cache
+  exec.TryEvaluateRewritten(exprs).value();  // warm the cache
   CopyCounter copies(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(exec.EvaluateCountRewritten(exprs));
+    benchmark::DoNotOptimize(exec.TryEvaluateCountRewritten(exprs).value());
   }
   state.SetLabel(EncodingKindName(AllEncodingKinds()[state.range(0)]));
   state.SetItemsProcessed(state.iterations());
@@ -157,7 +157,7 @@ void BM_CachedMembershipTracing(benchmark::State& state) {
   QueryExecutor exec(&index, opts, &cache);
   const std::vector<uint32_t> values = {6, 19, 20, 21, 22, 35};
   auto exprs = exec.RewriteMembership(values);
-  exec.EvaluateRewritten(exprs);  // warm the cache
+  exec.TryEvaluateRewritten(exprs).value();  // warm the cache
   const bool traced = state.range(1) != 0;
   for (auto _ : state) {
     std::optional<TraceSink> sink;
@@ -165,7 +165,7 @@ void BM_CachedMembershipTracing(benchmark::State& state) {
       sink.emplace(RealClock::Get(), "query");
       exec.SetTraceSink(&*sink);
     }
-    Bitvector r = exec.EvaluateRewritten(exprs);
+    Bitvector r = exec.TryEvaluateRewritten(exprs).value();
     benchmark::DoNotOptimize(r);
     if (traced) {
       exec.SetTraceSink(nullptr);
@@ -222,7 +222,7 @@ void BM_CachedMembershipPerTier(benchmark::State& state, size_t enc_index,
   QueryExecutor exec(&index, opts, &cache);
   const std::vector<uint32_t> values = {6, 19, 20, 21, 22, 35};
   auto exprs = exec.RewriteMembership(values);
-  exec.EvaluateRewritten(exprs);  // warm the cache
+  exec.TryEvaluateRewritten(exprs).value();  // warm the cache
   uint64_t leaves = 0;
   for (const ExprPtr& e : exprs) leaves += CountDistinctLeaves(e);
   const uint64_t bytes_per_query = leaves * (fx.col.row_count() / 8);
@@ -234,7 +234,7 @@ void BM_CachedMembershipPerTier(benchmark::State& state, size_t enc_index,
   const uint64_t c0 = 0;
 #endif
   for (auto _ : state) {
-    Bitvector r = exec.EvaluateRewritten(exprs);
+    Bitvector r = exec.TryEvaluateRewritten(exprs).value();
     benchmark::DoNotOptimize(r);
   }
 #if defined(__x86_64__) || defined(__i386__)

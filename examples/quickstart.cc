@@ -4,7 +4,11 @@
 //
 //   $ ./quickstart
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "core/bitmap_index_facade.h"
 #include "core/index_io.h"
@@ -105,7 +109,11 @@ int main() {
               io.io_seconds * 1e3, io.cpu_seconds * 1e3);
 
   // --- Persistence ----------------------------------------------------------
-  const std::string path = "/tmp/bix_quickstart.bix";
+  // A per-process file name, so concurrent runs never share the file.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("bix_quickstart." + std::to_string(getpid()) + ".bix"))
+          .string();
   bix::Status saved = bix::SaveIndex(big, path);
   if (!saved.ok()) {
     std::fprintf(stderr, "save failed: %s\n", saved.ToString().c_str());
@@ -122,8 +130,7 @@ int main() {
     std::fprintf(stderr, "reloaded index disagrees!\n");
     return 1;
   }
-  std::printf("  saved to %s, reloaded, and re-queried consistently\n",
-              path.c_str());
+  std::printf("  saved to disk, reloaded, and re-queried consistently\n");
   std::remove(path.c_str());
 
   std::printf("\nOK\n");

@@ -221,52 +221,4 @@ Bitvector WahDecodeUnchecked(const WahEncoded& enc) {
   return out;
 }
 
-namespace {
-
-template <typename GroupOp>
-WahEncoded WahBinary(const WahEncoded& a, const WahEncoded& b, GroupOp op,
-                     bool zero_absorbs_and) {
-  BIX_CHECK_MSG(a.bit_count == b.bit_count, "WAH op: bit_count mismatch");
-  WahEncoded out;
-  out.bit_count = a.bit_count;
-  WahCursor ca(a), cb(b);
-  while (!ca.done() && !cb.done()) {
-    const WahRun& ra = ca.run();
-    const WahRun& rb = cb.run();
-    const uint64_t take = std::min(ra.length, rb.length);
-    if (ra.is_fill && rb.is_fill) {
-      const uint32_t ga = ra.ones ? kLiteralMask : 0;
-      const uint32_t gb = rb.ones ? kLiteralMask : 0;
-      const uint32_t g = op(ga, gb) & kLiteralMask;
-      AppendFill(&out.words, g == kLiteralMask, take);
-      if (g != 0 && g != kLiteralMask) {
-        BIX_CHECK(false);  // fills only combine to fills
-      }
-    } else if (ra.is_fill || rb.is_fill) {
-      const WahRun& fill = ra.is_fill ? ra : rb;
-      const WahRun& lit = ra.is_fill ? rb : ra;
-      // take == 1 here (a literal run has length 1).
-      const uint32_t gf = fill.ones ? kLiteralMask : 0;
-      AppendGroup(&out.words, op(gf, lit.literal) & kLiteralMask);
-    } else {
-      AppendGroup(&out.words, op(ra.literal, rb.literal) & kLiteralMask);
-    }
-    (void)zero_absorbs_and;
-    ca.Consume(take);
-    cb.Consume(take);
-  }
-  BIX_CHECK_MSG(ca.done() && cb.done(), "WAH op: stream length mismatch");
-  return out;
-}
-
-}  // namespace
-
-WahEncoded WahAnd(const WahEncoded& a, const WahEncoded& b) {
-  return WahBinary(a, b, [](uint32_t x, uint32_t y) { return x & y; }, true);
-}
-
-WahEncoded WahOr(const WahEncoded& a, const WahEncoded& b) {
-  return WahBinary(a, b, [](uint32_t x, uint32_t y) { return x | y; }, false);
-}
-
 }  // namespace bix

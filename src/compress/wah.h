@@ -36,10 +36,6 @@ Result<Bitvector> WahDecode(const WahEncoded& enc);
 // Hot-path decode; aborts on corrupt input.
 Bitvector WahDecodeUnchecked(const WahEncoded& enc);
 
-// Compressed-domain operations (same contracts as the BBC ones).
-WahEncoded WahAnd(const WahEncoded& a, const WahEncoded& b);
-WahEncoded WahOr(const WahEncoded& a, const WahEncoded& b);
-
 }  // namespace bix
 
 #endif  // BIX_COMPRESS_WAH_H_

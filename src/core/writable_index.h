@@ -72,7 +72,6 @@ class WritableBitmapIndex : public IndexSnapshotProvider {
 
   // IndexSnapshotProvider:
   IndexSnapshot Snapshot() const override;
-  uint64_t BaseEpoch() const override { return epoch_.load(); }
   uint64_t PendingDeltaOps() const override;
   // Folds the overlay into the bitmaps, checkpoints atomically, truncates
   // the WAL, and bumps the epoch. Writers are blocked for the duration.

@@ -507,15 +507,6 @@ uint64_t EvaluateExprDecodedCount(const ExprPtr& expr, uint64_t row_count,
   return Evaluator(row_count, fetch, trace).EvalCount(expr);
 }
 
-EvalResult EvaluateExprShared(const ExprPtr& expr, uint64_t row_count,
-                              const SharedLeafFetcher& fetch,
-                              TraceSink* trace) {
-  DecodedLeafFetcher decoded_fetch = [&fetch](BitmapKey key) -> DecodedBitmap {
-    return DecodedBitmap::Plain(fetch(key));
-  };
-  return EvaluateExprDecoded(expr, row_count, decoded_fetch, trace);
-}
-
 uint64_t EvaluateUnionBlocked(const std::vector<ExprPtr>& constituents,
                               uint64_t row_count,
                               const DecodedLeafFetcher& fetch, Bitvector* rows,
@@ -551,15 +542,6 @@ uint64_t EvaluateUnionBlocked(const std::vector<ExprPtr>& constituents,
     *rows = Bitvector::FromWords(row_count, std::move(words));
   }
   return count;
-}
-
-Bitvector EvaluateExpr(const ExprPtr& expr, uint64_t row_count,
-                       const LeafFetcher& fetch) {
-  SharedLeafFetcher shared_fetch =
-      [&fetch](BitmapKey key) -> std::shared_ptr<const Bitvector> {
-    return std::make_shared<const Bitvector>(fetch(key));
-  };
-  return EvaluateExprShared(expr, row_count, shared_fetch).Take();
 }
 
 }  // namespace bix

@@ -12,22 +12,13 @@
 
 namespace bix {
 
-// Supplies the decoded bitmap for a leaf. Implemented by BitmapCache in
-// production and by plain maps in tests.
-using LeafFetcher = std::function<Bitvector(BitmapKey)>;
-
-// Zero-copy leaf supply: the fetcher hands back a shared handle to the
-// decoded bitmap (the cache's own resident entry, or a freshly decoded
-// buffer), and the evaluator treats it as immutable — a leaf is never
-// copied just to be combined.
-using SharedLeafFetcher =
-    std::function<std::shared_ptr<const Bitvector>(BitmapKey)>;
-
-// Codec-aware leaf supply: the fetcher hands back whatever form the cache
-// holds resident — a plain Bitvector handle, or a Roaring container handle
-// that the evaluator consumes *without* expanding to a plain bitmap
+// Leaf supply: the fetcher hands back whatever form the cache holds
+// resident — a shared handle to a plain Bitvector (the cache's own
+// resident entry, or a freshly decoded buffer), or a Roaring container
+// handle that the evaluator consumes *without* expanding to a plain bitmap
 // (container-level kernels for AND/OR/XOR, compressed popcount for
-// counts). This is the operate-on-compressed spine.
+// counts). The evaluator treats every leaf as immutable: a leaf is never
+// copied just to be combined.
 using DecodedLeafFetcher = std::function<DecodedBitmap(BitmapKey)>;
 
 // The result of a zero-copy evaluation: either a scratch buffer the
@@ -68,7 +59,13 @@ class EvalResult {
 // borrowed pointers, n-ary nodes feed the fused k-ary kernels (one pass
 // over k operands) reusing a child's scratch buffer as the destination, and
 // AND chains stop evaluating children once the accumulator is provably
-// empty.
+// empty. Roaring leaves are combined without full decode — n-ary nodes
+// whose operands are all Roaring fold container-level And/Or/Xor and
+// expand only the final (computed) result; mixed nodes run the fused plain
+// kernel over the plain operands and fold each Roaring operand in with a
+// container-iterating kernel (AndInPlace/OrInto/XorInto). Only a Roaring
+// leaf *root* pays a counted full decode (the caller demanded a plain
+// bitmap of stored data).
 //
 // `trace` (nullable) receives one span per operator node — named after the
 // op, with the fused kernel's combine pass as a separate "kernel" child so
@@ -76,18 +73,6 @@ class EvalResult {
 // the sink's own ClockInterface, so traced evaluation under a VirtualClock
 // stays deterministic (kernel spans read 0ns; only sleeps advance time).
 // nullptr traces nothing and allocates nothing.
-EvalResult EvaluateExprShared(const ExprPtr& expr, uint64_t row_count,
-                              const SharedLeafFetcher& fetch,
-                              TraceSink* trace = nullptr);
-
-// Codec-aware evaluation: like EvaluateExprShared, but leaves may arrive in
-// Roaring container form and are combined without full decode — n-ary
-// nodes whose operands are all Roaring fold container-level And/Or/Xor and
-// expand only the final (computed) result; mixed nodes run the fused plain
-// kernel over the plain operands and fold each Roaring operand in with a
-// container-iterating kernel (AndInPlace/OrInto/XorInto). Only a Roaring
-// leaf *root* pays a counted full decode (the caller demanded a plain
-// bitmap of stored data).
 EvalResult EvaluateExprDecoded(const ExprPtr& expr, uint64_t row_count,
                                const DecodedLeafFetcher& fetch,
                                TraceSink* trace = nullptr);
@@ -113,11 +98,6 @@ uint64_t EvaluateUnionBlocked(const std::vector<ExprPtr>& constituents,
                               uint64_t row_count,
                               const DecodedLeafFetcher& fetch, Bitvector* rows,
                               TraceSink* trace = nullptr);
-
-// By-value compatibility wrapper over EvaluateExprShared (tests and
-// examples; the fetcher's return value is moved, not copied).
-Bitvector EvaluateExpr(const ExprPtr& expr, uint64_t row_count,
-                       const LeafFetcher& fetch);
 
 }  // namespace bix
 

@@ -97,8 +97,6 @@ class IndexSnapshotProvider {
 
   // An epoch-consistent {base, delta} pair. Cheap: two shared_ptr copies.
   virtual IndexSnapshot Snapshot() const = 0;
-  // Current base epoch without pinning a snapshot (cache-rebind check).
-  virtual uint64_t BaseEpoch() const = 0;
   // Overlay ops outstanding (compaction trigger).
   virtual uint64_t PendingDeltaOps() const = 0;
   // Folds the overlay into the component bitmaps, checkpoints, and bumps

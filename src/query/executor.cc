@@ -16,7 +16,8 @@ QueryExecutor::QueryExecutor(const BitmapIndex* index, ExecutorOptions options)
     : index_(index),
       options_(options),
       owned_cache_(std::make_unique<BitmapCache>(
-          &index->store(), options.buffer_pool_bytes, options.disk)),
+          &index->store(), options.buffer_pool_bytes, options.disk,
+          options.clock)),
       cache_(owned_cache_.get()) {
   BIX_CHECK(index != nullptr);
 }
@@ -55,14 +56,18 @@ Bitvector QueryExecutor::EvaluateInterval(IntervalQuery q) {
   // rewrite where the failure mode is a wrong answer or a huge loop).
   BIX_CHECK_MSG(q.lo <= q.hi, "interval lo > hi");
   BIX_CHECK(q.hi < index_->decomposition().cardinality());
-  return EvaluateRewritten({Rewrite(q)});
+  return TryEvaluateRewritten({Rewrite(q)}).value();
+}
+
+void QueryExecutor::CheckMembership(const std::vector<uint32_t>& values) const {
+  BIX_CHECK_MSG(!values.empty(), "empty membership query");
+  for (uint32_t v : values) BIX_CHECK(v < index_->decomposition().cardinality());
 }
 
 Bitvector QueryExecutor::EvaluateMembership(
     const std::vector<uint32_t>& values) {
-  BIX_CHECK_MSG(!values.empty(), "empty membership query");
-  for (uint32_t v : values) BIX_CHECK(v < index_->decomposition().cardinality());
-  return EvaluateRewritten(RewriteMembership(values));
+  CheckMembership(values);
+  return TryEvaluateRewritten(RewriteMembership(values)).value();
 }
 
 std::string QueryExecutor::QueryPlan::ToString() const {
@@ -81,6 +86,7 @@ std::string QueryExecutor::QueryPlan::ToString() const {
 
 QueryExecutor::QueryPlan QueryExecutor::ExplainMembership(
     const std::vector<uint32_t>& values) const {
+  CheckMembership(values);
   QueryPlan plan;
   std::vector<BitmapKey> leaves;
   for (const ExprPtr& e : RewriteMembership(values)) {
@@ -164,19 +170,6 @@ void QueryExecutor::OrderForSharing(std::vector<const ExprPtr*>* order) {
     current = best;
   }
   *order = std::move(result);
-}
-
-Bitvector QueryExecutor::EvaluateRewritten(
-    const std::vector<ExprPtr>& exprs) {
-  // Trusted paths (benches, paper reproduction over freshly built
-  // indexes): a storage error here is an internal invariant violation, so
-  // value() keeps the historical abort-with-message contract.
-  return TryEvaluateRewritten(exprs).value();
-}
-
-uint64_t QueryExecutor::EvaluateCountRewritten(
-    const std::vector<ExprPtr>& exprs) {
-  return TryEvaluateCountRewritten(exprs).value();
 }
 
 Result<Bitvector> QueryExecutor::TryEvaluateRewritten(

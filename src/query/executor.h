@@ -79,26 +79,21 @@ class QueryExecutor {
   QueryExecutor(const QueryExecutor&) = delete;
   QueryExecutor& operator=(const QueryExecutor&) = delete;
 
-  // "lo <= A <= hi". Requires lo <= hi < cardinality (BIX_CHECK, matching
-  // EvaluateMembership's bounds checks); aborts on out-of-domain bounds.
+  // Abort-on-error conveniences for trusted paths (benches, the paper
+  // reproduction over freshly built indexes): out-of-domain arguments fail
+  // a BIX_CHECK at the entry, and a storage error aborts with its message.
+  // "lo <= A <= hi". Requires lo <= hi < cardinality.
   Bitvector EvaluateInterval(IntervalQuery q);
-  // "A in {values}". Values must be < cardinality.
+  // "A in {values}". Requires a non-empty list of values < cardinality.
   Bitvector EvaluateMembership(const std::vector<uint32_t>& values);
-  // Evaluates already-rewritten constituents (the OR of their results).
-  // Lets callers that time the rewrite separately (e.g. the query service's
-  // per-query metrics) drive the pipeline in two steps.
-  Bitvector EvaluateRewritten(const std::vector<ExprPtr>& exprs);
-  // Count-only evaluation: the number of qualifying rows without
-  // materializing (or copying out) the result bitmap — COUNT(*) selections
-  // are answered from the evaluation scratch buffer, with single-leaf
-  // constituents counted straight off the cache's shared handle. Identical
-  // to EvaluateRewritten(exprs).Count() for every strategy.
-  uint64_t EvaluateCountRewritten(const std::vector<ExprPtr>& exprs);
-  // Fallible variant for the serving path: storage-layer failures during
-  // fetches (checksum mismatch -> Corruption, injected transient read
-  // errors -> Unavailable, unknown keys -> InvalidArgument) surface as a
-  // Status for *this* evaluation instead of aborting the process. Work
-  // already accounted into stats() before the failure stays accounted.
+  // Evaluates already-rewritten constituents (the OR of their results), so
+  // callers that time the rewrite separately (e.g. the query service's
+  // per-query metrics) drive the pipeline in two steps. Storage-layer
+  // failures during fetches (checksum mismatch -> Corruption, injected
+  // transient read errors -> Unavailable, unknown keys -> InvalidArgument)
+  // surface as a Status for *this* evaluation instead of aborting the
+  // process. Work already accounted into stats() before the failure stays
+  // accounted.
   //
   // `cancel` (nullable) is checked before every bitmap fetch in all three
   // strategies, so a query past its deadline (or cancelled mid-flight)
@@ -108,10 +103,18 @@ class QueryExecutor {
   // `count` (nullable) receives the result's popcount on success. The
   // blocked union evaluation counts in the same pass that writes the
   // result, so a caller that needs both never re-reads the bitmap.
+  //
+  // Take the bitmap with value() on the returned temporary (or on a moved
+  // Result): the rvalue overload moves it out, the lvalue one copies.
   Result<Bitvector> TryEvaluateRewritten(const std::vector<ExprPtr>& exprs,
                                          const CancelToken* cancel = nullptr,
                                          uint64_t* count = nullptr);
-  // Fallible count-only variant (the serving path's COUNT entry point).
+  // Count-only evaluation (the serving path's COUNT entry point): the
+  // number of qualifying rows without materializing (or copying out) the
+  // result bitmap — COUNT(*) selections are answered from the evaluation
+  // scratch buffer, with single-leaf constituents counted straight off the
+  // cache's shared handle. Identical to TryEvaluateRewritten(exprs)'s
+  // popcount for every strategy.
   Result<uint64_t> TryEvaluateCountRewritten(
       const std::vector<ExprPtr>& exprs, const CancelToken* cancel = nullptr);
   // Delta-aware serving entry: evaluates `exprs` against the base index,
@@ -144,6 +147,8 @@ class QueryExecutor {
 
     std::string ToString() const;
   };
+  // Both validate their arguments at the entry with the matching
+  // Evaluate* entry's checks.
   QueryPlan ExplainMembership(const std::vector<uint32_t>& values) const;
   QueryPlan ExplainInterval(IntervalQuery q) const;
 
@@ -164,6 +169,9 @@ class QueryExecutor {
   void SetTraceSink(TraceSink* trace) { trace_ = trace; }
 
  private:
+  // EvaluateMembership's preconditions: a non-empty value list, every
+  // value < cardinality (BIX_CHECK).
+  void CheckMembership(const std::vector<uint32_t>& values) const;
   // Reorders constituents for kBufferAware (greedy shared-leaf chaining).
   void OrderForSharing(std::vector<const ExprPtr*>* order);
   // Shared machinery of the value and count-only entry points: evaluates

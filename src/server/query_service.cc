@@ -56,10 +56,6 @@ std::string DescribeQuery(const ServiceQuery& query) {
   if (query.count_only) out += " count_only";
   return out;
 }
-
-std::string KeyTag(BitmapKey key) {
-  return "c" + std::to_string(key.component) + "/s" + std::to_string(key.slot);
-}
 }  // namespace
 
 // The service's degradation policy, layered over the shared sharded cache
@@ -110,7 +106,7 @@ class QueryService::FaultPolicyCache : public BitmapCacheInterface {
                                         const CancelToken* cancel,
                                         TraceSink* trace) override {
     TraceScope fetch_span(trace, "fetch");
-    if (trace != nullptr) trace->Tag("key", KeyTag(key));
+    if (trace != nullptr) trace->Tag("key", TraceKeyTag(key));
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (quarantine_.count(key.Packed()) > 0) {

@@ -196,7 +196,7 @@ enum class MetricsFormat : uint8_t { kText, kJson };
 // service counters and latency histograms, and Shutdown drains
 // deterministically.
 //
-// Failure model: workers evaluate through the fallible TryFetch path
+// Failure model: workers evaluate through the fallible TryFetchDecoded path
 // behind a shared degradation policy (bounded retry on Unavailable,
 // quarantine on Corruption), so a flipped bit or transient read error in
 // stored data fails *that query* with a typed Status — it never aborts the
@@ -275,11 +275,6 @@ class QueryService {
   // retained query's rendered trace. Deterministic for a deterministic
   // workload under a VirtualClock (the observability suite pins goldens).
   std::string ExportMetrics(MetricsFormat format = MetricsFormat::kText) const;
-
-  // The slowest completed queries seen so far (slowest first).
-  std::vector<SlowQueryLog::Entry> SlowQueries() const {
-    return slow_log_.Snapshot();
-  }
 
   // True while the brownout breaker is not closed (open or probing). The
   // network front end uses this as accept-backpressure: while the service

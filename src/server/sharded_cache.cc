@@ -31,10 +31,7 @@ Result<DecodedBitmap> ShardedBitmapCache::TryFetchDecoded(
     if (!budget.ok()) return budget;
   }
   TraceScope read_span(trace, "read");
-  if (trace != nullptr) {
-    trace->Tag("key", "c" + std::to_string(key.component) + "/s" +
-                          std::to_string(key.slot));
-  }
+  if (trace != nullptr) trace->Tag("key", TraceKeyTag(key));
   ++stats->scans;
   Shard& shard = ShardFor(key);
 
@@ -99,29 +96,11 @@ Result<DecodedBitmap> ShardedBitmapCache::TryFetchDecoded(
       clock_->SleepFor(decode_s * io_latency_scale_, cancel);
     }
   }
+  // The shard never sees a faulted read, so cached state stays verified.
   if (injector_ != nullptr) {
-    switch (injector_->OnRead(key)) {
-      case FaultInjector::Fault::kUnavailable:
-        if (trace != nullptr) trace->Tag("fault", "unavailable");
-        return Status::Unavailable("injected transient read error");
-      case FaultInjector::Fault::kBitFlip: {
-        // A torn page: corrupt a copy of the stored bytes and run the same
-        // integrity-checked decode the clean path uses. The shard never
-        // sees the result, so cached state stays verified.
-        if (trace != nullptr) trace->Tag("fault", "bit_flip");
-        BitmapStore::Blob corrupt = blob;
-        injector_->CorruptPayload(key, &corrupt.bytes);
-        TraceScope materialize_span(trace, "materialize");
-        return TryMaterializeBlobResident(corrupt);
-      }
-      case FaultInjector::Fault::kLatencySpike: {
-        TraceScope spike_span(trace, "spike");
-        clock_->SleepFor(injector_->latency_spike_seconds(), cancel);
-        break;
-      }
-      case FaultInjector::Fault::kNone:
-        break;
-    }
+    std::optional<Result<DecodedBitmap>> faulted =
+        InjectReadFault(injector_, key, blob, clock_, cancel, trace);
+    if (faulted.has_value()) return *std::move(faulted);
   }
   DecodedBitmap bitmap;
   {

@@ -30,10 +30,8 @@ namespace bix {
 //    optimizes wall-clock; the paper's file-system buffer caches the
 //    stored form and re-decodes every fetch). The byte budget still counts
 //    *stored* bytes so pool sizing stays comparable with BitmapCache.
-//  - Fetch accounts into a caller-supplied IoStats block only, so each
-//    query keeps a private, consistent cost breakdown; the service rolls
-//    the blocks up. Shard-level aggregate hit/miss counters are kept
-//    separately for ServiceStats.
+//    Shard-level aggregate hit/miss counters are kept for ServiceStats,
+//    next to the per-query IoStats blocks every fetch accounts into.
 //  - When `io_latency_scale` > 0, a miss sleeps for the modeled
 //    (io + decode) seconds scaled by that factor — turning the DiskModel
 //    from pure accounting into actual latency so that worker-count scaling

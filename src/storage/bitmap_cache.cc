@@ -1,23 +1,49 @@
 #include "storage/bitmap_cache.h"
 
-#include <chrono>
-#include <thread>
-
 namespace bix {
+
+std::string TraceKeyTag(BitmapKey key) {
+  return "c" + std::to_string(key.component) + "/s" + std::to_string(key.slot);
+}
+
+std::optional<Result<DecodedBitmap>> InjectReadFault(
+    FaultInjector* injector, BitmapKey key, const BitmapStore::Blob& blob,
+    ClockInterface* clock, const CancelToken* cancel, TraceSink* trace) {
+  switch (injector->OnRead(key)) {
+    case FaultInjector::Fault::kUnavailable:
+      if (trace != nullptr) trace->Tag("fault", "unavailable");
+      return Result<DecodedBitmap>(
+          Status::Unavailable("injected transient read error"));
+    case FaultInjector::Fault::kBitFlip: {
+      // A torn page: corrupt a copy of the stored bytes and run the same
+      // integrity-checked decode the clean path uses.
+      if (trace != nullptr) trace->Tag("fault", "bit_flip");
+      BitmapStore::Blob corrupt = blob;
+      injector->CorruptPayload(key, &corrupt.bytes);
+      TraceScope materialize_span(trace, "materialize");
+      return TryMaterializeBlobResident(corrupt);
+    }
+    case FaultInjector::Fault::kLatencySpike: {
+      TraceScope spike_span(trace, "spike");
+      clock->SleepFor(injector->latency_spike_seconds(), cancel);
+      break;
+    }
+    case FaultInjector::Fault::kNone:
+      break;
+  }
+  return std::nullopt;
+}
 
 Result<DecodedBitmap> BitmapCache::TryFetchDecoded(BitmapKey key,
                                                    IoStats* stats,
                                                    const CancelToken* cancel,
                                                    TraceSink* trace) {
   if (cancel != nullptr) {
-    Status budget = cancel->Check();
+    Status budget = cancel->CheckAt(clock_->Now());
     if (!budget.ok()) return budget;
   }
   TraceScope read_span(trace, "read");
-  if (trace != nullptr) {
-    trace->Tag("key", "c" + std::to_string(key.component) + "/s" +
-                          std::to_string(key.slot));
-  }
+  if (trace != nullptr) trace->Tag("key", TraceKeyTag(key));
   ++stats->scans;
   Result<const BitmapStore::Blob*> blob_r = store_->TryGetBlob(key);
   if (!blob_r.ok()) return blob_r.status();
@@ -46,29 +72,9 @@ Result<DecodedBitmap> BitmapCache::TryFetchDecoded(BitmapKey key,
     // Faults model the disk, so they strike only this (simulated) read;
     // pool hits above are served from memory and stay clean.
     if (injector_ != nullptr) {
-      switch (injector_->OnRead(key)) {
-        case FaultInjector::Fault::kUnavailable:
-          if (trace != nullptr) trace->Tag("fault", "unavailable");
-          return Status::Unavailable("injected transient read error");
-        case FaultInjector::Fault::kBitFlip: {
-          // A torn page: corrupt a copy of the stored bytes and run the
-          // same integrity-checked decode the clean path uses. Nothing is
-          // cached — the pool never holds known-bad bytes.
-          if (trace != nullptr) trace->Tag("fault", "bit_flip");
-          BitmapStore::Blob corrupt = blob;
-          injector_->CorruptPayload(key, &corrupt.bytes);
-          TraceScope materialize_span(trace, "materialize");
-          return TryMaterializeBlobResident(corrupt);
-        }
-        case FaultInjector::Fault::kLatencySpike: {
-          TraceScope spike_span(trace, "spike");
-          std::this_thread::sleep_for(std::chrono::duration<double>(
-              injector_->latency_spike_seconds()));
-          break;
-        }
-        case FaultInjector::Fault::kNone:
-          break;
-      }
+      std::optional<Result<DecodedBitmap>> faulted =
+          InjectReadFault(injector_, key, blob, clock_, cancel, trace);
+      if (faulted.has_value()) return *std::move(faulted);
     }
     Insert(key, bytes);
   }

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <list>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -11,6 +13,7 @@
 #include "storage/fault_injector.h"
 #include "storage/io_stats.h"
 #include "util/cancel_token.h"
+#include "util/clock.h"
 #include "util/trace.h"
 
 namespace bix {
@@ -24,11 +27,6 @@ namespace bix {
 // is then an explicit IoStats::Add roll-up.
 class BitmapCacheInterface {
  public:
-  // A decoded bitmap handed out by reference: the cache (or the fetch that
-  // just decoded it) keeps ownership alive through the shared_ptr, and the
-  // query evaluator combines it without ever copying the payload.
-  using SharedBitmap = std::shared_ptr<const Bitvector>;
-
   virtual ~BitmapCacheInterface() = default;
 
   // One bitmap scan: accounts I/O into *stats, updates the pool, and
@@ -58,55 +56,28 @@ class BitmapCacheInterface {
   virtual Result<DecodedBitmap> TryFetchDecoded(BitmapKey key, IoStats* stats,
                                                 const CancelToken* cancel,
                                                 TraceSink* trace) = 0;
-  Result<DecodedBitmap> TryFetchDecoded(BitmapKey key, IoStats* stats,
-                                        const CancelToken* cancel) {
-    return TryFetchDecoded(key, stats, cancel, nullptr);
-  }
+  // Unbudgeted, untraced fetch.
   Result<DecodedBitmap> TryFetchDecoded(BitmapKey key, IoStats* stats) {
     return TryFetchDecoded(key, stats, nullptr, nullptr);
-  }
-
-  // Plain-form compatibility spine: fetches via TryFetchDecoded and
-  // expands Roaring handles to a Bitvector (a counted full decode — see
-  // RoaringStats). Callers that can consume containers directly use
-  // TryFetchDecoded; everything else keeps the exact pre-codec contract.
-  Result<SharedBitmap> TryFetchShared(BitmapKey key, IoStats* stats,
-                                      const CancelToken* cancel,
-                                      TraceSink* trace) {
-    Result<DecodedBitmap> r = TryFetchDecoded(key, stats, cancel, trace);
-    if (!r.ok()) return r.status();
-    return r.value().MaterializePlain();
-  }
-  Result<SharedBitmap> TryFetchShared(BitmapKey key, IoStats* stats,
-                                      const CancelToken* cancel) {
-    return TryFetchShared(key, stats, cancel, nullptr);
-  }
-  Result<SharedBitmap> TryFetchShared(BitmapKey key, IoStats* stats) {
-    return TryFetchShared(key, stats, nullptr, nullptr);
-  }
-
-  // By-value compatibility wrappers: one defensive copy out of the shared
-  // handle. Hot paths use TryFetchShared; these serve callers that want a
-  // private mutable bitmap.
-  Result<Bitvector> TryFetch(BitmapKey key, IoStats* stats,
-                             const CancelToken* cancel) {
-    Result<SharedBitmap> r = TryFetchShared(key, stats, cancel);
-    if (!r.ok()) return r.status();
-    return Bitvector(*r.value());
-  }
-  Result<Bitvector> TryFetch(BitmapKey key, IoStats* stats) {
-    return TryFetch(key, stats, nullptr);
-  }
-
-  // Abort-on-error convenience for trusted paths (benches, the paper
-  // reproduction pipeline, tests over freshly built indexes).
-  Bitvector Fetch(BitmapKey key, IoStats* stats) {
-    return TryFetch(key, stats).value();
   }
 
   // Drops all cached pages and the has-been-read history.
   virtual void DropPool() = 0;
 };
+
+// "c<component>/s<slot>": the "key" tag of every fetch span.
+std::string TraceKeyTag(BitmapKey key);
+
+// The miss-path fault switch both caches run on a simulated disk read of
+// `blob`. Consults `injector` (not null) and applies its verdict: an
+// injected transient error returns Unavailable; a bit flip returns the
+// integrity-checked decode of a corrupted copy of the stored bytes (the
+// caller caches nothing, so the pool never holds known-bad bytes); a
+// latency spike sleeps on `clock`, cancellable by `cancel`, and lets the
+// read proceed. Returns nullopt when the read proceeds.
+std::optional<Result<DecodedBitmap>> InjectReadFault(
+    FaultInjector* injector, BitmapKey key, const BitmapStore::Blob& blob,
+    ClockInterface* clock, const CancelToken* cancel, TraceSink* trace);
 
 // The buffer pool of Section 6.3/7: a byte-budgeted LRU cache of stored
 // bitmap payloads sitting between the query evaluator and the simulated
@@ -121,9 +92,16 @@ class BitmapCacheInterface {
 // Concurrent readers share a ShardedBitmapCache (src/server) instead.
 class BitmapCache : public BitmapCacheInterface {
  public:
+  // `clock` (nullable => RealClock) is what deadlines are checked against
+  // and what injected latency spikes sleep on — the owning executor passes
+  // its ExecutorOptions::clock, so a VirtualClock run sees consistent
+  // budgets and zero wall-clock sleeps.
   BitmapCache(const BitmapStore* store, uint64_t pool_bytes,
-              DiskModel disk = DiskModel{})
-      : store_(store), pool_bytes_(pool_bytes), disk_(disk) {
+              DiskModel disk = DiskModel{}, ClockInterface* clock = nullptr)
+      : store_(store),
+        pool_bytes_(pool_bytes),
+        disk_(disk),
+        clock_(clock != nullptr ? clock : RealClock::Get()) {
     BIX_CHECK(store != nullptr);
   }
 
@@ -140,21 +118,11 @@ class BitmapCache : public BitmapCacheInterface {
                                         const CancelToken* cancel,
                                         TraceSink* trace) override;
   using BitmapCacheInterface::TryFetchDecoded;
-  using BitmapCacheInterface::Fetch;
-
-  // Convenience for single-owner callers: accounts into the internal
-  // cumulative stats block.
-  Bitvector Fetch(BitmapKey key) { return Fetch(key, &stats_); }
 
   // Plugs deterministic fault injection into the miss (disk read) path.
   // Not owned; must outlive the cache. Pass nullptr to disable.
   void SetFaultInjector(FaultInjector* injector) { injector_ = injector; }
 
-  // Lets the executor charge measured CPU time into the same stats block.
-  void AddCpuSeconds(double s) { stats_.cpu_seconds += s; }
-
-  const IoStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = IoStats{}; }
   // Drops all cached pages and the has-been-read history. Benches call this
   // between queries to mimic the paper's flushed file-system buffer.
   void DropPool() override;
@@ -169,8 +137,8 @@ class BitmapCache : public BitmapCacheInterface {
   const BitmapStore* store_;
   uint64_t pool_bytes_;
   DiskModel disk_;
+  ClockInterface* const clock_;
   FaultInjector* injector_ = nullptr;
-  IoStats stats_;
 
   // LRU bookkeeping: most-recently-used at the front.
   std::list<BitmapKey> lru_;

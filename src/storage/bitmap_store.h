@@ -59,13 +59,6 @@ class BitmapStore {
   // changed), where PutWithCodec blobs keep their explicit codec.
   CodecId PutAuto(BitmapKey key, const Bitvector& bv,
                   const CodecAdvisorOptions& options = {});
-  // Compatibility shorthands for the paper's original binary choice.
-  void PutUncompressed(BitmapKey key, const Bitvector& bv) {
-    PutWithCodec(key, bv, CodecId::kVerbatim);
-  }
-  void PutCompressed(BitmapKey key, const Bitvector& bv) {
-    PutWithCodec(key, bv, CodecId::kBbc);
-  }
   // Replaces an existing bitmap. Explicitly-coded blobs keep their codec
   // (index maintenance preserves the storage form); advisor-chosen blobs
   // re-pick, since an append can change the bitmap's shape.

@@ -1,11 +1,10 @@
-// Property tests for the compressed-domain operations: BBC AND/OR/XOR/NOT
-// and WAH encode/decode/AND/OR must agree with the verbatim word-level
-// operations on every input shape.
+// Property tests for the WAH comparison codec: encode/decode must round-trip
+// every input shape, and WAH and BBC must both stay lossless on the same
+// inputs.
 
 #include <gtest/gtest.h>
 
 #include "compress/bbc.h"
-#include "compress/bbc_ops.h"
 #include "compress/wah.h"
 #include "util/rng.h"
 
@@ -20,111 +19,10 @@ Bitvector RandomBitvector(uint64_t n, double density, Rng* rng) {
   return bv;
 }
 
-Bitvector RunsBitvector(uint64_t n, uint64_t run_len, Rng* rng) {
-  Bitvector bv(n);
-  bool on = rng->Bernoulli(0.5);
-  for (uint64_t i = 0; i < n;) {
-    const uint64_t len = 1 + rng->UniformInt(0, run_len);
-    if (on) {
-      for (uint64_t j = i; j < std::min(n, i + len); ++j) bv.Set(j);
-    }
-    i += len;
-    on = !on;
-  }
-  return bv;
-}
-
 struct SizeDensity {
   uint64_t size;
-  double density_a;
-  double density_b;
+  double density;
 };
-
-class BbcOpsSweep : public ::testing::TestWithParam<SizeDensity> {};
-
-TEST_P(BbcOpsSweep, BinaryOpsMatchVerbatim) {
-  const SizeDensity p = GetParam();
-  Rng rng(p.size * 31 + 7);
-  for (int trial = 0; trial < 5; ++trial) {
-    Bitvector a = RandomBitvector(p.size, p.density_a, &rng);
-    Bitvector b = RandomBitvector(p.size, p.density_b, &rng);
-    BbcEncoded ea = BbcEncode(a), eb = BbcEncode(b);
-
-    EXPECT_EQ(BbcDecode(BbcAnd(ea, eb)).value(), Bitvector::And(a, b));
-    EXPECT_EQ(BbcDecode(BbcOr(ea, eb)).value(), Bitvector::Or(a, b));
-    EXPECT_EQ(BbcDecode(BbcXor(ea, eb)).value(), Bitvector::Xor(a, b));
-  }
-}
-
-TEST_P(BbcOpsSweep, NotMatchesVerbatimAndKeepsPaddingClear) {
-  const SizeDensity p = GetParam();
-  Rng rng(p.size * 13 + 1);
-  Bitvector a = RandomBitvector(p.size, p.density_a, &rng);
-  BbcEncoded na = BbcNot(BbcEncode(a));
-  Result<Bitvector> dec = BbcDecode(na);  // validates padding too
-  ASSERT_TRUE(dec.ok()) << dec.status().ToString();
-  EXPECT_EQ(dec.value(), Bitvector::Not(a));
-}
-
-TEST_P(BbcOpsSweep, CountMatches) {
-  const SizeDensity p = GetParam();
-  Rng rng(p.size * 17 + 3);
-  Bitvector a = RandomBitvector(p.size, p.density_a, &rng);
-  EXPECT_EQ(BbcCount(BbcEncode(a)), a.Count());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, BbcOpsSweep,
-    ::testing::Values(SizeDensity{1, 0.5, 0.5}, SizeDensity{7, 0.5, 0.5},
-                      SizeDensity{8, 0.3, 0.8}, SizeDensity{64, 0.5, 0.0},
-                      SizeDensity{100, 0.0, 0.0}, SizeDensity{100, 1.0, 1.0},
-                      SizeDensity{1000, 0.01, 0.99},
-                      SizeDensity{4096, 0.5, 0.5},
-                      SizeDensity{50'001, 0.001, 0.2},
-                      SizeDensity{123'457, 0.1, 0.1}));
-
-TEST(BbcOpsTest, LongRunInputsStayCompressed) {
-  // AND of two half-range bitmaps: the result is a run bitmap and its
-  // compressed form must stay small (no blow-up through the builder).
-  const uint64_t n = 1'000'000;
-  Bitvector a(n), b(n);
-  for (uint64_t i = 0; i < 600'000; ++i) a.Set(i);
-  for (uint64_t i = 400'000; i < n; ++i) b.Set(i);
-  BbcEncoded r = BbcAnd(BbcEncode(a), BbcEncode(b));
-  EXPECT_EQ(BbcDecode(r).value(), Bitvector::And(a, b));
-  EXPECT_LE(r.data.size(), 32u);
-}
-
-TEST(BbcOpsTest, RunStructuredInputs) {
-  Rng rng(5);
-  for (uint64_t run_len : {3u, 17u, 300u}) {
-    Bitvector a = RunsBitvector(30'000, run_len, &rng);
-    Bitvector b = RunsBitvector(30'000, run_len, &rng);
-    BbcEncoded ea = BbcEncode(a), eb = BbcEncode(b);
-    EXPECT_EQ(BbcDecode(BbcAnd(ea, eb)).value(), Bitvector::And(a, b));
-    EXPECT_EQ(BbcDecode(BbcXor(ea, eb)).value(), Bitvector::Xor(a, b));
-    EXPECT_EQ(BbcDecode(BbcNot(ea)).value(), Bitvector::Not(a));
-  }
-}
-
-TEST(BbcOpsTest, MismatchedSizesAbort) {
-  Bitvector a(100), b(101);
-  BbcEncoded ea = BbcEncode(a), eb = BbcEncode(b);
-  EXPECT_DEATH(BbcAnd(ea, eb), "bit_count mismatch");
-}
-
-TEST(BbcOpsTest, OpOutputsComposable) {
-  // Results of compressed ops feed back into further compressed ops.
-  Rng rng(11);
-  Bitvector a = RandomBitvector(9999, 0.2, &rng);
-  Bitvector b = RandomBitvector(9999, 0.7, &rng);
-  Bitvector c = RandomBitvector(9999, 0.5, &rng);
-  BbcEncoded r = BbcOr(BbcAnd(BbcEncode(a), BbcEncode(b)),
-                       BbcNot(BbcEncode(c)));
-  Bitvector expected =
-      Bitvector::Or(Bitvector::And(a, b), Bitvector::Not(c));
-  EXPECT_EQ(BbcDecode(r).value(), expected);
-}
 
 // --- WAH ---------------------------------------------------------------
 
@@ -133,7 +31,7 @@ class WahSweep : public ::testing::TestWithParam<SizeDensity> {};
 TEST_P(WahSweep, Roundtrip) {
   const SizeDensity p = GetParam();
   Rng rng(p.size * 7 + 5);
-  Bitvector a = RandomBitvector(p.size, p.density_a, &rng);
+  Bitvector a = RandomBitvector(p.size, p.density, &rng);
   WahEncoded enc = WahEncode(a);
   Result<Bitvector> dec = WahDecode(enc);
   ASSERT_TRUE(dec.ok()) << dec.status().ToString();
@@ -141,23 +39,12 @@ TEST_P(WahSweep, Roundtrip) {
   EXPECT_EQ(WahDecodeUnchecked(enc), a);
 }
 
-TEST_P(WahSweep, AndOrMatchVerbatim) {
-  const SizeDensity p = GetParam();
-  Rng rng(p.size * 3 + 9);
-  Bitvector a = RandomBitvector(p.size, p.density_a, &rng);
-  Bitvector b = RandomBitvector(p.size, p.density_b, &rng);
-  WahEncoded ea = WahEncode(a), eb = WahEncode(b);
-  EXPECT_EQ(WahDecodeUnchecked(WahAnd(ea, eb)), Bitvector::And(a, b));
-  EXPECT_EQ(WahDecodeUnchecked(WahOr(ea, eb)), Bitvector::Or(a, b));
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Shapes, WahSweep,
-    ::testing::Values(SizeDensity{1, 0.5, 0.5}, SizeDensity{30, 0.5, 0.5},
-                      SizeDensity{31, 0.9, 0.1}, SizeDensity{32, 0.5, 0.5},
-                      SizeDensity{62, 1.0, 1.0}, SizeDensity{63, 0.0, 1.0},
-                      SizeDensity{1000, 0.01, 0.5},
-                      SizeDensity{99'371, 0.001, 0.3}));
+    ::testing::Values(SizeDensity{1, 0.5}, SizeDensity{30, 0.5},
+                      SizeDensity{31, 0.9}, SizeDensity{32, 0.5},
+                      SizeDensity{62, 1.0}, SizeDensity{63, 0.0},
+                      SizeDensity{1000, 0.01}, SizeDensity{99'371, 0.001}));
 
 TEST(WahTest, AllOnesUsesFills) {
   Bitvector bv = Bitvector::AllOnes(31 * 1000);

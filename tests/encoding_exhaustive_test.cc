@@ -19,21 +19,24 @@ namespace {
 struct MiniIndex {
   uint32_t c;
   std::vector<uint32_t> rows;           // row -> value
-  std::vector<Bitvector> bitmaps;       // slot -> bitmap
+  // slot -> bitmap, as shared handles the evaluator borrows.
+  std::vector<std::shared_ptr<Bitvector>> bitmaps;
 
   MiniIndex(const EncodingScheme& scheme, uint32_t cardinality)
       : c(cardinality) {
     for (uint32_t v = 0; v < c; ++v) rows.push_back(v);
     rows.push_back(0);
     rows.push_back(c - 1);
-    bitmaps.assign(scheme.NumBitmaps(c), Bitvector(rows.size()));
+    for (uint32_t s = 0; s < scheme.NumBitmaps(c); ++s) {
+      bitmaps.push_back(std::make_shared<Bitvector>(rows.size()));
+    }
     std::vector<uint32_t> slots;
     for (uint64_t r = 0; r < rows.size(); ++r) {
       slots.clear();
       scheme.SlotsForValue(c, rows[r], &slots);
       for (uint32_t s : slots) {
         EXPECT_LT(s, bitmaps.size()) << "slot out of range";
-        bitmaps[s].Set(r);
+        bitmaps[s]->Set(r);
       }
     }
   }
@@ -47,11 +50,12 @@ struct MiniIndex {
   }
 
   Bitvector Eval(const ExprPtr& e) const {
-    return EvaluateExpr(e, rows.size(), [this](BitmapKey key) {
+    DecodedLeafFetcher fetch = [this](BitmapKey key) {
       EXPECT_EQ(key.component, 1u);
       EXPECT_LT(key.slot, bitmaps.size());
-      return bitmaps[key.slot];
-    });
+      return DecodedBitmap::Plain(bitmaps[key.slot]);
+    };
+    return EvaluateExprDecoded(e, rows.size(), fetch).Take();
   }
 };
 

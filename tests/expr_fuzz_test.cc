@@ -17,7 +17,8 @@ constexpr uint64_t kRows = 257;  // deliberately not word-aligned
 constexpr uint32_t kLeaves = 5;
 
 struct Env {
-  std::vector<Bitvector> bitmaps;
+  // Shared handles the evaluator borrows, as it borrows the cache's.
+  std::vector<std::shared_ptr<const Bitvector>> bitmaps;
 
   explicit Env(uint64_t seed) {
     Rng rng(seed);
@@ -26,8 +27,14 @@ struct Env {
       for (uint64_t i = 0; i < kRows; ++i) {
         if (rng.Bernoulli(0.4)) bv.Set(i);
       }
-      bitmaps.push_back(std::move(bv));
+      bitmaps.push_back(std::make_shared<const Bitvector>(std::move(bv)));
     }
+  }
+
+  DecodedLeafFetcher Fetcher() const {
+    return [this](BitmapKey key) {
+      return DecodedBitmap::Plain(bitmaps[key.slot]);
+    };
   }
 };
 
@@ -43,7 +50,7 @@ Built BuildRandom(const Env& env, Rng* rng, int depth) {
   switch (choice) {
     case 0: {  // leaf
       const uint32_t s = static_cast<uint32_t>(rng->UniformInt(0, kLeaves - 1));
-      return {ExprLeaf(1, s), env.bitmaps[s]};
+      return {ExprLeaf(1, s), *env.bitmaps[s]};
     }
     case 1: {  // constant
       const bool v = rng->Bernoulli(0.5);
@@ -88,8 +95,8 @@ TEST_P(ExprFuzz, BuilderSimplificationsPreserveSemantics) {
   Rng rng(GetParam() * 7919 + 13);
   for (int trial = 0; trial < 200; ++trial) {
     Built b = BuildRandom(env, &rng, 4);
-    Bitvector evaluated = EvaluateExpr(
-        b.expr, kRows, [&env](BitmapKey key) { return env.bitmaps[key.slot]; });
+    Bitvector evaluated =
+        EvaluateExprDecoded(b.expr, kRows, env.Fetcher()).Take();
     ASSERT_EQ(evaluated, b.value)
         << "seed=" << GetParam() << " trial=" << trial << " expr "
         << ExprToString(b.expr);
@@ -110,12 +117,11 @@ TEST(ExprFuzzDeep, DeepXorChainsKeepParity) {
   Env env(99);
   for (int i = 2; i <= 40; ++i) {
     acc = ExprXor(std::move(acc), leaf);
-    Bitvector v = EvaluateExpr(
-        acc, kRows, [&env](BitmapKey key) { return env.bitmaps[key.slot]; });
+    Bitvector v = EvaluateExprDecoded(acc, kRows, env.Fetcher()).Take();
     if (i % 2 == 0) {
       EXPECT_EQ(v.Count(), 0u) << i;
     } else {
-      EXPECT_EQ(v, env.bitmaps[0]) << i;
+      EXPECT_EQ(v, *env.bitmaps[0]) << i;
     }
   }
 }

@@ -84,32 +84,37 @@ class EvalTest : public ::testing::Test {
  protected:
   static constexpr uint64_t kRows = 128;
 
-  EvalTest() : bitmaps_(4) {
+  EvalTest() {
     Rng rng(11);
     for (uint32_t s = 0; s < 4; ++s) {
       Bitvector bv(kRows);
       for (uint64_t i = 0; i < kRows; ++i) {
         if (rng.Bernoulli(0.4)) bv.Set(i);
       }
-      bitmaps_[s] = bv;
+      bitmaps_.push_back(std::make_shared<const Bitvector>(std::move(bv)));
     }
   }
 
-  LeafFetcher Fetcher() {
+  DecodedLeafFetcher Fetcher() {
     return [this](BitmapKey key) {
       ++fetches_;
       EXPECT_EQ(key.component, 1u);
-      return bitmaps_[key.slot];
+      return DecodedBitmap::Plain(bitmaps_[key.slot]);
     };
   }
 
-  std::vector<Bitvector> bitmaps_;
+  Bitvector Eval(const ExprPtr& e) {
+    return EvaluateExprDecoded(e, kRows, Fetcher()).Take();
+  }
+
+  // Shared handles the evaluator borrows, as it borrows the cache's.
+  std::vector<std::shared_ptr<const Bitvector>> bitmaps_;
   int fetches_ = 0;
 };
 
 TEST_F(EvalTest, EvaluatesConstants) {
-  EXPECT_EQ(EvaluateExpr(ExprConst(false), kRows, Fetcher()).Count(), 0u);
-  EXPECT_EQ(EvaluateExpr(ExprConst(true), kRows, Fetcher()).Count(), kRows);
+  EXPECT_EQ(Eval(ExprConst(false)).Count(), 0u);
+  EXPECT_EQ(Eval(ExprConst(true)).Count(), kRows);
   EXPECT_EQ(fetches_, 0);
 }
 
@@ -117,15 +122,15 @@ TEST_F(EvalTest, EvaluatesLeafAndOperators) {
   ExprPtr e = ExprOr(ExprAnd(ExprLeaf(1, 0), ExprLeaf(1, 1)),
                      ExprXor(ExprLeaf(1, 2), ExprNot(ExprLeaf(1, 3))));
   Bitvector expected = Bitvector::Or(
-      Bitvector::And(bitmaps_[0], bitmaps_[1]),
-      Bitvector::Xor(bitmaps_[2], Bitvector::Not(bitmaps_[3])));
-  EXPECT_EQ(EvaluateExpr(e, kRows, Fetcher()), expected);
+      Bitvector::And(*bitmaps_[0], *bitmaps_[1]),
+      Bitvector::Xor(*bitmaps_[2], Bitvector::Not(*bitmaps_[3])));
+  EXPECT_EQ(Eval(e), expected);
 }
 
 TEST_F(EvalTest, FetchesEachDistinctLeafOnce) {
   ExprPtr e = ExprOr(ExprAnd(ExprLeaf(1, 0), ExprLeaf(1, 1)),
                      ExprAnd(ExprLeaf(1, 0), ExprNot(ExprLeaf(1, 1))));
-  EvaluateExpr(e, kRows, Fetcher());
+  Eval(e);
   EXPECT_EQ(fetches_, 2);
 }
 

@@ -124,6 +124,22 @@ TEST(ExplainTest, IntervalValidatesBoundsUpFront) {
   EXPECT_DEATH(exec.ExplainInterval({5, UINT32_MAX}), "cardinality");
 }
 
+TEST(ExplainTest, MembershipValidatesValuesUpFront) {
+  // Regression: ExplainMembership ran no entry checks. An empty list gave a
+  // 0-constituent plan for a query EvaluateMembership (and the service)
+  // rejects, and an out-of-domain value aborted deep in the interval
+  // rewrite. Both now fail at the entry with EvaluateMembership's checks.
+  Column col = GenerateZipfColumn(
+      {.rows = 1000, .cardinality = 50, .zipf_z = 0.0, .seed = 3});
+  BitmapIndex index = BitmapIndex::Build(
+      col, Decomposition::Make(50, {8, 7}).value(), EncodingKind::kInterval,
+      false);
+  QueryExecutor exec(&index, {});
+  EXPECT_EQ(exec.ExplainMembership({0, 49}).constituents.size(), 2u);
+  EXPECT_DEATH(exec.ExplainMembership({}), "empty membership query");
+  EXPECT_DEATH(exec.ExplainMembership({3, 52}), "cardinality.*executor\\.cc");
+}
+
 TEST(ExplainTest, EvaluateIntervalValidatesBounds) {
   // The public evaluation entry shares EvaluateMembership's contract.
   Column col = GenerateZipfColumn(

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/bitmap_index_facade.h"
+#include "query/executor.h"
 #include "server/brownout.h"
 #include "server/query_service.h"
 #include "server/work_queue.h"
@@ -23,6 +24,7 @@
 #include "util/cancel_token.h"
 #include "util/clock.h"
 #include "workload/column_gen.h"
+#include "workload/scan_baseline.h"
 
 namespace bix {
 namespace {
@@ -126,6 +128,43 @@ TEST(BrownoutBreakerTest, FullCycleIsDeterministic) {
   EXPECT_TRUE(breaker.RecordOutcome(true, t0 + Seconds(3.5)));
   EXPECT_EQ(breaker.state(), BrownoutBreaker::State::kOpen);
   EXPECT_EQ(breaker.opens(), 3u);
+}
+
+// ------------------------------------------------------------- executor --
+
+// An executor that owns its cache (the paper's buffer pool) checks the
+// budget at every fetch on ExecutorOptions::clock, as the service's shared
+// cache does. A VirtualClock starts at its epoch, so a deadline built from
+// it is long past on the real steady clock; the owned cache used to check
+// that one and failed every such query DeadlineExceeded.
+TEST(ExecutorDeadlineTest, OwnedCacheChecksBudgetOnExecutorClock) {
+  VirtualClock clock;
+  Column col = GenerateZipfColumn(
+      {.rows = 10000, .cardinality = 50, .zipf_z = 1.0, .seed = 1});
+  BitmapIndex index =
+      BitmapIndex::Build(col, Decomposition::SingleComponent(50),
+                         EncodingKind::kInterval, false);
+  ExecutorOptions opts;
+  opts.clock = &clock;
+  QueryExecutor exec(&index, opts);
+  const std::vector<uint32_t> values = {3, 7, 20};
+  const Bitvector expected = NaiveEvaluateMembership(col, values);
+  std::shared_ptr<CancelToken> cancel =
+      CancelToken::WithDeadline(clock.Now() + Seconds(1.0));
+  const std::vector<ExprPtr> exprs =
+      exec.RewriteMembership(values, cancel.get());
+
+  Result<Bitvector> rows = exec.TryEvaluateRewritten(exprs, cancel.get());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows.value(), expected);
+  Result<uint64_t> count = exec.TryEvaluateCountRewritten(exprs, cancel.get());
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count.value(), expected.Count());
+
+  // The same budget still expires, on the same clock.
+  clock.Advance(2.0);
+  EXPECT_EQ(exec.TryEvaluateRewritten(exprs, cancel.get()).status().code(),
+            Status::Code::kDeadlineExceeded);
 }
 
 // -------------------------------------------------------------- service --

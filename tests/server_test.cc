@@ -125,7 +125,8 @@ class ShardedCacheTest : public ::testing::Test {
         if (rng.Bernoulli(0.3)) bv.Set(i);
       }
       reference_.push_back(bv);
-      store_.PutUncompressed({1, s}, bv);  // 125 stored bytes each
+      // 125 stored bytes each.
+      store_.PutWithCodec({1, s}, bv, CodecId::kVerbatim);
     }
   }
   BitmapStore store_;
@@ -136,7 +137,8 @@ TEST_F(ShardedCacheTest, FetchReturnsStoredBitmap) {
   ShardedBitmapCache cache(&store_, 1 << 20, 4);
   IoStats stats;
   for (uint32_t s = 0; s < 8; ++s) {
-    EXPECT_EQ(cache.Fetch({1, s}, &stats), reference_[s]);
+    EXPECT_EQ(*cache.TryFetchDecoded({1, s}, &stats).value().plain(),
+              reference_[s]);
   }
   EXPECT_EQ(stats.scans, 8u);
   EXPECT_EQ(stats.disk_reads, 8u);
@@ -146,8 +148,9 @@ TEST_F(ShardedCacheTest, FetchReturnsStoredBitmap) {
 TEST_F(ShardedCacheTest, SecondFetchHitsPool) {
   ShardedBitmapCache cache(&store_, 1 << 20, 4);
   IoStats stats;
-  cache.Fetch({1, 0}, &stats);
-  EXPECT_EQ(cache.Fetch({1, 0}, &stats), reference_[0]);
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  EXPECT_EQ(*cache.TryFetchDecoded({1, 0}, &stats).value().plain(),
+            reference_[0]);
   EXPECT_EQ(stats.pool_hits, 1u);
   EXPECT_EQ(stats.disk_reads, 1u);
   EXPECT_EQ(stats.bytes_read, 125u);
@@ -160,8 +163,8 @@ TEST_F(ShardedCacheTest, CallersShareResidency) {
   // The point of the shared pool: worker B hits on what worker A fetched.
   ShardedBitmapCache cache(&store_, 1 << 20, 4);
   IoStats a, b;
-  cache.Fetch({1, 3}, &a);
-  cache.Fetch({1, 3}, &b);
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 3}, &a).ok());
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 3}, &b).ok());
   EXPECT_EQ(a.disk_reads, 1u);
   EXPECT_EQ(b.pool_hits, 1u);
   EXPECT_EQ(b.disk_reads, 0u);
@@ -172,9 +175,9 @@ TEST_F(ShardedCacheTest, TinyShardsEvictAndRescan) {
   // evict each other and re-reads count as rescans.
   ShardedBitmapCache cache(&store_, 130, 1);
   IoStats stats;
-  cache.Fetch({1, 0}, &stats);
-  cache.Fetch({1, 1}, &stats);  // evicts 0
-  cache.Fetch({1, 0}, &stats);  // rescan
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 1}, &stats).ok());  // evicts 0
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());  // rescan
   EXPECT_EQ(stats.disk_reads, 3u);
   EXPECT_EQ(stats.rescans, 1u);
   EXPECT_LE(cache.pool_bytes_used(), 130u);
@@ -183,8 +186,8 @@ TEST_F(ShardedCacheTest, TinyShardsEvictAndRescan) {
 TEST_F(ShardedCacheTest, OversizedBitmapReadsThrough) {
   ShardedBitmapCache cache(&store_, 64, 1);  // smaller than any bitmap
   IoStats stats;
-  cache.Fetch({1, 0}, &stats);
-  cache.Fetch({1, 0}, &stats);
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   EXPECT_EQ(stats.disk_reads, 2u);
   EXPECT_EQ(cache.pool_bytes_used(), 0u);
 }
@@ -192,9 +195,9 @@ TEST_F(ShardedCacheTest, OversizedBitmapReadsThrough) {
 TEST_F(ShardedCacheTest, DropPoolForgetsResidencyAndHistory) {
   ShardedBitmapCache cache(&store_, 1 << 20, 4);
   IoStats stats;
-  cache.Fetch({1, 0}, &stats);
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   cache.DropPool();
-  cache.Fetch({1, 0}, &stats);
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   EXPECT_EQ(stats.disk_reads, 2u);
   EXPECT_EQ(stats.rescans, 0u);
   EXPECT_EQ(cache.pool_bytes_used(), 125u);
@@ -210,7 +213,8 @@ TEST_F(ShardedCacheTest, ConcurrentFetchesReturnCorrectBitmaps) {
       IoStats stats;
       for (int i = 0; i < 200; ++i) {
         const uint32_t s = static_cast<uint32_t>(rng.UniformInt(0, 7));
-        if (cache.Fetch({1, s}, &stats) != reference_[s]) ++failures;
+        Result<DecodedBitmap> r = cache.TryFetchDecoded({1, s}, &stats);
+        if (!r.ok() || *r.value().plain() != reference_[s]) ++failures;
       }
       if (stats.scans != 200u) ++failures;
       if (stats.pool_hits + stats.disk_reads != stats.scans) ++failures;

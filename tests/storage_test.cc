@@ -4,10 +4,12 @@
 
 #include <cstdio>
 
+#include "server/sharded_cache.h"
 #include "storage/bitmap_cache.h"
 #include "storage/bitmap_store.h"
 #include "storage/fault_injector.h"
 #include "storage/wal.h"
+#include "util/clock.h"
 #include "util/rng.h"
 
 namespace bix {
@@ -25,7 +27,7 @@ Bitvector MakeBitmap(uint64_t n, uint64_t seed, double density = 0.3) {
 TEST(BitmapStoreTest, UncompressedRoundtrip) {
   BitmapStore store;
   Bitvector bv = MakeBitmap(1000, 1);
-  store.PutUncompressed({1, 0}, bv);
+  store.PutWithCodec({1, 0}, bv, CodecId::kVerbatim);
   EXPECT_TRUE(store.Contains({1, 0}));
   EXPECT_FALSE(store.Contains({1, 1}));
   EXPECT_EQ(store.Materialize({1, 0}), bv);
@@ -39,7 +41,7 @@ TEST(BitmapStoreTest, CompressedRoundtrip) {
   Bitvector sparse(100'000);
   sparse.Set(7);
   sparse.Set(99'999);
-  store.PutCompressed({1, 0}, sparse);
+  store.PutWithCodec({1, 0}, sparse, CodecId::kBbc);
   EXPECT_EQ(store.Materialize({1, 0}), sparse);
   EXPECT_LT(store.StoredBytes({1, 0}), 100u);
 }
@@ -47,8 +49,8 @@ TEST(BitmapStoreTest, CompressedRoundtrip) {
 TEST(BitmapStoreTest, KeysAreComponentScoped) {
   BitmapStore store;
   Bitvector a = MakeBitmap(100, 1), b = MakeBitmap(100, 2);
-  store.PutUncompressed({1, 5}, a);
-  store.PutUncompressed({2, 5}, b);
+  store.PutWithCodec({1, 5}, a, CodecId::kVerbatim);
+  store.PutWithCodec({2, 5}, b, CodecId::kVerbatim);
   EXPECT_EQ(store.Materialize({1, 5}), a);
   EXPECT_EQ(store.Materialize({2, 5}), b);
 }
@@ -56,7 +58,7 @@ TEST(BitmapStoreTest, KeysAreComponentScoped) {
 TEST(BitmapStoreTest, TryVariantsReportMissingKeysAsTypedErrors) {
   BitmapStore store;
   Bitvector bv = MakeBitmap(800, 3);
-  store.PutUncompressed({1, 0}, bv);
+  store.PutWithCodec({1, 0}, bv, CodecId::kVerbatim);
 
   EXPECT_EQ(store.TryStoredBytes({1, 0}).value(), store.StoredBytes({1, 0}));
   EXPECT_EQ(store.TryMaterialize({1, 0}).value(), bv);
@@ -76,7 +78,7 @@ TEST(BitmapStoreTest, TryVariantsReportMissingKeysAsTypedErrors) {
 
 TEST(BitmapStoreTest, TryMaterializeDetectsBitRot) {
   BitmapStore store;
-  store.PutUncompressed({1, 0}, MakeBitmap(1000, 4));
+  store.PutWithCodec({1, 0}, MakeBitmap(1000, 4), CodecId::kVerbatim);
   // Model post-stamp rot: re-insert a copy of the blob with one payload
   // byte flipped but the original checksum, as a torn page would leave it.
   BitmapStore::Blob rotten = store.GetBlob({1, 0});
@@ -115,8 +117,8 @@ TEST(BitmapStoreTest, ReplaceKeepsTotalBytesConsistent) {
   BitmapStore store;
   Bitvector sparse(50'000);
   sparse.Set(12);
-  store.PutCompressed({1, 0}, sparse);
-  store.PutUncompressed({1, 1}, MakeBitmap(1000, 5));
+  store.PutWithCodec({1, 0}, sparse, CodecId::kBbc);
+  store.PutWithCodec({1, 1}, MakeBitmap(1000, 5), CodecId::kVerbatim);
 
   // Replace the compressed bitmap with a much denser one (stored size
   // grows) and the uncompressed one with a same-size bitmap.
@@ -271,7 +273,7 @@ class BitmapCacheTest : public ::testing::Test {
   void SetUp() override {
     // Four 125-byte bitmaps.
     for (uint32_t s = 0; s < 4; ++s) {
-      store_.PutUncompressed({1, s}, MakeBitmap(1000, s));
+      store_.PutWithCodec({1, s}, MakeBitmap(1000, s), CodecId::kVerbatim);
     }
   }
   BitmapStore store_;
@@ -279,59 +281,68 @@ class BitmapCacheTest : public ::testing::Test {
 
 TEST_F(BitmapCacheTest, FetchReturnsStoredBitmap) {
   BitmapCache cache(&store_, 1 << 20);
-  EXPECT_EQ(cache.Fetch({1, 2}), MakeBitmap(1000, 2));
+  IoStats stats;
+  EXPECT_EQ(*cache.TryFetchDecoded({1, 2}, &stats).value().plain(),
+            MakeBitmap(1000, 2));
 }
 
 TEST_F(BitmapCacheTest, SecondFetchHitsPool) {
   BitmapCache cache(&store_, 1 << 20);
-  cache.Fetch({1, 0});
-  cache.Fetch({1, 0});
-  EXPECT_EQ(cache.stats().scans, 2u);
-  EXPECT_EQ(cache.stats().disk_reads, 1u);
-  EXPECT_EQ(cache.stats().pool_hits, 1u);
-  EXPECT_EQ(cache.stats().rescans, 0u);
-  EXPECT_EQ(cache.stats().bytes_read, 125u);
+  IoStats stats;
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  EXPECT_EQ(stats.scans, 2u);
+  EXPECT_EQ(stats.disk_reads, 1u);
+  EXPECT_EQ(stats.pool_hits, 1u);
+  EXPECT_EQ(stats.rescans, 0u);
+  EXPECT_EQ(stats.bytes_read, 125u);
 }
 
 TEST_F(BitmapCacheTest, TinyPoolCausesRescans) {
   BitmapCache cache(&store_, 130);  // fits exactly one bitmap
-  cache.Fetch({1, 0});
-  cache.Fetch({1, 1});  // evicts 0
-  cache.Fetch({1, 0});  // rescan
-  EXPECT_EQ(cache.stats().disk_reads, 3u);
-  EXPECT_EQ(cache.stats().rescans, 1u);
-  EXPECT_EQ(cache.stats().pool_hits, 0u);
+  IoStats stats;
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 1}, &stats).ok());  // evicts 0
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());  // rescan
+  EXPECT_EQ(stats.disk_reads, 3u);
+  EXPECT_EQ(stats.rescans, 1u);
+  EXPECT_EQ(stats.pool_hits, 0u);
 }
 
 TEST_F(BitmapCacheTest, LruEvictsLeastRecentlyUsed) {
   BitmapCache cache(&store_, 250);  // two bitmaps fit
-  cache.Fetch({1, 0});
-  cache.Fetch({1, 1});
-  cache.Fetch({1, 0});  // touch 0: LRU order is now (0, 1)
-  cache.Fetch({1, 2});  // evicts 1
-  cache.Fetch({1, 0});  // still resident
-  EXPECT_EQ(cache.stats().pool_hits, 2u);
-  cache.Fetch({1, 1});  // was evicted -> rescan
-  EXPECT_EQ(cache.stats().rescans, 1u);
+  IoStats stats;
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 1}, &stats).ok());
+  // Touch 0: LRU order is now (0, 1).
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 2}, &stats).ok());  // evicts 1
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());  // still resident
+  EXPECT_EQ(stats.pool_hits, 2u);
+  // 1 was evicted, so this is a rescan.
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 1}, &stats).ok());
+  EXPECT_EQ(stats.rescans, 1u);
 }
 
 TEST_F(BitmapCacheTest, OversizedBitmapReadsThrough) {
   BitmapCache cache(&store_, 64);  // smaller than any bitmap
-  cache.Fetch({1, 0});
-  cache.Fetch({1, 0});
-  EXPECT_EQ(cache.stats().disk_reads, 2u);
-  EXPECT_EQ(cache.stats().pool_hits, 0u);
+  IoStats stats;
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  EXPECT_EQ(stats.disk_reads, 2u);
+  EXPECT_EQ(stats.pool_hits, 0u);
   EXPECT_EQ(cache.pool_bytes_used(), 0u);
 }
 
 TEST_F(BitmapCacheTest, DropPoolForgetsResidencyAndHistory) {
   BitmapCache cache(&store_, 1 << 20);
-  cache.Fetch({1, 0});
+  IoStats stats;
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   cache.DropPool();
-  cache.Fetch({1, 0});
-  EXPECT_EQ(cache.stats().disk_reads, 2u);
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  EXPECT_EQ(stats.disk_reads, 2u);
   // History was dropped too: the re-read does not count as a rescan.
-  EXPECT_EQ(cache.stats().rescans, 0u);
+  EXPECT_EQ(stats.rescans, 0u);
 }
 
 TEST_F(BitmapCacheTest, IoSecondsFollowDiskModel) {
@@ -339,19 +350,22 @@ TEST_F(BitmapCacheTest, IoSecondsFollowDiskModel) {
   disk.seek_seconds = 0.01;
   disk.bytes_per_second = 1000.0;
   BitmapCache cache(&store_, 1 << 20, disk);
-  cache.Fetch({1, 0});
-  EXPECT_DOUBLE_EQ(cache.stats().io_seconds, 0.01 + 125.0 / 1000.0);
-  cache.Fetch({1, 0});  // pool hit: no extra I/O
-  EXPECT_DOUBLE_EQ(cache.stats().io_seconds, 0.01 + 125.0 / 1000.0);
+  IoStats stats;
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  EXPECT_DOUBLE_EQ(stats.io_seconds, 0.01 + 125.0 / 1000.0);
+  // Pool hit: no extra I/O.
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  EXPECT_DOUBLE_EQ(stats.io_seconds, 0.01 + 125.0 / 1000.0);
 }
 
 TEST_F(BitmapCacheTest, StatsAccountingInvariant) {
   BitmapCache cache(&store_, 250);
+  IoStats s;
   Rng rng(17);
   for (int i = 0; i < 200; ++i) {
-    cache.Fetch({1, static_cast<uint32_t>(rng.UniformInt(0, 3))});
+    const BitmapKey key{1, static_cast<uint32_t>(rng.UniformInt(0, 3))};
+    ASSERT_TRUE(cache.TryFetchDecoded(key, &s).ok());
   }
-  const IoStats& s = cache.stats();
   EXPECT_EQ(s.scans, 200u);
   EXPECT_EQ(s.scans, s.pool_hits + s.disk_reads);
   EXPECT_LE(s.rescans, s.disk_reads);
@@ -365,16 +379,16 @@ TEST_F(BitmapCacheTest, InjectedUnavailableSurfacesAndRecovers) {
   BitmapCache cache(&store_, 1 << 20);
   cache.SetFaultInjector(&inj);
   IoStats stats;
-  Result<Bitvector> first = cache.TryFetch({1, 0}, &stats);
+  Result<DecodedBitmap> first = cache.TryFetchDecoded({1, 0}, &stats);
   ASSERT_FALSE(first.ok());
   EXPECT_EQ(first.status().code(), Status::Code::kUnavailable);
   EXPECT_TRUE(first.status().IsRetryable());
   // The retry (attempt 2) succeeds and returns the true bitmap.
-  Result<Bitvector> second = cache.TryFetch({1, 0}, &stats);
+  Result<DecodedBitmap> second = cache.TryFetchDecoded({1, 0}, &stats);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second.value(), MakeBitmap(1000, 0));
+  EXPECT_EQ(*second.value().plain(), MakeBitmap(1000, 0));
   // A later fetch is a pool hit: hits bypass the injector entirely.
-  EXPECT_TRUE(cache.TryFetch({1, 0}, &stats).ok());
+  EXPECT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   EXPECT_EQ(inj.counters().reads, 2u);
 }
 
@@ -386,7 +400,7 @@ TEST_F(BitmapCacheTest, InjectedBitFlipIsCorruptionAndNeverCached) {
   cache.SetFaultInjector(&inj);
   IoStats stats;
   for (int i = 0; i < 3; ++i) {
-    Result<Bitvector> r = cache.TryFetch({1, 0}, &stats);
+    Result<DecodedBitmap> r = cache.TryFetchDecoded({1, 0}, &stats);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), Status::Code::kCorruption);
   }
@@ -404,9 +418,9 @@ TEST_F(BitmapCacheTest, LatencySpikesDoNotAffectResults) {
   BitmapCache cache(&store_, 1 << 20);
   cache.SetFaultInjector(&inj);
   IoStats stats;
-  Result<Bitvector> r = cache.TryFetch({1, 1}, &stats);
+  Result<DecodedBitmap> r = cache.TryFetchDecoded({1, 1}, &stats);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), MakeBitmap(1000, 1));
+  EXPECT_EQ(*r.value().plain(), MakeBitmap(1000, 1));
   EXPECT_EQ(inj.counters().latency_spikes, 1u);
 }
 
@@ -414,24 +428,27 @@ TEST(BitmapCacheTest2, CompressedFetchChargesDecodeEveryTime) {
   BitmapStore store;
   Bitvector sparse(80'000);
   sparse.Set(3);
-  store.PutCompressed({1, 0}, sparse);
+  store.PutWithCodec({1, 0}, sparse, CodecId::kBbc);
   const uint64_t cmp_bytes = store.StoredBytes({1, 0});
   DiskModel disk;
   disk.decompress_bytes_per_second = 1000.0;
   BitmapCache cache(&store, 1 << 20, disk);
-  cache.Fetch({1, 0});
-  cache.Fetch({1, 0});  // pool hit, but decode is paid again
-  EXPECT_DOUBLE_EQ(cache.stats().decode_seconds,
+  IoStats stats;
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  // A pool hit, but decode is paid again.
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  EXPECT_DOUBLE_EQ(stats.decode_seconds,
                    2.0 * static_cast<double>(cmp_bytes) / 1000.0);
-  EXPECT_EQ(cache.stats().disk_reads, 1u);
+  EXPECT_EQ(stats.disk_reads, 1u);
 }
 
 TEST(BitmapCacheTest2, UncompressedFetchChargesNoDecode) {
   BitmapStore store;
-  store.PutUncompressed({1, 0}, MakeBitmap(1000, 1));
+  store.PutWithCodec({1, 0}, MakeBitmap(1000, 1), CodecId::kVerbatim);
   BitmapCache cache(&store, 1 << 20);
-  cache.Fetch({1, 0});
-  EXPECT_DOUBLE_EQ(cache.stats().decode_seconds, 0.0);
+  IoStats stats;
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  EXPECT_DOUBLE_EQ(stats.decode_seconds, 0.0);
 }
 
 TEST(BitmapCacheTest2, RoaringFetchChargesScaledDecodeAndTagsCodec) {
@@ -440,21 +457,21 @@ TEST(BitmapCacheTest2, RoaringFetchChargesScaledDecodeAndTagsCodec) {
   sparse.Set(3);
   sparse.Set(70'001);
   store.PutWithCodec({1, 0}, sparse, CodecId::kRoaring);
-  store.PutCompressed({1, 1}, sparse);
-  store.PutUncompressed({1, 2}, MakeBitmap(1000, 1));
+  store.PutWithCodec({1, 1}, sparse, CodecId::kBbc);
+  store.PutWithCodec({1, 2}, MakeBitmap(1000, 1), CodecId::kVerbatim);
   const uint64_t roaring_bytes = store.StoredBytes({1, 0});
   DiskModel disk;
   disk.decompress_bytes_per_second = 1000.0;
   BitmapCache cache(&store, 1 << 20, disk);
   IoStats stats;
-  ASSERT_TRUE(cache.TryFetch({1, 0}, &stats).ok());
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   // Roaring hands out container form, so its modeled decode cost is a
   // fraction (roaring_decode_scale) of a full decompression pass.
   EXPECT_DOUBLE_EQ(stats.decode_seconds,
                    disk.roaring_decode_scale *
                        static_cast<double>(roaring_bytes) / 1000.0);
-  ASSERT_TRUE(cache.TryFetch({1, 1}, &stats).ok());
-  ASSERT_TRUE(cache.TryFetch({1, 2}, &stats).ok());
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 1}, &stats).ok());
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 2}, &stats).ok());
   // Every fetch is tallied under its blob's codec.
   EXPECT_EQ(stats.codec_decodes[static_cast<size_t>(CodecId::kRoaring)], 1u);
   EXPECT_EQ(stats.codec_decodes[static_cast<size_t>(CodecId::kBbc)], 1u);
@@ -510,14 +527,14 @@ TEST(IoStatsTest, AddMergesEveryFieldOfPopulatedBlocks) {
   EXPECT_DOUBLE_EQ(b.io_seconds, 0.75);
 }
 
-// The BitmapCacheInterface contract: Fetch accounts into the caller's
+// The BitmapCacheInterface contract: a fetch accounts into the caller's
 // block, so two callers over one cache keep private breakdowns whose Add
-// roll-up matches the cache's own cumulative view.
+// roll-up is the cache's whole activity.
 TEST_F(BitmapCacheTest, FetchAccountsIntoCallerBlock) {
   BitmapCache cache(&store_, 1 << 20);
   IoStats worker_a, worker_b;
-  static_cast<BitmapCacheInterface&>(cache).Fetch({1, 0}, &worker_a);
-  static_cast<BitmapCacheInterface&>(cache).Fetch({1, 0}, &worker_b);
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &worker_a).ok());
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &worker_b).ok());
   EXPECT_EQ(worker_a.scans, 1u);
   EXPECT_EQ(worker_a.disk_reads, 1u);
   EXPECT_EQ(worker_b.scans, 1u);
@@ -528,9 +545,81 @@ TEST_F(BitmapCacheTest, FetchAccountsIntoCallerBlock) {
   EXPECT_EQ(total.disk_reads, 1u);
   EXPECT_EQ(total.pool_hits, 1u);
   EXPECT_EQ(total.bytes_read, 125u);
-  // The internal cumulative block saw nothing (it belongs to the
-  // convenience single-owner Fetch overload only).
-  EXPECT_EQ(cache.stats().scans, 0u);
+}
+
+void ExpectSameIoStats(const IoStats& a, const IoStats& b) {
+  EXPECT_EQ(a.scans, b.scans);
+  EXPECT_EQ(a.pool_hits, b.pool_hits);
+  EXPECT_EQ(a.disk_reads, b.disk_reads);
+  EXPECT_EQ(a.rescans, b.rescans);
+  EXPECT_EQ(a.bytes_read, b.bytes_read);
+  EXPECT_EQ(a.io_seconds, b.io_seconds);
+  EXPECT_EQ(a.decode_seconds, b.decode_seconds);
+  EXPECT_EQ(a.cpu_seconds, b.cpu_seconds);
+  for (size_t c = 0; c < kNumCodecs; ++c) {
+    EXPECT_EQ(a.codec_decodes[c], b.codec_decodes[c]) << c;
+  }
+}
+
+// One oracle for the miss-path fault switch both caches run: the paper's
+// pool and a one-shard service cache, each on its own VirtualClock with an
+// identically seeded injector, must fail, account and sleep identically on
+// every miss of every codec. A key that succeeded is never fetched again,
+// so every fetch is a miss in both caches.
+TEST(CacheFaultOracleTest, BothCachesFaultAndAccountAMissIdentically) {
+  BitmapStore store;
+  const CodecId codecs[] = {CodecId::kVerbatim, CodecId::kBbc, CodecId::kWah,
+                            CodecId::kRoaring};
+  std::vector<BitmapKey> keys;
+  std::vector<Bitvector> reference;
+  for (uint32_t slot = 0; slot < 12; ++slot) {
+    keys.push_back({1, slot});
+    reference.push_back(MakeBitmap(4000, slot, 0.05));
+    store.PutWithCodec(keys.back(), reference.back(), codecs[slot % 4]);
+  }
+  FaultInjectorOptions opts;
+  opts.seed = 7;
+  opts.unavailable_prob = 0.2;
+  opts.bit_flip_prob = 0.2;
+  opts.latency_spike_prob = 0.2;
+  opts.latency_spike_seconds = 0.004;
+  FaultInjector pool_faults(opts), shard_faults(opts);
+  VirtualClock pool_clock, shard_clock;
+  BitmapCache pool(&store, 1 << 20, DiskModel{}, &pool_clock);
+  ShardedBitmapCache shard(&store, 1 << 20, 1, DiskModel{},
+                           /*io_latency_scale=*/0.0, &shard_clock);
+  pool.SetFaultInjector(&pool_faults);
+  shard.SetFaultInjector(&shard_faults);
+
+  for (size_t k = 0; k < keys.size(); ++k) {
+    for (int attempt = 0; attempt < 4; ++attempt) {
+      SCOPED_TRACE("slot " + std::to_string(k) + " attempt " +
+                   std::to_string(attempt));
+      IoStats pool_io, shard_io;
+      Result<DecodedBitmap> a = pool.TryFetchDecoded(keys[k], &pool_io);
+      Result<DecodedBitmap> b = shard.TryFetchDecoded(keys[k], &shard_io);
+      ASSERT_EQ(a.status().code(), b.status().code());
+      ExpectSameIoStats(pool_io, shard_io);
+      const FaultInjector::Counters pc = pool_faults.counters();
+      const FaultInjector::Counters sc = shard_faults.counters();
+      EXPECT_EQ(pc.reads, sc.reads);
+      EXPECT_EQ(pc.unavailable, sc.unavailable);
+      EXPECT_EQ(pc.bit_flips, sc.bit_flips);
+      EXPECT_EQ(pc.latency_spikes, sc.latency_spikes);
+      EXPECT_EQ(pool_clock.slept_seconds(), shard_clock.slept_seconds());
+      if (a.ok()) {
+        EXPECT_EQ(*a.value().MaterializePlain(), reference[k]);
+        EXPECT_EQ(*b.value().MaterializePlain(), reference[k]);
+        break;
+      }
+    }
+  }
+  // The oracle saw every kind of fault.
+  const FaultInjector::Counters c = pool_faults.counters();
+  EXPECT_GT(c.unavailable, 0u);
+  EXPECT_GT(c.bit_flips, 0u);
+  EXPECT_GT(c.latency_spikes, 0u);
+  EXPECT_GT(pool_clock.slept_seconds(), 0.0);
 }
 
 TEST(IoStatsTest, AddAccumulates) {

@@ -171,20 +171,19 @@ TEST(CopyTripwireTest, RepeatedLeafIsFetchedOnceAndNeverCopied) {
   auto b1 = std::make_shared<const Bitvector>(MakeRandom(kRows, 0.3, &rng));
   auto b2 = std::make_shared<const Bitvector>(MakeRandom(kRows, 0.3, &rng));
   int fetches = 0;
-  SharedLeafFetcher fetch =
-      [&](BitmapKey key) -> std::shared_ptr<const Bitvector> {
+  DecodedLeafFetcher fetch = [&](BitmapKey key) {
     ++fetches;
     switch (key.slot) {
-      case 0: return b0;
-      case 1: return b1;
-      default: return b2;
+      case 0: return DecodedBitmap::Plain(b0);
+      case 1: return DecodedBitmap::Plain(b1);
+      default: return DecodedBitmap::Plain(b2);
     }
   };
   // (B0 & B1) | (B0 & B2): B0 appears twice.
   ExprPtr e = ExprOr(ExprAnd(ExprLeaf(1, 0), ExprLeaf(1, 1)),
                      ExprAnd(ExprLeaf(1, 0), ExprLeaf(1, 2)));
   BitvectorCopyStats::Reset();
-  EvalResult r = EvaluateExprShared(e, kRows, fetch);
+  EvalResult r = EvaluateExprDecoded(e, kRows, fetch);
   EXPECT_EQ(fetches, 3);  // B0 memoized as a handle
   // All-leaf n-ary nodes and the OR combine run over borrowed handles and
   // scratch buffers: zero payload copies end to end.
@@ -213,10 +212,10 @@ TEST(CopyTripwireTest, CachedComponentWiseMembershipCopiesNothing) {
   QueryExecutor exec(&index, opts, &cache);
   const std::vector<uint32_t> values = {3, 7, 8, 9, 25};
   std::vector<ExprPtr> exprs = exec.RewriteMembership(values);
-  exec.EvaluateRewritten(exprs);  // warm the cache
+  exec.TryEvaluateRewritten(exprs).value();  // warm the cache
 
   BitvectorCopyStats::Reset();
-  Bitvector warm = exec.EvaluateRewritten(exprs);
+  Bitvector warm = exec.TryEvaluateRewritten(exprs).value();
   // Equality-encoded membership = OR of borrowed leaf handles into one
   // fresh accumulator: zero copies. Any by-value fetch, memo handout, or
   // per-leaf map copy re-appearing bumps this count by whole bitmaps.
@@ -225,7 +224,7 @@ TEST(CopyTripwireTest, CachedComponentWiseMembershipCopiesNothing) {
 
   // Count-only path over the same cached working set: also copy-free.
   BitvectorCopyStats::Reset();
-  const uint64_t count = exec.EvaluateCountRewritten(exprs);
+  const uint64_t count = exec.TryEvaluateCountRewritten(exprs).value();
   EXPECT_EQ(BitvectorCopyStats::copies(), 0u);
   EXPECT_EQ(count, warm.Count());
 }
@@ -251,10 +250,10 @@ TEST(CopyTripwireTest, WarmedRoaringAndPerformsZeroFullDecodes) {
   QueryExecutor exec(&index, opts, &cache);
   const std::vector<uint32_t> values = {1, 9, 17, 30};
   std::vector<ExprPtr> exprs = exec.RewriteMembership(values);
-  exec.EvaluateRewritten(exprs);  // warm: every leaf now cache-resident
+  exec.TryEvaluateRewritten(exprs).value();  // warm: all leaves resident
 
   RoaringStats::Reset();
-  Bitvector warm = exec.EvaluateRewritten(exprs);
+  Bitvector warm = exec.TryEvaluateRewritten(exprs).value();
   EXPECT_EQ(RoaringStats::full_decodes(), 0u)
       << "a warmed Roaring AND expanded a whole stored bitmap";
   EXPECT_EQ(warm, NaiveEvaluateMembership(col, values));
@@ -262,7 +261,7 @@ TEST(CopyTripwireTest, WarmedRoaringAndPerformsZeroFullDecodes) {
   // Count-only over the same warm working set folds container
   // cardinalities (AndCount) — also decode-free.
   RoaringStats::Reset();
-  const uint64_t count = exec.EvaluateCountRewritten(exprs);
+  const uint64_t count = exec.TryEvaluateCountRewritten(exprs).value();
   EXPECT_EQ(RoaringStats::full_decodes(), 0u);
   EXPECT_EQ(count, warm.Count());
 }
@@ -286,19 +285,19 @@ void ExpectAllPathsMatchNaive(const Column& col, const BitmapIndex& index,
     opts.strategy = strategy;
     QueryExecutor exec(&index, opts);
     std::vector<ExprPtr> exprs = exec.RewriteMembership(values);
-    ASSERT_EQ(exec.EvaluateCountRewritten(exprs), expected.Count());
-    ASSERT_EQ(exec.EvaluateRewritten(exprs), expected);
+    ASSERT_EQ(exec.TryEvaluateCountRewritten(exprs).value(), expected.Count());
+    ASSERT_EQ(exec.TryEvaluateRewritten(exprs).value(), expected);
   }
   ShardedBitmapCache cache(&index.store(), 64ull << 20, 4);
   ExecutorOptions opts;
   opts.cold_pool_per_query = false;
   QueryExecutor exec(&index, opts, &cache);
   std::vector<ExprPtr> exprs = exec.RewriteMembership(values);
-  exec.EvaluateRewritten(exprs);  // warm: every leaf now cache-resident
+  exec.TryEvaluateRewritten(exprs).value();  // warm: all leaves resident
   BitvectorCopyStats::Reset();
   uint64_t count = 0;
   Result<Bitvector> warm = exec.TryEvaluateRewritten(exprs, nullptr, &count);
-  const uint64_t count_only = exec.EvaluateCountRewritten(exprs);
+  const uint64_t count_only = exec.TryEvaluateCountRewritten(exprs).value();
   EXPECT_EQ(BitvectorCopyStats::bytes(), 0u);
   ASSERT_TRUE(warm.ok());
   ASSERT_EQ(warm.value(), expected);
