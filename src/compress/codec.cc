@@ -1,11 +1,11 @@
 #include "compress/codec.h"
 
 #include <bit>
-#include <cstring>
 
 #include "compress/bbc.h"
 #include "compress/bytes.h"
 #include "compress/wah.h"
+#include "util/byte_io.h"
 #include "util/math.h"
 
 namespace bix {
@@ -104,14 +104,9 @@ class WahCodec final : public CodecInterface {
   // byte image.
   std::vector<uint8_t> Encode(const Bitvector& bv) const override {
     const WahEncoded enc = WahEncode(bv);
-    std::vector<uint8_t> bytes(enc.words.size() * 4);
-    for (size_t i = 0; i < enc.words.size(); ++i) {
-      const uint32_t w = enc.words[i];
-      bytes[4 * i + 0] = static_cast<uint8_t>(w);
-      bytes[4 * i + 1] = static_cast<uint8_t>(w >> 8);
-      bytes[4 * i + 2] = static_cast<uint8_t>(w >> 16);
-      bytes[4 * i + 3] = static_cast<uint8_t>(w >> 24);
-    }
+    std::vector<uint8_t> bytes;
+    bytes.reserve(4 * enc.words.size());
+    AppendWords32Le(enc.words.data(), enc.words.size(), &bytes);
     return bytes;
   }
 
@@ -131,12 +126,7 @@ class WahCodec final : public CodecInterface {
     WahEncoded enc;
     enc.bit_count = bit_count;
     enc.words.resize(bytes.size() / 4);
-    for (size_t i = 0; i < enc.words.size(); ++i) {
-      enc.words[i] = static_cast<uint32_t>(bytes[4 * i + 0]) |
-                     static_cast<uint32_t>(bytes[4 * i + 1]) << 8 |
-                     static_cast<uint32_t>(bytes[4 * i + 2]) << 16 |
-                     static_cast<uint32_t>(bytes[4 * i + 3]) << 24;
-    }
+    LoadWords32Le(bytes.data(), enc.words.size(), enc.words.data());
     return enc;
   }
 };

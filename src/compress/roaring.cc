@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "bitvector/kernels.h"
+#include "util/byte_io.h"
 #include "util/check.h"
 #include "util/math.h"
 
@@ -451,50 +452,6 @@ uint64_t PairAndCardinality(const Container& a, const Container& b) {
   return n;
 }
 
-// Little-endian scalar writers/readers for the serialized form.
-void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-class ByteReader {
- public:
-  explicit ByteReader(const std::vector<uint8_t>& bytes) : bytes_(bytes) {}
-
-  bool Have(size_t n) const { return bytes_.size() - pos_ >= n; }
-  bool Done() const { return pos_ == bytes_.size(); }
-
-  uint8_t U8() { return bytes_[pos_++]; }
-  uint16_t U16() {
-    uint16_t v = static_cast<uint16_t>(bytes_[pos_]) |
-                 static_cast<uint16_t>(bytes_[pos_ + 1]) << 8;
-    pos_ += 2;
-    return v;
-  }
-  uint32_t U32() {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-  uint64_t U64() {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(bytes_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-
- private:
-  const std::vector<uint8_t>& bytes_;
-  size_t pos_ = 0;
-};
-
 Status RoaringCorrupt(const char* what) {
   return Status::Corruption(std::string("roaring stream: ") + what);
 }
@@ -811,23 +768,23 @@ void RoaringBitmap::NotInto(Bitvector* out) const {
 std::vector<uint8_t> RoaringBitmap::Serialize() const {
   std::vector<uint8_t> out;
   out.reserve(byte_size());
-  PutU32(&out, static_cast<uint32_t>(containers_.size()));
+  AppendLe32(&out, static_cast<uint32_t>(containers_.size()));
   for (const Container& c : containers_) {
-    PutU32(&out, c.key);
+    AppendLe32(&out, c.key);
     out.push_back(static_cast<uint8_t>(c.type));
-    PutU32(&out, c.cardinality);
+    AppendLe32(&out, c.cardinality);
     switch (c.type) {
       case ContainerType::kArray:
-        for (uint16_t v : c.array) PutU16(&out, v);
+        for (uint16_t v : c.array) AppendLe16(&out, v);
         break;
       case ContainerType::kBitset:
-        for (uint64_t word : c.words) PutU64(&out, word);
+        AppendWordsLe(c.words.data(), 8 * c.words.size(), &out);
         break;
       case ContainerType::kRun:
-        PutU32(&out, static_cast<uint32_t>(c.runs.size()));
+        AppendLe32(&out, static_cast<uint32_t>(c.runs.size()));
         for (const Run& r : c.runs) {
-          PutU16(&out, r.start);
-          PutU16(&out, r.length);
+          AppendLe16(&out, r.start);
+          AppendLe16(&out, r.length);
         }
         break;
     }
@@ -841,17 +798,19 @@ Result<RoaringBitmap> RoaringBitmap::Deserialize(
   rb.bit_count_ = bit_count;
   const uint64_t num_chunks = CeilDiv(bit_count, kChunkBits);
   ByteReader r(bytes);
-  if (!r.Have(4)) return RoaringCorrupt("truncated container count");
-  const uint32_t count = r.U32();
+  const uint32_t count = r.Le32();
+  if (!r.ok()) return RoaringCorrupt("truncated container count");
   if (count > num_chunks) return RoaringCorrupt("more containers than chunks");
+  // Every container header takes 9 bytes.
+  if (!r.Need(count, 9)) return RoaringCorrupt("truncated container header");
   rb.containers_.reserve(count);
   int64_t prev_key = -1;
   for (uint32_t n = 0; n < count; ++n) {
-    if (!r.Have(9)) return RoaringCorrupt("truncated container header");
     Container c;
-    c.key = r.U32();
+    c.key = r.Le32();
     const uint8_t type_raw = r.U8();
-    c.cardinality = r.U32();
+    c.cardinality = r.Le32();
+    if (!r.ok()) return RoaringCorrupt("truncated container header");
     if (static_cast<int64_t>(c.key) <= prev_key) {
       return RoaringCorrupt("container keys out of order");
     }
@@ -870,13 +829,12 @@ Result<RoaringBitmap> RoaringBitmap::Deserialize(
                            bit_count - static_cast<uint64_t>(c.key) * kChunkBits);
     switch (c.type) {
       case ContainerType::kArray: {
-        if (!r.Have(2ull * c.cardinality)) {
-          return RoaringCorrupt("truncated array container");
-        }
+        const uint8_t* p = r.Take(2ull * c.cardinality);
+        if (p == nullptr) return RoaringCorrupt("truncated array container");
         c.array.resize(c.cardinality);
         int64_t prev = -1;
         for (uint32_t i = 0; i < c.cardinality; ++i) {
-          c.array[i] = r.U16();
+          c.array[i] = LoadLe16(p + 2 * i);
           if (c.array[i] <= prev) {
             return RoaringCorrupt("array values out of order");
           }
@@ -888,14 +846,14 @@ Result<RoaringBitmap> RoaringBitmap::Deserialize(
         break;
       }
       case ContainerType::kBitset: {
-        if (!r.Have(8ull * kChunkWords)) {
+        if (!r.Need(kChunkWords, 8)) {
           return RoaringCorrupt("truncated bitset container");
         }
         c.words.resize(kChunkWords);
+        r.Le64s(c.words.data(), kChunkWords);
         uint32_t card = 0;
-        for (uint32_t i = 0; i < kChunkWords; ++i) {
-          c.words[i] = r.U64();
-          card += static_cast<uint32_t>(std::popcount(c.words[i]));
+        for (uint64_t w : c.words) {
+          card += static_cast<uint32_t>(std::popcount(w));
         }
         if (card != c.cardinality) {
           return RoaringCorrupt("bitset cardinality mismatch");
@@ -913,18 +871,18 @@ Result<RoaringBitmap> RoaringBitmap::Deserialize(
         break;
       }
       case ContainerType::kRun: {
-        if (!r.Have(4)) return RoaringCorrupt("truncated run count");
-        const uint32_t nruns = r.U32();
-        if (nruns == 0 || nruns > c.cardinality ||
-            !r.Have(4ull * nruns)) {
+        const uint32_t nruns = r.Le32();
+        if (!r.ok()) return RoaringCorrupt("truncated run count");
+        if (nruns == 0 || nruns > c.cardinality || !r.Need(nruns, 4)) {
           return RoaringCorrupt("bad run container length");
         }
+        const uint8_t* p = r.Take(4ull * nruns);
         c.runs.resize(nruns);
         int64_t prev_end = -2;
         uint64_t card = 0;
         for (uint32_t i = 0; i < nruns; ++i) {
-          c.runs[i].start = r.U16();
-          c.runs[i].length = r.U16();
+          c.runs[i].start = LoadLe16(p + 4 * i);
+          c.runs[i].length = LoadLe16(p + 4 * i + 2);
           const int64_t start = c.runs[i].start;
           const int64_t end = start + c.runs[i].length;
           if (start <= prev_end + 1) {
@@ -945,7 +903,7 @@ Result<RoaringBitmap> RoaringBitmap::Deserialize(
     }
     rb.containers_.push_back(std::move(c));
   }
-  if (!r.Done()) return RoaringCorrupt("trailing bytes");
+  if (r.remaining() != 0) return RoaringCorrupt("trailing bytes");
   return rb;
 }
 

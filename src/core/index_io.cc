@@ -1,9 +1,9 @@
 #include "core/index_io.h"
 
-#include <cstdio>
 #include <cstring>
 
 #include "index/reorder.h"
+#include "util/byte_io.h"
 #include "util/crc32c.h"
 
 namespace bix {
@@ -20,86 +20,6 @@ constexpr uint32_t kVersionCurrent = 4;      // + row-order section
 // same slot as the boolean `compressed` byte — CodecId was numbered so
 // those files reinterpret in place (0 verbatim, 1 BBC).
 constexpr uint8_t kPolicyAuto = 4;
-
-// Writer/Reader keep a running CRC32C over the bytes that pass through, so
-// the checksum fields cost no extra buffering: reset the accumulator at a
-// region boundary, stream the region, then emit/compare the accumulated
-// value.
-
-class Writer {
- public:
-  explicit Writer(std::FILE* f) : f_(f) {}
-  bool ok() const { return ok_; }
-
-  void Bytes(const void* p, size_t n) {
-    if (!ok_) return;
-    if (std::fwrite(p, 1, n, f_) != n) {
-      ok_ = false;
-      return;
-    }
-    crc_ = Crc32cExtend(crc_, p, n);
-  }
-  void U8(uint8_t v) { Bytes(&v, 1); }
-  void U32(uint32_t v) { Bytes(&v, 4); }
-  void U64(uint64_t v) { Bytes(&v, 8); }
-
-  void ResetCrc() { crc_ = 0; }
-  uint32_t crc() const { return crc_; }
-
- private:
-  std::FILE* f_;
-  bool ok_ = true;
-  uint32_t crc_ = 0;
-};
-
-class Reader {
- public:
-  explicit Reader(std::FILE* f) : f_(f) {}
-  bool ok() const { return ok_; }
-
-  void Bytes(void* p, size_t n) {
-    if (!ok_) return;
-    if (std::fread(p, 1, n, f_) != n) {
-      ok_ = false;
-      return;
-    }
-    crc_ = Crc32cExtend(crc_, p, n);
-  }
-  uint8_t U8() {
-    uint8_t v = 0;
-    Bytes(&v, 1);
-    return v;
-  }
-  uint32_t U32() {
-    uint32_t v = 0;
-    Bytes(&v, 4);
-    return v;
-  }
-  uint64_t U64() {
-    uint64_t v = 0;
-    Bytes(&v, 8);
-    return v;
-  }
-
-  void ResetCrc() { crc_ = 0; }
-  uint32_t crc() const { return crc_; }
-
- private:
-  std::FILE* f_;
-  bool ok_ = true;
-  uint32_t crc_ = 0;
-};
-
-// Size of the file on disk, or 0 on error. Used to reject byte_len fields
-// that a corrupted file could otherwise inflate into multi-gigabyte
-// allocations before the payload read fails.
-uint64_t FileSize(std::FILE* f) {
-  const long pos = std::ftell(f);
-  if (pos < 0 || std::fseek(f, 0, SEEK_END) != 0) return 0;
-  const long end = std::ftell(f);
-  if (end < 0 || std::fseek(f, pos, SEEK_SET) != 0) return 0;
-  return static_cast<uint64_t>(end);
-}
 
 }  // namespace
 
@@ -127,45 +47,42 @@ Status SaveIndexAtVersion(const BitmapIndex& index, const std::string& path,
         " cannot carry a row order (reordered index needs v4)");
   }
   const bool checksummed = version >= kVersionChecksummed;
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
+  FileWriter w(path);
+  if (!w.is_open()) {
     return Status::InvalidArgument("cannot open file for writing: " + path);
   }
-  Writer w(f);
   w.Bytes(kMagic, 4);
-  w.U32(version);
+  w.Le32(version);
   w.U8(static_cast<uint8_t>(index.encoding_kind()));
   // v3: the storage-policy byte. v1/v2: the boolean `compressed` byte,
   // which is the same value for the two codecs those formats can hold.
   w.U8(static_cast<uint8_t>(index.storage_codec()));
-  w.U32(index.decomposition().cardinality());
-  w.U64(index.row_count());
+  w.Le32(index.decomposition().cardinality());
+  w.Le64(index.row_count());
   const std::vector<uint32_t> bases = index.decomposition().BasesMsbFirst();
-  w.U32(static_cast<uint32_t>(bases.size()));
-  for (uint32_t b : bases) w.U32(b);
+  w.Le32(static_cast<uint32_t>(bases.size()));
+  w.Le32s(bases.data(), bases.size());
   if (version >= kVersionCurrent) {
     const std::vector<uint32_t>& order = index.row_order();
-    w.U64(order.size());
-    if (!order.empty()) w.Bytes(order.data(), order.size() * sizeof(uint32_t));
+    w.Le64(order.size());
+    w.Le32s(order.data(), order.size());
   }
-  w.U64(index.BitmapCount());
-  if (checksummed) w.U32(w.crc());
+  w.Le64(index.BitmapCount());
+  if (checksummed) w.Le32(w.crc());
   index.store().ForEachBlob(
       [&](const BitmapKey& key, const BitmapStore::Blob& blob) {
         w.ResetCrc();
-        w.U32(key.component);
-        w.U32(key.slot);
+        w.Le32(key.component);
+        w.Le32(key.slot);
         // v3: the per-bitmap codec tag. v1/v2: the boolean `compressed`
         // byte (identical bytes for the codecs those formats allow).
         w.U8(static_cast<uint8_t>(blob.codec));
-        w.U64(blob.bit_count);
-        w.U64(blob.bytes.size());
+        w.Le64(blob.bit_count);
+        w.Le64(blob.bytes.size());
         w.Bytes(blob.bytes.data(), blob.bytes.size());
-        if (checksummed) w.U32(w.crc());
+        if (checksummed) w.Le32(w.crc());
       });
-  const bool write_ok = w.ok();
-  const bool close_ok = std::fclose(f) == 0;
-  if (!write_ok || !close_ok) {
+  if (!w.Close()) {
     return Status::Corruption("short write saving index to " + path);
   }
   return Status::OK();
@@ -176,21 +93,16 @@ Status SaveIndex(const BitmapIndex& index, const std::string& path) {
 }
 
 Result<BitmapIndex> LoadIndex(const std::string& path, IndexLoadInfo* info) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open file: " + path);
-  }
-  const uint64_t file_size = FileSize(f);
-  Reader r(f);
-  char magic[4];
-  r.Bytes(magic, 4);
-  if (!r.ok() || std::memcmp(magic, kMagic, 4) != 0) {
-    std::fclose(f);
+  Result<std::vector<uint8_t>> file = ReadFileBytes(path);
+  if (!file.ok()) return file.status();
+  const std::vector<uint8_t>& bytes = file.value();
+  ByteReader r(bytes);
+  const uint8_t* magic = r.Take(4);
+  if (magic == nullptr || std::memcmp(magic, kMagic, 4) != 0) {
     return Status::Corruption("not a bix index file");
   }
-  const uint32_t version = r.U32();
+  const uint32_t version = r.Le32();
   if (version < kVersionLegacy || version > kVersionCurrent) {
-    std::fclose(f);
     return Status::NotSupported("unknown index file version");
   }
   const bool checksummed = version >= kVersionChecksummed;
@@ -201,7 +113,6 @@ Result<BitmapIndex> LoadIndex(const std::string& path, IndexLoadInfo* info) {
   }
   const uint8_t encoding_raw = r.U8();
   if (encoding_raw > static_cast<uint8_t>(EncodingKind::kEiStar)) {
-    std::fclose(f);
     return Status::Corruption("bad encoding kind");
   }
   const EncodingKind encoding = static_cast<EncodingKind>(encoding_raw);
@@ -209,7 +120,6 @@ Result<BitmapIndex> LoadIndex(const std::string& path, IndexLoadInfo* info) {
   StorageCodec storage_codec;
   if (codec_tagged) {
     if (policy_raw > kPolicyAuto) {
-      std::fclose(f);
       return Status::Corruption("bad storage-policy byte");
     }
     storage_codec = static_cast<StorageCodec>(policy_raw);
@@ -218,39 +128,32 @@ Result<BitmapIndex> LoadIndex(const std::string& path, IndexLoadInfo* info) {
     storage_codec =
         policy_raw != 0 ? StorageCodec::kBbc : StorageCodec::kVerbatim;
   }
-  const uint32_t cardinality = r.U32();
-  const uint64_t row_count = r.U64();
-  const uint32_t n = r.U32();
+  const uint32_t cardinality = r.Le32();
+  const uint64_t row_count = r.Le64();
+  const uint32_t n = r.Le32();
   if (!r.ok() || n == 0 || n > 64) {
-    std::fclose(f);
     return Status::Corruption("bad component count");
   }
   std::vector<uint32_t> bases(n);
-  for (uint32_t i = 0; i < n; ++i) bases[i] = r.U32();
+  r.Le32s(bases.data(), n);
   std::vector<uint32_t> row_order;
   if (version >= kVersionCurrent) {
-    const uint64_t order_count = r.U64();
-    // Bound the allocation by the file itself before trusting the count
-    // (the byte_len discipline below, applied to the header).
-    if (!r.ok() || order_count > row_count ||
-        order_count * sizeof(uint32_t) > file_size) {
-      std::fclose(f);
+    const uint64_t order_count = r.Le64();
+    // Bound the allocation by the bytes present before trusting the count.
+    if (order_count > row_count || !r.Need(order_count, 4)) {
       return Status::Corruption("bad row-order count");
     }
     row_order.resize(order_count);
-    if (order_count > 0) {
-      r.Bytes(row_order.data(), order_count * sizeof(uint32_t));
-    }
+    r.Le32s(row_order.data(), order_count);
   }
-  const uint64_t bitmap_count = r.U64();
+  const uint64_t bitmap_count = r.Le64();
   // Verify the header checksum before interpreting the header any further:
   // a flipped bit in, say, a base or the cardinality must surface as
   // Corruption, not as whatever Decomposition::Make thinks of the value.
   if (checksummed) {
-    const uint32_t computed = r.crc();
-    const uint32_t stored = r.U32();
+    const uint32_t computed = Crc32c(bytes.data(), r.offset());
+    const uint32_t stored = r.Le32();
     if (!r.ok() || computed != stored) {
-      std::fclose(f);
       return Status::Corruption("index header checksum mismatch");
     }
   }
@@ -258,33 +161,25 @@ Result<BitmapIndex> LoadIndex(const std::string& path, IndexLoadInfo* info) {
   // every other header field: a flipped permutation byte is Corruption,
   // not a mysterious non-bijection.
   if (!row_order.empty() && !ValidateRowOrder(row_order)) {
-    std::fclose(f);
     return Status::Corruption("row order is not a permutation");
   }
   Result<Decomposition> d = Decomposition::Make(cardinality, bases);
-  if (!d.ok()) {
-    std::fclose(f);
-    return d.status();
-  }
+  if (!d.ok()) return d.status();
   const uint64_t expected_bitmaps = TotalBitmaps(d.value(), encoding);
   if (!r.ok() || bitmap_count != expected_bitmaps) {
-    std::fclose(f);
     return Status::Corruption("bitmap inventory mismatch");
   }
   BitmapStore store;
   for (uint64_t i = 0; i < bitmap_count; ++i) {
-    r.ResetCrc();
+    const size_t record_start = r.offset();
     BitmapKey key;
-    key.component = r.U32();
-    key.slot = r.U32();
+    key.component = r.Le32();
+    key.slot = r.Le32();
     BitmapStore::Blob blob;
     const uint8_t codec_raw = r.U8();
     if (codec_tagged) {
       Result<CodecId> codec = CodecFromByte(codec_raw);
-      if (!codec.ok()) {
-        std::fclose(f);
-        return codec.status();
-      }
+      if (!codec.ok()) return codec.status();
       blob.codec = codec.value();
       // Under the per-bitmap policy, loaded blobs keep re-running the
       // advisor on Replace, exactly like the store that was saved.
@@ -292,23 +187,22 @@ Result<BitmapIndex> LoadIndex(const std::string& path, IndexLoadInfo* info) {
     } else {
       blob.codec = codec_raw != 0 ? CodecId::kBbc : CodecId::kVerbatim;
     }
-    blob.bit_count = r.U64();
-    const uint64_t len = r.U64();
-    if (!r.ok() || len > file_size || blob.bit_count != row_count) {
-      std::fclose(f);
+    blob.bit_count = r.Le64();
+    const uint64_t len = r.Le64();
+    if (!r.ok() || blob.bit_count != row_count) {
       return Status::Corruption("bad bitmap header");
     }
-    blob.bytes.resize(len);
-    r.Bytes(blob.bytes.data(), len);
-    if (!r.ok()) {
-      std::fclose(f);
+    // Take bounds the payload by the bytes present, before any copy.
+    const uint8_t* payload = r.Take(len);
+    if (payload == nullptr) {
       return Status::Corruption("truncated bitmap payload");
     }
+    blob.bytes.assign(payload, payload + len);
     if (checksummed) {
-      const uint32_t computed = r.crc();
-      const uint32_t stored = r.U32();
+      const uint32_t computed =
+          Crc32c(bytes.data() + record_start, r.offset() - record_start);
+      const uint32_t stored = r.Le32();
       if (!r.ok() || computed != stored) {
-        std::fclose(f);
         return Status::Corruption("bitmap record checksum mismatch");
       }
       // The record checksum just vouched for the payload, so stamp the
@@ -318,18 +212,15 @@ Result<BitmapIndex> LoadIndex(const std::string& path, IndexLoadInfo* info) {
       blob.crc_valid = true;
     }
     if (store.Contains(key)) {
-      std::fclose(f);
       return Status::Corruption("duplicate bitmap key in file");
     }
     if (key.component == 0 || key.component > n ||
         key.slot >= GetEncoding(encoding).NumBitmaps(
                         d.value().base(key.component))) {
-      std::fclose(f);
       return Status::Corruption("bitmap key out of range");
     }
     store.PutBlob(key, std::move(blob));
   }
-  std::fclose(f);
   BitmapIndex index =
       BitmapIndex::FromParts(std::move(d.value()), encoding, storage_codec,
                              row_count, std::move(store));

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/index_io.h"
+#include "util/byte_io.h"
 #include "util/crc32c.h"
 
 namespace bix {
@@ -26,60 +27,6 @@ std::string StateFileName(uint64_t seq) {
   return "state-" + std::to_string(seq) + ".bix";
 }
 
-// CRC-accumulating file writer/reader (the index_io pattern; see
-// core/index_io.cc) for the manifest and the sidecar state file.
-class Writer {
- public:
-  explicit Writer(std::FILE* f) : f_(f) {}
-  bool ok() const { return ok_; }
-  void Bytes(const void* p, size_t n) {
-    if (!ok_) return;
-    if (std::fwrite(p, 1, n, f_) != n) {
-      ok_ = false;
-      return;
-    }
-    crc_ = Crc32cExtend(crc_, p, n);
-  }
-  void U32(uint32_t v) { Bytes(&v, 4); }
-  void U64(uint64_t v) { Bytes(&v, 8); }
-  uint32_t crc() const { return crc_; }
-
- private:
-  std::FILE* f_;
-  bool ok_ = true;
-  uint32_t crc_ = 0;
-};
-
-class Reader {
- public:
-  explicit Reader(std::FILE* f) : f_(f) {}
-  bool ok() const { return ok_; }
-  void Bytes(void* p, size_t n) {
-    if (!ok_) return;
-    if (std::fread(p, 1, n, f_) != n) {
-      ok_ = false;
-      return;
-    }
-    crc_ = Crc32cExtend(crc_, p, n);
-  }
-  uint32_t U32() {
-    uint32_t v = 0;
-    Bytes(&v, 4);
-    return v;
-  }
-  uint64_t U64() {
-    uint64_t v = 0;
-    Bytes(&v, 8);
-    return v;
-  }
-  uint32_t crc() const { return crc_; }
-
- private:
-  std::FILE* f_;
-  bool ok_ = true;
-  uint32_t crc_ = 0;
-};
-
 // Flushes a just-written file's contents to stable storage before the
 // rename that makes it reachable.
 void FsyncFile(const std::string& path) {
@@ -98,66 +45,52 @@ struct SidecarState {
 Status SaveState(const std::string& path, uint32_t cardinality,
                  const std::vector<uint32_t>& values,
                  const std::vector<uint64_t>& tombstones) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
+  FileWriter w(path);
+  if (!w.is_open()) {
     return Status::InvalidArgument("cannot open state file for writing: " +
                                    path);
   }
-  Writer w(f);
   w.Bytes(kStateMagic, 4);
-  w.U32(kStateVersion);
-  w.U32(cardinality);
-  w.U64(values.size());
-  for (uint32_t v : values) w.U32(v);
-  w.U64(tombstones.size());
-  for (uint64_t rid : tombstones) w.U64(rid);
-  w.U32(w.crc());
-  const bool write_ok = w.ok();
-  const bool close_ok = std::fclose(f) == 0;
-  if (!write_ok || !close_ok) {
+  w.Le32(kStateVersion);
+  w.Le32(cardinality);
+  w.Le64(values.size());
+  w.Le32s(values.data(), values.size());
+  w.Le64(tombstones.size());
+  w.Le64s(tombstones.data(), tombstones.size());
+  w.Le32(w.crc());
+  if (!w.Close()) {
     return Status::Corruption("short write saving index state to " + path);
   }
   return Status::OK();
 }
 
 Result<SidecarState> LoadState(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open state file: " + path);
-  }
-  Reader r(f);
-  char magic[4];
-  r.Bytes(magic, 4);
-  if (!r.ok() || std::memcmp(magic, kStateMagic, 4) != 0) {
-    std::fclose(f);
+  Result<std::vector<uint8_t>> file = ReadFileBytes(path);
+  if (!file.ok()) return file.status();
+  ByteReader r(file.value());
+  const uint8_t* magic = r.Take(4);
+  if (magic == nullptr || std::memcmp(magic, kStateMagic, 4) != 0) {
     return Status::Corruption("not a bix state file");
   }
-  if (r.U32() != kStateVersion) {
-    std::fclose(f);
+  if (r.Le32() != kStateVersion) {
     return Status::NotSupported("unknown state file version");
   }
   SidecarState state;
-  state.cardinality = r.U32();
-  const uint64_t rows = r.U64();
-  if (!r.ok() || rows > (uint64_t{1} << 40)) {
-    std::fclose(f);
-    return Status::Corruption("bad state row count");
-  }
+  state.cardinality = r.Le32();
+  // Both counts are checked against the bytes present before sizing
+  // anything: a flipped count byte is Corruption, not a huge allocation.
+  const uint64_t rows = r.Le64();
+  if (!r.Need(rows, 4)) return Status::Corruption("bad state row count");
   state.values.resize(rows);
-  r.Bytes(state.values.data(), rows * sizeof(uint32_t));
-  // The CRC accumulator covers raw bytes; re-fold values through it is
-  // already done by Bytes. (Little-endian layout matches the writer's
-  // per-u32 writes on the platforms this repo targets.)
-  const uint64_t n_tomb = r.U64();
-  if (!r.ok() || n_tomb > rows) {
-    std::fclose(f);
+  r.Le32s(state.values.data(), rows);
+  const uint64_t n_tomb = r.Le64();
+  if (n_tomb > rows || !r.Need(n_tomb, 8)) {
     return Status::Corruption("bad tombstone count");
   }
   state.tombstones.resize(n_tomb);
-  r.Bytes(state.tombstones.data(), n_tomb * sizeof(uint64_t));
-  const uint32_t computed = r.crc();
-  const uint32_t stored = r.U32();
-  std::fclose(f);
+  r.Le64s(state.tombstones.data(), n_tomb);
+  const uint32_t computed = Crc32c(file.value().data(), r.offset());
+  const uint32_t stored = r.Le32();
   if (!r.ok() || computed != stored) {
     return Status::Corruption("state file checksum mismatch");
   }
@@ -182,26 +115,23 @@ Status WriteManifest(const std::string& dir, const Manifest& m,
                      FaultInjector* injector) {
   const std::string path = dir + "/" + kManifestName;
   const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
+  FileWriter w(tmp);
+  if (!w.is_open()) {
     return Status::InvalidArgument("cannot open manifest for writing: " + tmp);
   }
-  Writer w(f);
   w.Bytes(kManifestMagic, 4);
-  w.U32(kManifestVersion);
-  w.U64(m.checkpoint_seq);
-  w.U32(static_cast<uint32_t>(m.index_file.size()));
+  w.Le32(kManifestVersion);
+  w.Le64(m.checkpoint_seq);
+  w.Le32(static_cast<uint32_t>(m.index_file.size()));
   w.Bytes(m.index_file.data(), m.index_file.size());
-  w.U32(static_cast<uint32_t>(m.state_file.size()));
+  w.Le32(static_cast<uint32_t>(m.state_file.size()));
   w.Bytes(m.state_file.data(), m.state_file.size());
-  w.U32(w.crc());
-  const bool write_ok = w.ok();
-  (void)::fsync(fileno(f));
-  const bool close_ok = std::fclose(f) == 0;
-  if (!write_ok || !close_ok) {
+  w.Le32(w.crc());
+  if (!w.Close()) {
     std::remove(tmp.c_str());
     return Status::Corruption("short write saving manifest to " + tmp);
   }
+  FsyncFile(tmp);
   Status s = AtomicRename(tmp, path, injector);
   if (!s.ok()) {
     std::remove(tmp.c_str());
@@ -216,42 +146,31 @@ Status WriteManifest(const std::string& dir, const Manifest& m,
 }
 
 Result<Manifest> ReadManifest(const std::string& dir) {
-  const std::string path = dir + "/" + kManifestName;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::InvalidArgument("no writable index in " + dir +
-                                   " (missing MANIFEST)");
-  }
-  Reader r(f);
-  char magic[4];
-  r.Bytes(magic, 4);
-  if (!r.ok() || std::memcmp(magic, kManifestMagic, 4) != 0) {
-    std::fclose(f);
+  Result<std::vector<uint8_t>> file =
+      ReadFileBytes(dir + "/" + kManifestName);
+  if (!file.ok()) return file.status();
+  ByteReader r(file.value());
+  const uint8_t* magic = r.Take(4);
+  if (magic == nullptr || std::memcmp(magic, kManifestMagic, 4) != 0) {
     return Status::Corruption("not a bix manifest");
   }
-  if (r.U32() != kManifestVersion) {
-    std::fclose(f);
+  if (r.Le32() != kManifestVersion) {
     return Status::NotSupported("unknown manifest version");
   }
   Manifest m;
-  m.checkpoint_seq = r.U64();
-  const uint32_t index_len = r.U32();
+  m.checkpoint_seq = r.Le64();
+  const uint32_t index_len = r.Le32();
   if (!r.ok() || index_len > 4096) {
-    std::fclose(f);
     return Status::Corruption("bad manifest filename length");
   }
-  m.index_file.resize(index_len);
-  r.Bytes(m.index_file.data(), index_len);
-  const uint32_t state_len = r.U32();
+  m.index_file = r.Chars(index_len);
+  const uint32_t state_len = r.Le32();
   if (!r.ok() || state_len > 4096) {
-    std::fclose(f);
     return Status::Corruption("bad manifest filename length");
   }
-  m.state_file.resize(state_len);
-  r.Bytes(m.state_file.data(), state_len);
-  const uint32_t computed = r.crc();
-  const uint32_t stored = r.U32();
-  std::fclose(f);
+  m.state_file = r.Chars(state_len);
+  const uint32_t computed = Crc32c(file.value().data(), r.offset());
+  const uint32_t stored = r.Le32();
   if (!r.ok() || computed != stored) {
     return Status::Corruption("manifest checksum mismatch");
   }

@@ -35,7 +35,7 @@ struct RecoveryInfo {
 // section 15):
 //
 //   MANIFEST         current checkpoint: seq + index/state filenames + CRC
-//   index-<seq>.bix  checkpointed BitmapIndex (index file format v3)
+//   index-<seq>.bix  checkpointed BitmapIndex (index file format v4)
 //   state-<seq>.bix  sidecar: logical column values + tombstones + CRC
 //   wal.log          CRC32C-framed UpdateBatches since the checkpoint
 //

@@ -5,6 +5,7 @@
 #include <mutex>
 
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace bix {
 
@@ -107,20 +108,13 @@ class NetFaultInjector {
   }
 
  private:
-  static uint64_t SplitMix64(uint64_t x) {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-  }
-
   uint64_t Hash(uint64_t conn_id, uint64_t op, uint64_t salt) const {
     return SplitMix64(options_.seed ^ SplitMix64(conn_id ^ SplitMix64(op)) ^
                       salt);
   }
 
   double Draw(uint64_t conn_id, uint64_t op, uint64_t salt) const {
-    return static_cast<double>(Hash(conn_id, op, salt) >> 11) * 0x1.0p-53;
+    return UnitDraw(Hash(conn_id, op, salt));
   }
 
   const NetFaultOptions options_;

@@ -50,28 +50,6 @@ double LatencyHistogram::Quantile(double q) const {
   return BucketUpperEdge(kBuckets - 1);
 }
 
-void ServiceStats::Add(const ServiceStats& other) {
-  submitted += other.submitted;
-  rejected_invalid += other.rejected_invalid;
-  rejected_overload += other.rejected_overload;
-  completed += other.completed;
-  retries += other.retries;
-  corruptions_detected += other.corruptions_detected;
-  quarantined_bitmaps += other.quarantined_bitmaps;
-  degraded_queries += other.degraded_queries;
-  deadline_exceeded += other.deadline_exceeded;
-  cancelled += other.cancelled;
-  shed_in_queue += other.shed_in_queue;
-  breaker_opens += other.breaker_opens;
-  breaker_open_seconds += other.breaker_open_seconds;
-  breaker_state = other.breaker_state;  // point-in-time: latest snapshot wins
-  io.Add(other.io);
-  queue_seconds_total += other.queue_seconds_total;
-  rewrite_seconds_total += other.rewrite_seconds_total;
-  eval_seconds_total += other.eval_seconds_total;
-  latency.Add(other.latency);
-}
-
 std::string ServiceStats::ToString() const {
   char buf[640];
   std::snprintf(

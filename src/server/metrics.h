@@ -37,10 +37,9 @@ class LatencyHistogram {
 
   void Record(double seconds);
   // Bucket-wise merge: the single histogram-combine primitive. Everything
-  // that joins two histograms — the registry's striped snapshot,
-  // ServiceStats::Add — routes through here, so a new member added to this
-  // class has exactly one merge to update (and the sizeof tripwire below
-  // fails until it is).
+  // that joins two histograms (the registry's striped snapshot) routes
+  // through here, so a new member added to this class has exactly one
+  // merge to update (and the sizeof tripwire below fails until it is).
   void Add(const LatencyHistogram& other);
 
   uint64_t count() const { return count_; }
@@ -107,17 +106,6 @@ struct ServiceStats {
   double eval_seconds_total = 0.0;
   LatencyHistogram latency;  // per-query total_seconds()
 
-  // Merges another snapshot into this one (multi-service roll-ups, bench
-  // aggregation across runs). Every member is merged: counters add, the
-  // IoStats block routes through IoStats::Add, the histogram through
-  // LatencyHistogram::Add — never a hand-copied field list. Point-in-time
-  // members (breaker_state) keep `other`'s value, matching "latest
-  // snapshot wins". The static_assert below is the completeness tripwire
-  // (mirroring IoStats): adding a member changes sizeof(ServiceStats) and
-  // fails the build until Add — and the merge test in
-  // tests/observability_test.cc — are updated.
-  void Add(const ServiceStats& other);
-
   // Shared-cache effectiveness across all completed queries.
   double CacheHitRate() const {
     return io.scans == 0
@@ -127,16 +115,6 @@ struct ServiceStats {
 
   std::string ToString() const;  // one-line human-readable summary
 };
-
-static_assert(sizeof(ServiceStats) ==
-                  12 * sizeof(uint64_t)          // submitted..breaker_opens
-                      + sizeof(double)           // breaker_open_seconds
-                      + 2 * sizeof(uint32_t)     // breaker_state + padding
-                      + sizeof(IoStats)          // io
-                      + 3 * sizeof(double)       // per-stage seconds totals
-                      + sizeof(LatencyHistogram),  // latency
-              "ServiceStats gained a member; update ServiceStats::Add to "
-              "merge it");
 
 }  // namespace bix
 

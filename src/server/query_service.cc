@@ -14,6 +14,10 @@
 namespace bix {
 
 namespace {
+// How many of the slowest completed queries ExportMetrics retains, with
+// their rendered traces when available (DESIGN.md section 13).
+constexpr size_t kSlowQueryLogEntries = 8;
+
 double SecondsBetween(std::chrono::steady_clock::time_point a,
                       std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
@@ -192,13 +196,6 @@ class QueryService::FaultPolicyCache : public BitmapCacheInterface {
 
   void DropPool() override { inner_->DropPool(); }
 
-  uint64_t retries() const { return retries_->Value(); }
-  uint64_t corruptions_detected() const { return corruptions_->Value(); }
-  uint64_t quarantined_count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return quarantine_.size();
-  }
-
  private:
   BitmapCacheInterface* const inner_;
   const uint32_t max_retries_;
@@ -211,7 +208,7 @@ class QueryService::FaultPolicyCache : public BitmapCacheInterface {
   MetricsCounter* const retries_;
   MetricsCounter* const corruptions_;
   MetricsCounter* const quarantined_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::unordered_set<uint64_t> quarantine_;  // guarded by mu_
 };
 
@@ -243,7 +240,7 @@ QueryService::QueryService(const BitmapIndex* index,
                    ? std::make_unique<BrownoutBreaker>(options.brownout)
                    : nullptr),
       queue_(options.queue_capacity),
-      slow_log_(options.slow_query_log_size) {
+      slow_log_(kSlowQueryLogEntries) {
   BIX_CHECK(index != nullptr || provider != nullptr);
   BIX_CHECK(options.num_workers > 0);
   // The value domain is fixed for the service's lifetime even in writable
@@ -325,7 +322,7 @@ std::shared_ptr<QueryService::EpochCache> QueryService::MakeEpochCache(
   ec->base = std::move(base);
   ec->cache = std::make_unique<ShardedBitmapCache>(
       &ec->base->store(), options_.buffer_pool_bytes, options_.cache_shards,
-      options_.disk, options_.io_latency_scale, clock_);
+      DiskModel{}, options_.io_latency_scale, clock_);
   if (options_.fault_injector != nullptr) {
     ec->cache->SetFaultInjector(options_.fault_injector);
   }
@@ -608,8 +605,6 @@ void QueryService::WorkerLoop(uint32_t worker_id) {
   (void)worker_id;
   ExecutorOptions exec_options;
   exec_options.buffer_pool_bytes = options_.buffer_pool_bytes;
-  exec_options.disk = options_.disk;
-  exec_options.strategy = options_.strategy;
   exec_options.cold_pool_per_query = false;  // the pool is shared and warm
   exec_options.clock = clock_;
   // The worker's executor is bound to one epoch's {base, cache, policy}

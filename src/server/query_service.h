@@ -120,8 +120,6 @@ struct ServiceOptions {
   // Shared cache: total byte budget, split over lock-striped shards.
   uint64_t buffer_pool_bytes = 11ull << 20;
   uint32_t cache_shards = 8;
-  DiskModel disk;
-  EvalStrategy strategy = EvalStrategy::kComponentWise;
   // When > 0, cache misses sleep for the modeled (io + decode) seconds
   // scaled by this factor, turning the DiskModel into actual latency.
   // Benches use this to measure worker scaling; leave 0 for tests.
@@ -165,11 +163,6 @@ struct ServiceOptions {
   // Enabled by default; set brownout.enabled = false for the exact
   // unthrottled degradation accounting of section 10.
   BrownoutOptions brownout;
-
-  // Observability (DESIGN.md section 13): how many of the slowest completed
-  // queries ExportMetrics retains (with rendered traces when available).
-  // 0 disables the slow-query log.
-  size_t slow_query_log_size = 8;
 
   // Writable serving (the IndexSnapshotProvider constructor; DESIGN.md
   // section 15). When compaction_interval_seconds > 0 a background task

@@ -55,8 +55,8 @@ Result<DecodedBitmap> BitmapCache::TryFetchDecoded(BitmapKey key,
   // container-parse fraction.
   stats->decode_seconds += disk_.DecodeSeconds(bytes, blob.codec);
   ++stats->codec_decodes[static_cast<size_t>(blob.codec)];
-  auto it = resident_.find(key);
-  if (it != resident_.end()) {
+  const bool hit = resident_.count(key) > 0;
+  if (hit) {
     ++stats->pool_hits;
     if (trace != nullptr) trace->Tag("outcome", "hit");
     Touch(key);
@@ -76,12 +76,21 @@ Result<DecodedBitmap> BitmapCache::TryFetchDecoded(BitmapKey key,
           InjectReadFault(injector_, key, blob, clock_, cancel, trace);
       if (faulted.has_value()) return *std::move(faulted);
     }
-    Insert(key, bytes);
   }
   // Decode CPU (BBC decompression for compressed indexes) is measured by
   // the executor's end-to-end timer, not here, to avoid double counting.
-  TraceScope materialize_span(trace, "materialize");
-  return TryMaterializeBlobResident(blob);
+  Result<DecodedBitmap> decoded = [&] {
+    TraceScope materialize_span(trace, "materialize");
+    return TryMaterializeBlobResident(blob);
+  }();
+  // Only bytes that passed their integrity check stay in the pool: a
+  // failed decode evicts a resident key and never admits a missed one.
+  if (!decoded.ok()) {
+    if (hit) Evict(key);
+  } else if (!hit) {
+    Insert(key, bytes);
+  }
+  return decoded;
 }
 
 void BitmapCache::DropPool() {
@@ -98,14 +107,17 @@ void BitmapCache::Touch(BitmapKey key) {
   e.lru_it = lru_.begin();
 }
 
+void BitmapCache::Evict(BitmapKey key) {
+  auto it = resident_.find(key);
+  lru_.erase(it->second.lru_it);
+  used_bytes_ -= it->second.bytes;
+  resident_.erase(it);
+}
+
 void BitmapCache::Insert(BitmapKey key, uint64_t bytes) {
   if (bytes > pool_bytes_) return;  // too big to cache; read-through
   while (used_bytes_ + bytes > pool_bytes_ && !lru_.empty()) {
-    BitmapKey victim = lru_.back();
-    lru_.pop_back();
-    auto vit = resident_.find(victim);
-    used_bytes_ -= vit->second.bytes;
-    resident_.erase(vit);
+    Evict(lru_.back());
   }
   lru_.push_front(key);
   resident_.emplace(key, Entry{lru_.begin(), bytes});

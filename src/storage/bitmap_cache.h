@@ -132,6 +132,7 @@ class BitmapCache : public BitmapCacheInterface {
 
  private:
   void Touch(BitmapKey key);
+  void Evict(BitmapKey key);
   void Insert(BitmapKey key, uint64_t bytes);
 
   const BitmapStore* store_;

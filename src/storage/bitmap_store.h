@@ -8,6 +8,7 @@
 #include "bitvector/bitvector.h"
 #include "compress/bbc.h"
 #include "compress/codec.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace bix {
@@ -30,10 +31,7 @@ struct BitmapKey {
 struct BitmapKeyHash {
   size_t operator()(const BitmapKey& k) const {
     // Packed keys are small and distinct; splitmix finish for spread.
-    uint64_t x = k.Packed() + 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return static_cast<size_t>(x ^ (x >> 31));
+    return static_cast<size_t>(SplitMix64(k.Packed()));
   }
 };
 

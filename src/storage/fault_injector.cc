@@ -1,20 +1,15 @@
 #include "storage/fault_injector.h"
 
+#include "util/rng.h"
+
 namespace bix {
 namespace {
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 // Uniform double in [0, 1) from (seed, key, attempt) — the whole fault
 // schedule is this one hash.
 double UniformDraw(uint64_t seed, uint64_t packed_key, uint64_t attempt) {
-  uint64_t h = SplitMix64(seed ^ SplitMix64(packed_key ^ SplitMix64(attempt)));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
+  return UnitDraw(
+      SplitMix64(seed ^ SplitMix64(packed_key ^ SplitMix64(attempt))));
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
+#include "util/byte_io.h"
 #include "util/crc32c.h"
 
 namespace bix {
@@ -16,30 +16,6 @@ namespace {
 constexpr uint64_t kFrameHeaderBytes = 8;
 // Fixed payload prefix: seq u64 | first_rid u64 | three u32 counts.
 constexpr uint64_t kPayloadFixedBytes = 28;
-
-void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint32_t ReadU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t ReadU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
 
 // Repairs the log back to `size` after a failed or torn append, so the
 // writer's view stays record-aligned. Best effort: a failure here leaves a
@@ -62,27 +38,27 @@ void UpdateBatch::SortByRid() {
 }
 
 std::vector<uint8_t> EncodeWalRecord(const UpdateBatch& batch) {
-  std::vector<uint8_t> payload;
-  payload.reserve(kPayloadFixedBytes + 4 * batch.inserts.size() +
-                  16 * batch.updates.size() + 8 * batch.deletes.size());
-  AppendU64(&payload, batch.seq);
-  AppendU64(&payload, batch.first_rid);
-  AppendU32(&payload, static_cast<uint32_t>(batch.inserts.size()));
-  AppendU32(&payload, static_cast<uint32_t>(batch.updates.size()));
-  AppendU32(&payload, static_cast<uint32_t>(batch.deletes.size()));
-  for (uint32_t v : batch.inserts) AppendU32(&payload, v);
-  for (const UpdateRecord& u : batch.updates) {
-    AppendU64(&payload, u.rid);
-    AppendU32(&payload, u.old_value);
-    AppendU32(&payload, u.value);
-  }
-  for (uint64_t rid : batch.deletes) AppendU64(&payload, rid);
-
+  const uint64_t payload_len =
+      kPayloadFixedBytes + 4 * batch.inserts.size() +
+      16 * batch.updates.size() + 8 * batch.deletes.size();
   std::vector<uint8_t> frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  AppendU32(&frame, static_cast<uint32_t>(payload.size()));
-  AppendU32(&frame, Crc32c(payload.data(), payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  frame.reserve(kFrameHeaderBytes + payload_len);
+  frame.resize(kFrameHeaderBytes);  // len | crc, stamped below
+  AppendLe64(&frame, batch.seq);
+  AppendLe64(&frame, batch.first_rid);
+  AppendLe32(&frame, static_cast<uint32_t>(batch.inserts.size()));
+  AppendLe32(&frame, static_cast<uint32_t>(batch.updates.size()));
+  AppendLe32(&frame, static_cast<uint32_t>(batch.deletes.size()));
+  AppendWords32Le(batch.inserts.data(), batch.inserts.size(), &frame);
+  for (const UpdateRecord& u : batch.updates) {
+    AppendLe64(&frame, u.rid);
+    AppendLe32(&frame, u.old_value);
+    AppendLe32(&frame, u.value);
+  }
+  AppendWordsLe(batch.deletes.data(), 8 * batch.deletes.size(), &frame);
+  StoreLe32(frame.data(), static_cast<uint32_t>(payload_len));
+  StoreLe32(frame.data() + 4,
+            Crc32c(frame.data() + kFrameHeaderBytes, payload_len));
   return frame;
 }
 
@@ -195,34 +171,28 @@ Status WalWriter::Truncate() {
 
 Result<WalReadResult> ReadWal(const std::string& path) {
   WalReadResult result;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return result;  // missing file == empty log
-  std::vector<uint8_t> bytes;
-  {
-    uint8_t buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + n);
-    }
+  Result<std::vector<uint8_t>> file = ReadFileBytes(path);
+  if (!file.ok()) {
+    // A file that cannot be opened (a missing one) is an empty log; a read
+    // that fails midway is not.
+    if (file.status().code() == Status::Code::kInvalidArgument) return result;
+    return file.status();
   }
-  std::fclose(f);
-
-  uint64_t off = 0;
-  while (off < bytes.size()) {
-    const uint64_t remaining = bytes.size() - off;
-    if (remaining < kFrameHeaderBytes) {
+  ByteReader r(file.value());
+  while (r.remaining() > 0) {
+    if (r.remaining() < kFrameHeaderBytes) {
       // A few stray bytes at EOF: the crash landed inside a frame header.
       result.truncated_tail_records = 1;
       break;
     }
-    const uint32_t len = ReadU32(&bytes[off]);
-    const uint32_t crc = ReadU32(&bytes[off + 4]);
-    if (remaining - kFrameHeaderBytes < len) {
+    const uint32_t len = r.Le32();
+    const uint32_t crc = r.Le32();
+    const uint8_t* payload = r.Take(len);
+    if (payload == nullptr) {
       // The final record's payload is incomplete — a torn append.
       result.truncated_tail_records = 1;
       break;
     }
-    const uint8_t* payload = &bytes[off + kFrameHeaderBytes];
     if (Crc32c(payload, len) != crc) {
       // The record is fully present yet its bytes are wrong: that is
       // mid-log corruption (a torn append only ever shortens the file).
@@ -231,32 +201,28 @@ Result<WalReadResult> ReadWal(const std::string& path) {
     if (len < kPayloadFixedBytes) {
       return Status::Corruption("WAL record too short for its header");
     }
+    ByteReader p(payload, len);
     UpdateBatch batch;
-    batch.seq = ReadU64(payload);
-    batch.first_rid = ReadU64(payload + 8);
-    const uint64_t n_ins = ReadU32(payload + 16);
-    const uint64_t n_upd = ReadU32(payload + 20);
-    const uint64_t n_del = ReadU32(payload + 24);
+    batch.seq = p.Le64();
+    batch.first_rid = p.Le64();
+    const uint64_t n_ins = p.Le32();
+    const uint64_t n_upd = p.Le32();
+    const uint64_t n_del = p.Le32();
     if (kPayloadFixedBytes + 4 * n_ins + 16 * n_upd + 8 * n_del != len) {
       return Status::Corruption("WAL record counts disagree with length");
     }
-    const uint8_t* p = payload + kPayloadFixedBytes;
-    batch.inserts.reserve(n_ins);
-    for (uint64_t i = 0; i < n_ins; ++i, p += 4) {
-      batch.inserts.push_back(ReadU32(p));
+    batch.inserts.resize(n_ins);
+    p.Le32s(batch.inserts.data(), n_ins);
+    batch.updates.resize(n_upd);
+    for (UpdateRecord& u : batch.updates) {
+      u.rid = p.Le64();
+      u.old_value = p.Le32();
+      u.value = p.Le32();
     }
-    batch.updates.reserve(n_upd);
-    for (uint64_t i = 0; i < n_upd; ++i, p += 16) {
-      batch.updates.push_back(
-          UpdateRecord{ReadU64(p), ReadU32(p + 8), ReadU32(p + 12)});
-    }
-    batch.deletes.reserve(n_del);
-    for (uint64_t i = 0; i < n_del; ++i, p += 8) {
-      batch.deletes.push_back(ReadU64(p));
-    }
+    batch.deletes.resize(n_del);
+    p.Le64s(batch.deletes.data(), n_del);
     result.batches.push_back(std::move(batch));
-    off += kFrameHeaderBytes + len;
-    result.valid_bytes = off;
+    result.valid_bytes = r.offset();
   }
   return result;
 }

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "util/rng.h"
+
 namespace bix {
 
 // Decorrelated-jitter retry backoff (the "decorrelated jitter" variant of
@@ -15,8 +17,8 @@ namespace bix {
 // schedule spreads the re-arrivals across the interval while keeping the
 // same expected growth.
 //
-// The draw is a pure function of (seed, stream, sleep_index) — SplitMix64,
-// the same construction the storage FaultInjector uses — so a fixed seed
+// The draw is a pure function of (seed, stream, sleep_index) — the
+// SplitMix64 mix (util/rng.h) the fault injectors draw from — so a fixed seed
 // replays an exact sleep sequence regardless of thread interleaving, and
 // tests can pin the schedule to the nanosecond under a VirtualClock.
 // `stream` identifies one retry loop (the service salts it with a per-fetch
@@ -24,11 +26,8 @@ namespace bix {
 inline double DecorrelatedJitterBackoff(uint64_t seed, uint64_t stream,
                                         uint64_t sleep_index, double base,
                                         double prev, double cap) {
-  uint64_t x = seed + 0x9E3779B97F4A7C15ull * (stream ^ (sleep_index << 32));
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  const double u = static_cast<double>(x >> 11) * 0x1.0p-53;  // [0, 1)
+  const double u = UnitDraw(
+      Mix64(seed + 0x9E3779B97F4A7C15ull * (stream ^ (sleep_index << 32))));
   const double hi = std::max(base, 3.0 * prev);
   double sleep = base + u * (hi - base);
   if (cap > 0.0) sleep = std::min(sleep, cap);

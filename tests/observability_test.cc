@@ -186,61 +186,6 @@ TEST(LatencyHistogramTest, AddMergesEveryMember) {
   EXPECT_GT(a.p99(), a.p50());  // the 10ms tail landed in a higher bucket
 }
 
-// Mirrors the IoStats tripwire test in tests/storage_test.cc: every
-// ServiceStats member must be merged by Add. The sizeof static_assert in
-// metrics.h fails the build when a member is added; this test fails when a
-// member is added to the assert but forgotten in Add.
-TEST(ServiceStatsTest, AddMergesFieldByField) {
-  ServiceStats a;
-  a.submitted = 1;
-  a.rejected_invalid = 2;
-  a.rejected_overload = 3;
-  a.completed = 4;
-  a.retries = 5;
-  a.corruptions_detected = 6;
-  a.quarantined_bitmaps = 7;
-  a.degraded_queries = 8;
-  a.deadline_exceeded = 9;
-  a.cancelled = 10;
-  a.shed_in_queue = 11;
-  a.breaker_opens = 12;
-  a.breaker_open_seconds = 1.5;
-  a.breaker_state = 1;
-  a.io.scans = 13;
-  a.io.pool_hits = 14;
-  a.queue_seconds_total = 0.25;
-  a.rewrite_seconds_total = 0.5;
-  a.eval_seconds_total = 0.75;
-  a.latency.Record(100e-6);
-
-  ServiceStats b = a;
-  b.breaker_state = 2;
-  b.latency.Record(10e-3);
-  a.Add(b);
-
-  EXPECT_EQ(a.submitted, 2u);
-  EXPECT_EQ(a.rejected_invalid, 4u);
-  EXPECT_EQ(a.rejected_overload, 6u);
-  EXPECT_EQ(a.completed, 8u);
-  EXPECT_EQ(a.retries, 10u);
-  EXPECT_EQ(a.corruptions_detected, 12u);
-  EXPECT_EQ(a.quarantined_bitmaps, 14u);
-  EXPECT_EQ(a.degraded_queries, 16u);
-  EXPECT_EQ(a.deadline_exceeded, 18u);
-  EXPECT_EQ(a.cancelled, 20u);
-  EXPECT_EQ(a.shed_in_queue, 22u);
-  EXPECT_EQ(a.breaker_opens, 24u);
-  EXPECT_DOUBLE_EQ(a.breaker_open_seconds, 3.0);
-  EXPECT_EQ(a.breaker_state, 2u);  // point-in-time: latest snapshot wins
-  EXPECT_EQ(a.io.scans, 26u);
-  EXPECT_EQ(a.io.pool_hits, 28u);
-  EXPECT_DOUBLE_EQ(a.queue_seconds_total, 0.5);
-  EXPECT_DOUBLE_EQ(a.rewrite_seconds_total, 1.0);
-  EXPECT_DOUBLE_EQ(a.eval_seconds_total, 1.5);
-  EXPECT_EQ(a.latency.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.latency.sum_seconds(), 100e-6 + 100e-6 + 10e-3);
-}
-
 // -------------------------------------------------------- slow-query log --
 
 TEST(SlowQueryLogTest, KeepsTopKByLatencySlowestFirst) {

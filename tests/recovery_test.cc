@@ -5,6 +5,7 @@
 // asserted bit-identical to a from-scratch rebuild of the logical column.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -699,6 +700,55 @@ TEST(RecoveryTest, CreateAndOpenGuardRails) {
   ASSERT_TRUE(WritableBitmapIndex::Create(dir, column, SmallConfig()).ok());
   EXPECT_FALSE(WritableBitmapIndex::Create(dir, column, SmallConfig()).ok());
   EXPECT_FALSE(WritableBitmapIndex::Open(FreshDir("never_created")).ok());
+}
+
+uint64_t PeakRssBytes() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<uint64_t>(usage.ru_maxrss) * 1024;  // Linux: KiB
+}
+
+// Every single-byte corruption of a checkpoint sidecar or the MANIFEST
+// fails Open with a typed error, and no flipped count sizes an allocation
+// beyond the file's own bytes. Swept twice: the sidecar Create writes (no
+// tombstones) and the one a compaction writes (rows and tombstones).
+TEST(RecoveryTest, EveryCheckpointByteFlipFailsOpenCleanly) {
+  const std::string dir = FreshDir("checkpoint_byte_flips");
+  const uint64_t rss_before = PeakRssBytes();
+  const auto sweep = [&](const std::string& name) {
+    const std::string path = dir + "/" + name;
+    std::vector<uint8_t> bytes = ReadFileBytes(path);
+    ASSERT_FALSE(bytes.empty()) << name;
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] ^= 0x2A;
+      WriteFileBytes(path, bytes, bytes.size());
+      bytes[i] ^= 0x2A;
+      auto opened = WritableBitmapIndex::Open(dir);
+      ASSERT_FALSE(opened.ok()) << name << " byte " << i;
+      const Status::Code code = opened.status().code();
+      EXPECT_TRUE(code == Status::Code::kCorruption ||
+                  code == Status::Code::kInvalidArgument ||
+                  code == Status::Code::kNotSupported)
+          << name << " byte " << i << ": " << opened.status().ToString();
+    }
+    WriteFileBytes(path, bytes, bytes.size());
+  };
+  {
+    auto created = WritableBitmapIndex::Create(dir, SmallColumn(), SmallConfig());
+    ASSERT_TRUE(created.ok());
+  }
+  sweep("state-0.bix");
+  sweep("MANIFEST");
+  {
+    auto reopened = WritableBitmapIndex::Open(dir);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ASSERT_TRUE(reopened.value()->ApplyBatch(BatchOne(5)).ok());
+    ASSERT_TRUE(reopened.value()->Compact(nullptr).ok());
+  }
+  sweep("state-1.bix");
+  sweep("MANIFEST");
+  EXPECT_LT(PeakRssBytes() - rss_before, uint64_t{64} << 20);
+  EXPECT_TRUE(WritableBitmapIndex::Open(dir).ok());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "storage/fault_injector.h"
 #include "storage/wal.h"
 #include "util/clock.h"
+#include "util/crc32c.h"
 #include "util/rng.h"
 
 namespace bix {
@@ -565,7 +566,10 @@ void ExpectSameIoStats(const IoStats& a, const IoStats& b) {
 // pool and a one-shard service cache, each on its own VirtualClock with an
 // identically seeded injector, must fail, account and sleep identically on
 // every miss of every codec. A key that succeeded is never fetched again,
-// so every fetch is a miss in both caches.
+// so every fetch is a miss in both caches. The last key is a rotten blob
+// (its bytes no longer match their checksum) that never succeeds: neither
+// cache may admit it when its decode fails, so its next attempt is a miss
+// in both as well.
 TEST(CacheFaultOracleTest, BothCachesFaultAndAccountAMissIdentically) {
   BitmapStore store;
   const CodecId codecs[] = {CodecId::kVerbatim, CodecId::kBbc, CodecId::kWah,
@@ -577,6 +581,16 @@ TEST(CacheFaultOracleTest, BothCachesFaultAndAccountAMissIdentically) {
     reference.push_back(MakeBitmap(4000, slot, 0.05));
     store.PutWithCodec(keys.back(), reference.back(), codecs[slot % 4]);
   }
+  BitmapStore::Blob rotten;
+  rotten.bit_count = 4000;
+  rotten.bytes =
+      GetCodec(CodecId::kVerbatim).Encode(MakeBitmap(4000, 12, 0.05));
+  rotten.crc32c = Crc32c(rotten.bytes.data(), rotten.bytes.size());
+  rotten.crc_valid = true;
+  rotten.bytes[7] ^= 0x10;
+  keys.push_back({1, 12});
+  reference.emplace_back();  // never compared: every fetch fails
+  store.PutBlob(keys.back(), std::move(rotten));
   FaultInjectorOptions opts;
   opts.seed = 7;
   opts.unavailable_prob = 0.2;
@@ -614,6 +628,7 @@ TEST(CacheFaultOracleTest, BothCachesFaultAndAccountAMissIdentically) {
       }
     }
   }
+  EXPECT_EQ(pool.pool_bytes_used(), shard.pool_bytes_used());
   // The oracle saw every kind of fault.
   const FaultInjector::Counters c = pool_faults.counters();
   EXPECT_GT(c.unavailable, 0u);

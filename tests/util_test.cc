@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -7,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/byte_io.h"
 #include "util/cancel_token.h"
 #include "util/clock.h"
 #include "util/crc32c.h"
@@ -225,6 +227,199 @@ TEST(RngTest, UniformDoubleInUnitInterval) {
     EXPECT_GE(v, 0.0);
     EXPECT_LT(v, 1.0);
   }
+}
+
+// The reference SplitMix64 stream from state 0 (each output mixes the
+// state advanced by the golden-ratio increment).
+TEST(RngTest, SplitMix64MatchesReferenceStream) {
+  EXPECT_EQ(SplitMix64(0), 0xE220A8397B1DCDAFull);
+  EXPECT_EQ(SplitMix64(0x9E3779B97F4A7C15ull), 0x6E789E6AA1B965F4ull);
+  EXPECT_EQ(SplitMix64(0), Mix64(0x9E3779B97F4A7C15ull));
+  EXPECT_EQ(UnitDraw(0), 0.0);
+  EXPECT_EQ(UnitDraw(uint64_t{1} << 63), 0.5);
+  EXPECT_LT(UnitDraw(~uint64_t{0}), 1.0);
+}
+
+// --- util/byte_io -------------------------------------------------------
+
+// The little-endian image of `words`, one byte at a time.
+template <typename T>
+std::vector<uint8_t> ReferenceImage(const std::vector<T>& words) {
+  std::vector<uint8_t> out;
+  for (T w : words) {
+    for (size_t b = 0; b < sizeof(T); ++b) {
+      out.push_back(static_cast<uint8_t>(w >> (8 * b)));
+    }
+  }
+  return out;
+}
+
+TEST(ByteIoTest, ScalarsAreLittleEndian) {
+  std::vector<uint8_t> out;
+  AppendLe16(&out, 0x0102);
+  AppendLe32(&out, 0x03040506);
+  AppendLe64(&out, 0x0708090A0B0C0D0Eull);
+  EXPECT_EQ(out, (std::vector<uint8_t>{0x02, 0x01, 0x06, 0x05, 0x04, 0x03,
+                                       0x0E, 0x0D, 0x0C, 0x0B, 0x0A, 0x09,
+                                       0x08, 0x07}));
+  uint8_t b[14];
+  StoreLe16(b, 0x0102);
+  StoreLe32(b + 2, 0x03040506);
+  StoreLe64(b + 6, 0x0708090A0B0C0D0Eull);
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), b));
+  EXPECT_EQ(LoadLe16(b), 0x0102u);
+  EXPECT_EQ(LoadLe32(b + 2), 0x03040506u);
+  EXPECT_EQ(LoadLe64(b + 6), 0x0708090A0B0C0D0Eull);
+}
+
+// Both array images, the scalar loads and ByteReader's array reads agree
+// with the byte-at-a-time reference at every alignment, for 0-17 elements.
+TEST(ByteIoTest, ArrayImagesRoundTripAtEveryAlignment) {
+  for (size_t len = 0; len <= 17; ++len) {
+    std::vector<uint64_t> w64(len);
+    std::vector<uint32_t> w32(len);
+    for (size_t i = 0; i < len; ++i) {
+      w64[i] = SplitMix64(100 * len + i);
+      w32[i] = static_cast<uint32_t>(w64[i] >> 16);
+    }
+    const std::vector<uint8_t> ref64 = ReferenceImage(w64);
+    const std::vector<uint8_t> ref32 = ReferenceImage(w32);
+    for (size_t align = 0; align < 8; ++align) {
+      SCOPED_TRACE("len " + std::to_string(len) + " align " +
+                   std::to_string(align));
+      std::vector<uint8_t> image(align, 0xA5);
+      AppendWordsLe(w64.data(), 8 * len, &image);
+      AppendWords32Le(w32.data(), len, &image);
+      ASSERT_EQ(image.size(), align + 12 * len);
+      const uint8_t* p64 = image.data() + align;
+      const uint8_t* p32 = p64 + 8 * len;
+      EXPECT_TRUE(std::equal(ref64.begin(), ref64.end(), p64));
+      EXPECT_TRUE(std::equal(ref32.begin(), ref32.end(), p32));
+      for (size_t i = 0; i < len; ++i) {
+        EXPECT_EQ(LoadLe64(p64 + 8 * i), w64[i]);
+        EXPECT_EQ(LoadLe32(p32 + 4 * i), w32[i]);
+      }
+      std::vector<uint64_t> back64(len);
+      std::vector<uint32_t> back32(len);
+      LoadWordsLe(p64, 8 * len, back64.data());
+      LoadWords32Le(p32, len, back32.data());
+      EXPECT_EQ(back64, w64);
+      EXPECT_EQ(back32, w32);
+
+      ByteReader r(p64, image.size() - align);
+      std::vector<uint64_t> read64(len);
+      std::vector<uint32_t> read32(len);
+      r.Le64s(read64.data(), len);
+      r.Le32s(read32.data(), len);
+      EXPECT_TRUE(r.ok());
+      EXPECT_EQ(r.remaining(), 0u);
+      EXPECT_EQ(read64, w64);
+      EXPECT_EQ(read32, w32);
+    }
+  }
+}
+
+// A byte length that ends mid-word: the image is a prefix, and loading it
+// back zeroes the partial word's high bytes.
+TEST(ByteIoTest, PartialWordImagesZeroTheHighBytes) {
+  const std::vector<uint64_t> words = {SplitMix64(1), SplitMix64(2),
+                                       SplitMix64(3)};
+  const std::vector<uint8_t> ref = ReferenceImage(words);
+  for (size_t n = 0; n <= 17; ++n) {
+    std::vector<uint8_t> image;
+    AppendWordsLe(words.data(), n, &image);
+    EXPECT_EQ(image, std::vector<uint8_t>(ref.begin(), ref.begin() + n)) << n;
+    std::vector<uint64_t> back(3, ~uint64_t{0});
+    LoadWordsLe(image.data(), n, back.data());
+    for (size_t i = 0; i < CeilDiv(n, 8); ++i) {
+      const size_t bytes = std::min<size_t>(8, n - 8 * i);
+      const uint64_t mask =
+          bytes == 8 ? ~uint64_t{0} : (uint64_t{1} << (8 * bytes)) - 1;
+      EXPECT_EQ(back[i], words[i] & mask) << n;
+    }
+  }
+}
+
+TEST(ByteIoTest, ReadPastEndFailsAndStaysFailed) {
+  const std::vector<uint8_t> bytes = {1, 2, 3, 4, 5, 6};
+  ByteReader r(bytes);
+  EXPECT_EQ(r.Le32(), 0x04030201u);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.Le32(), 0u);  // two bytes left
+  EXPECT_FALSE(r.ok());
+  // The failed read consumed nothing, and every later read fails too —
+  // even ones the remaining bytes could satisfy.
+  EXPECT_EQ(r.offset(), 4u);
+  EXPECT_EQ(r.remaining(), 2u);
+  EXPECT_EQ(r.U8(), 0u);
+  EXPECT_EQ(r.Le16(), 0u);
+  EXPECT_EQ(r.Chars(1), "");
+  EXPECT_EQ(r.Take(0), nullptr);
+  uint32_t untouched = 7;
+  r.Le32s(&untouched, 0);
+  EXPECT_EQ(untouched, 7u);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.offset(), 4u);
+}
+
+TEST(ByteIoTest, NeedBoundsCountsByTheBytesLeft) {
+  const std::vector<uint8_t> bytes(16);
+  {
+    ByteReader r(bytes);
+    EXPECT_TRUE(r.Need(2, 8));
+    EXPECT_TRUE(r.Need(16, 1));
+    EXPECT_TRUE(r.Need(0, 8));
+    EXPECT_TRUE(r.ok());  // Need consumes nothing
+    EXPECT_FALSE(r.Need(3, 8));
+    EXPECT_FALSE(r.ok());
+    EXPECT_FALSE(r.Need(0, 1));  // sticky
+  }
+  {
+    ByteReader r(bytes);
+    r.Le64();
+    EXPECT_FALSE(r.Need(2, 8));  // what remains, not the whole buffer
+  }
+  {
+    // (1 << 62) * 8 wraps to 0 in 64 bits; the check must not.
+    ByteReader r(bytes);
+    EXPECT_FALSE(r.Need(uint64_t{1} << 62, 8));
+    EXPECT_FALSE(r.ok());
+  }
+  {
+    ByteReader r(bytes);
+    EXPECT_FALSE(r.Need(~uint64_t{0}, 4));
+  }
+}
+
+TEST(ByteIoTest, FileWriterStreamsWithARunningCrc) {
+  const std::string path = ::testing::TempDir() + "/byte_io_writer.bin";
+  const std::vector<uint32_t> w32 = {1, 0x80000000u, 3};
+  const std::vector<uint64_t> w64 = {~uint64_t{0}, 5};
+  std::vector<uint8_t> expected = {0x7F};
+  AppendLe32(&expected, 0xDEADBEEFu);
+  AppendLe64(&expected, 42);
+  AppendWords32Le(w32.data(), w32.size(), &expected);
+  AppendWordsLe(w64.data(), 8 * w64.size(), &expected);
+  {
+    FileWriter w(path);
+    ASSERT_TRUE(w.is_open());
+    w.U8(0x7F);
+    w.Le32(0xDEADBEEFu);
+    w.Le64(42);
+    EXPECT_EQ(w.crc(), Crc32c(expected.data(), 13));
+    w.ResetCrc();
+    w.Le32s(w32.data(), w32.size());
+    w.Le64s(w64.data(), w64.size());
+    EXPECT_EQ(w.crc(), Crc32c(expected.data() + 13, expected.size() - 13));
+    EXPECT_TRUE(w.Close());
+  }
+  Result<std::vector<uint8_t>> read = ReadFileBytes(path);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read.value(), expected);
+  std::remove(path.c_str());
+  EXPECT_EQ(ReadFileBytes(path).status().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_FALSE(FileWriter(::testing::TempDir() + "/no/such/dir/f").is_open());
 }
 
 TEST(CancelTokenTest, ManualTokenNeverExpiresUntilCancelled) {
