@@ -3,7 +3,8 @@
 // over a 1M-row in-memory index. The BM_CachedMembershipPerTier rows pin
 // the kernel tier (scalar / avx2 / avx512) and report bytes_per_cycle over
 // the leaf bitmap bytes each query touches, making the SIMD step visible
-// at the query level, not just in the raw kernels.
+// at the query level, not just in the raw kernels. BM_CachedMergedMembership
+// times a writable index's merged read over a standing overlay.
 
 #include <benchmark/benchmark.h>
 
@@ -15,9 +16,11 @@
 #endif
 
 #include "bitvector/kernels.h"
+#include "index/delta_store.h"
 #include "query/executor.h"
 #include "server/sharded_cache.h"
 #include "util/clock.h"
+#include "util/rng.h"
 #include "util/trace.h"
 #include "workload/column_gen.h"
 
@@ -143,6 +146,77 @@ void BM_CachedMembershipCount(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CachedMembershipCount)->DenseRange(0, 6);
+
+// A merged read over a writable index's overlay, shaped like the served
+// mixed read/write workload between two compactions: 2,500 tombstones
+// carried from earlier folds, then 250 batches of 4 inserts, 2 updates and
+// 2 deletes — 1,000 appended rows, about 500 overrides, about 3,000 dead
+// rows. range(0) = 0 returns the bitmap (with its count), 1 counts only.
+// Interval encoding, leaves resident in the shared decoded cache.
+void BM_CachedMergedMembership(benchmark::State& state) {
+  Fixture& fx = Fixture::Get();
+  size_t enc = 0;
+  while (AllEncodingKinds()[enc] != EncodingKind::kInterval) ++enc;
+  BitmapIndex& index = *fx.indexes[enc];
+  const uint64_t base_rows = fx.col.row_count();
+  Rng rng(7);
+  std::vector<uint64_t> carried;
+  for (int i = 0; i < 2500; ++i) {
+    carried.push_back(rng.UniformInt(0, base_rows - 1));
+  }
+  std::shared_ptr<const DeltaSnapshot> delta =
+      DeltaSnapshot::Base(base_rows, carried);
+  for (uint64_t seq = 1; seq <= 250; ++seq) {
+    UpdateBatch batch;
+    batch.seq = seq;
+    batch.first_rid = delta->total_rows();
+    for (int i = 0; i < 4; ++i) {
+      batch.inserts.push_back(static_cast<uint32_t>(rng.UniformInt(0, 49)));
+    }
+    const uint64_t rows = batch.first_rid + batch.inserts.size();
+    for (int i = 0; i < 2; ++i) {
+      const uint64_t rid = rng.UniformInt(0, base_rows - 1);
+      batch.updates.push_back(UpdateRecord{
+          rid, fx.col.values[rid],
+          static_cast<uint32_t>(rng.UniformInt(0, 49))});
+    }
+    for (int i = 0; i < 2; ++i) {
+      batch.deletes.push_back(rng.UniformInt(0, rows - 1));
+    }
+    batch.SortByRid();
+    delta = delta->Apply(batch);
+  }
+  const DeltaView view = delta->View();
+  ShardedBitmapCache cache(&index.store(), 64ull << 20, 8);
+  ExecutorOptions opts;
+  opts.cold_pool_per_query = false;
+  QueryExecutor exec(&index, opts, &cache);
+  const std::vector<uint32_t> values = {6, 19, 20, 21, 22, 35};
+  const ValueSet pred = ValueSet::Members(values);
+  auto exprs = exec.RewriteMembership(values);
+  exec.TryEvaluateRewritten(exprs).value();  // warm the cache
+  const bool count_only = state.range(0) != 0;
+  CopyCounter copies(state);
+  for (auto _ : state) {
+    if (count_only) {
+      benchmark::DoNotOptimize(
+          exec.TryEvaluateCountRewritten(exprs, nullptr, &view, &pred)
+              .value());
+    } else {
+      uint64_t count = 0;
+      Bitvector r =
+          exec.TryEvaluateRewrittenMerged(exprs, view, pred, nullptr, &count)
+              .value();
+      benchmark::DoNotOptimize(r);
+      benchmark::DoNotOptimize(count);
+    }
+  }
+  state.SetLabel(count_only ? "I/count" : "I/bitmap");
+  state.counters["overlay_ops"] = benchmark::Counter(
+      static_cast<double>(delta->ops()));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CachedMergedMembership)->Arg(0)->Arg(1);
 
 // Tracing overhead guard: the warm-cache membership query with a per-query
 // span tree built (range(1)=1) vs the plain path (range(1)=0). The two

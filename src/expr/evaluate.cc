@@ -332,9 +332,14 @@ constexpr std::array<uint64_t, kBlockWords> kOnesBlock =
 class UnionProgram {
  public:
   UnionProgram(const std::vector<ExprPtr>& constituents, uint64_t row_count,
-               const DecodedLeafFetcher& fetch)
+               const DecodedLeafFetcher& fetch, const Bitvector* exclude)
       : row_count_(row_count), fetch_(fetch), ops_(kernels::Active()) {
     CompileNary(ExprOp::kOr, constituents);
+    if (exclude != nullptr) {
+      BIX_CHECK_MSG(exclude->size() >= row_count, "exclusion mask too short");
+      Push(Code::kLeaf, exclude->words().data());
+      Emit(Code::kAndNot, 2);
+    }
     BIX_CHECK(depth_ == 1);
     stack_.resize(max_depth_);
     scratch_.resize(scratch_blocks_ * kBlockWords);
@@ -510,9 +515,9 @@ uint64_t EvaluateExprDecodedCount(const ExprPtr& expr, uint64_t row_count,
 uint64_t EvaluateUnionBlocked(const std::vector<ExprPtr>& constituents,
                               uint64_t row_count,
                               const DecodedLeafFetcher& fetch, Bitvector* rows,
-                              TraceSink* trace) {
+                              TraceSink* trace, const Bitvector* exclude) {
   TraceScope kernel(trace, "kernel");
-  UnionProgram program(constituents, row_count, fetch);
+  UnionProgram program(constituents, row_count, fetch, exclude);
   if (trace != nullptr) {
     trace->Tag("constituents", static_cast<uint64_t>(constituents.size()));
   }
@@ -523,8 +528,9 @@ uint64_t EvaluateUnionBlocked(const std::vector<ExprPtr>& constituents,
   const uint64_t tail_mask = row_count % 64 == 0
                                  ? ~uint64_t{0}
                                  : (uint64_t{1} << (row_count % 64)) - 1;
+  const uint64_t result_bits = exclude != nullptr ? exclude->size() : row_count;
   std::vector<uint64_t> words;
-  if (rows != nullptr) words.reserve(n);
+  if (rows != nullptr) words.reserve(Bitvector::WordCount(result_bits));
   uint64_t count = 0;
   for (size_t base = 0; base < n; base += kBlockWords) {
     const size_t len = std::min(kBlockWords, n - base);
@@ -539,7 +545,8 @@ uint64_t EvaluateUnionBlocked(const std::vector<ExprPtr>& constituents,
     }
   }
   if (rows != nullptr) {
-    *rows = Bitvector::FromWords(row_count, std::move(words));
+    words.resize(Bitvector::WordCount(result_bits), 0);
+    *rows = Bitvector::FromWords(result_bits, std::move(words));
   }
   return count;
 }

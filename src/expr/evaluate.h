@@ -94,10 +94,17 @@ uint64_t EvaluateExprDecodedCount(const ExprPtr& expr, uint64_t row_count,
 // is non-null, appended to the result, so the answer is written once (never
 // zero-filled first) and counted in the same pass. Returns the count.
 // `trace` (nullable) gets one "kernel" span for the whole evaluation.
+//
+// `exclude` (nullable; at least row_count bits) is one more operand: the
+// program ends with an andnot against its words, so the answer is
+// `union & ~exclude` — a writable index's tombstone mask costs no pass of
+// its own. `rows` then spans exclude->size() bits, allocated once; the rows
+// past row_count come out clear, for the caller to decide in place.
 uint64_t EvaluateUnionBlocked(const std::vector<ExprPtr>& constituents,
                               uint64_t row_count,
                               const DecodedLeafFetcher& fetch, Bitvector* rows,
-                              TraceSink* trace = nullptr);
+                              TraceSink* trace = nullptr,
+                              const Bitvector* exclude = nullptr);
 
 }  // namespace bix
 

@@ -176,7 +176,7 @@ Result<Bitvector> QueryExecutor::TryEvaluateRewritten(
     const std::vector<ExprPtr>& exprs, const CancelToken* cancel,
     uint64_t* count) {
   Bitvector rows;
-  Status status = EvalCore(exprs, cancel, &rows, count);
+  Status status = EvalCore(exprs, cancel, &rows, count, /*exclude=*/nullptr);
   if (!status.ok()) return status;
   if (!index_->reordered()) return rows;
   // Reordered index (DESIGN.md section 18): EvalCore's bits are index
@@ -185,24 +185,50 @@ Result<Bitvector> QueryExecutor::TryEvaluateRewritten(
 }
 
 Result<uint64_t> QueryExecutor::TryEvaluateCountRewritten(
-    const std::vector<ExprPtr>& exprs, const CancelToken* cancel) {
+    const std::vector<ExprPtr>& exprs, const CancelToken* cancel,
+    const DeltaView* delta, const ValueSet* pred) {
+  BIX_CHECK_MSG((delta == nullptr) == (pred == nullptr),
+                "an overlay needs the query's predicate");
   uint64_t count = 0;
-  Status status = EvalCore(exprs, cancel, /*rows=*/nullptr, &count);
+  Status status =
+      delta != nullptr
+          ? EvalMerged(exprs, *delta, *pred, cancel, /*rows_out=*/nullptr,
+                       &count)
+          : EvalCore(exprs, cancel, /*rows_out=*/nullptr, &count,
+                     /*exclude=*/nullptr);
   if (!status.ok()) return status;
   return count;
 }
 
 Result<Bitvector> QueryExecutor::TryEvaluateRewrittenMerged(
     const std::vector<ExprPtr>& exprs, const DeltaView& delta,
-    const ValueSet& pred, const CancelToken* cancel) {
-  Bitvector merged;
-  Status status = EvalCore(exprs, cancel, &merged, /*count=*/nullptr);
+    const ValueSet& pred, const CancelToken* cancel, uint64_t* count) {
+  Bitvector rows;
+  Status status = EvalMerged(exprs, delta, pred, cancel, &rows, count);
   if (!status.ok()) return status;
+  return rows;
+}
+
+Status QueryExecutor::EvalMerged(const std::vector<ExprPtr>& exprs,
+                                 const DeltaView& delta, const ValueSet& pred,
+                                 const CancelToken* cancel,
+                                 Bitvector* rows_out, uint64_t* count_out) {
   // The overlay is keyed by original RIDs (the writable index never
-  // renumbers), so a reordered base's answer must be mapped back *before*
-  // the merge: override/tombstone/append positions then line up.
-  if (index_->reordered()) {
-    merged = MapToOriginalRids(merged, index_->row_order());
+  // renumbers). An unreordered base shares that space, so the tombstone
+  // mask joins the evaluation pass itself; a reordered base's answer must
+  // be mapped back first, and is masked after.
+  const bool reordered = index_->reordered();
+  Bitvector rows;
+  Bitvector* rows_ptr = (rows_out != nullptr || reordered) ? &rows : nullptr;
+  uint64_t count = 0;
+  Status status = EvalCore(exprs, cancel, rows_ptr, &count,
+                           reordered ? nullptr : delta.dead);
+  if (!status.ok()) return status;
+  if (reordered) {
+    rows = MapToOriginalRids(rows, index_->row_order());
+    rows.Resize(delta.total_rows);
+    rows.AndNotWith(*delta.dead);
+    count = rows.Count();
   }
   {
     TraceScope scope(trace_, "delta_merge");
@@ -210,14 +236,16 @@ Result<Bitvector> QueryExecutor::TryEvaluateRewrittenMerged(
       trace_->Tag("overrides", delta.overrides->size());
       trace_->Tag("appended", delta.appended->size());
     }
-    MergeDeltaIntoResult(delta, pred, &merged);
+    count += static_cast<uint64_t>(MergeDeltaOverlay(delta, pred, rows_ptr));
   }
-  return merged;
+  if (rows_out != nullptr) *rows_out = std::move(rows);
+  if (count_out != nullptr) *count_out = count;
+  return Status::OK();
 }
 
 Status QueryExecutor::EvalCore(const std::vector<ExprPtr>& exprs,
                                const CancelToken* cancel, Bitvector* rows_out,
-                               uint64_t* count_out) {
+                               uint64_t* count_out, const Bitvector* exclude) {
   if (options_.cold_pool_per_query) cache_->DropPool();
   ClockInterface* clock =
       options_.clock != nullptr ? options_.clock : RealClock::Get();
@@ -249,10 +277,10 @@ Status QueryExecutor::EvalCore(const std::vector<ExprPtr>& exprs,
   // instead of being copied), later constituents are OR-ed in place.
   // Count-only single-constituent queries skip the accumulator entirely
   // (EvaluateExprDecodedCount counts fetched handles / folds the popcount
-  // into the final combine).
+  // into the final combine) unless an exclusion mask must apply to it.
   auto accumulate = [&](const std::vector<const ExprPtr*>& order,
                         const DecodedLeafFetcher& fetch) {
-    if (rows_out == nullptr && order.size() == 1) {
+    if (rows_out == nullptr && exclude == nullptr && order.size() == 1) {
       count = EvaluateExprDecodedCount(*order[0], rows, fetch, trace_);
       return;
     }
@@ -273,6 +301,10 @@ Status QueryExecutor::EvalCore(const std::vector<ExprPtr>& exprs,
       }
     }
     if (first) result = Bitvector(rows);  // no constituents: empty result
+    if (exclude != nullptr) {
+      result.Resize(exclude->size());
+      result.AndNotWith(*exclude);
+    }
     if (count_out != nullptr) count = result.Count();
   };
 
@@ -349,7 +381,7 @@ Status QueryExecutor::EvalCore(const std::vector<ExprPtr>& exprs,
         // pass computes the whole union (DESIGN.md section 12).
         count = EvaluateUnionBlocked(exprs, rows, fetch,
                                      rows_out != nullptr ? &result : nullptr,
-                                     trace_);
+                                     trace_, exclude);
       } else {
         std::vector<const ExprPtr*> order;
         for (const ExprPtr& e : exprs) order.push_back(&e);

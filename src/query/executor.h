@@ -115,17 +115,25 @@ class QueryExecutor {
   // scratch buffer, with single-leaf constituents counted straight off the
   // cache's shared handle. Identical to TryEvaluateRewritten(exprs)'s
   // popcount for every strategy.
+  //
+  // With a writable-index overlay (`delta` and `pred` both set, as for
+  // TryEvaluateRewrittenMerged) it counts the merged answer, and the
+  // blocked union over an unreordered base still builds no bitmap.
   Result<uint64_t> TryEvaluateCountRewritten(
-      const std::vector<ExprPtr>& exprs, const CancelToken* cancel = nullptr);
-  // Delta-aware serving entry: evaluates `exprs` against the base index,
-  // then merges the writable-index overlay (src/expr/delta_eval) so the
-  // result covers overridden, appended, and tombstoned rows — bit-identical
-  // to evaluating against a from-scratch rebuild of the updated column.
+      const std::vector<ExprPtr>& exprs, const CancelToken* cancel = nullptr,
+      const DeltaView* delta = nullptr, const ValueSet* pred = nullptr);
+  // Delta-aware serving entry: evaluates `exprs` against the base index and
+  // merges the writable-index overlay (src/expr/delta_eval) so the result
+  // covers overridden, appended, and tombstoned rows — bit-identical to
+  // evaluating against a from-scratch rebuild of the updated column. The
+  // tombstone mask is applied inside the evaluation pass, and `count`
+  // (nullable) receives the result's popcount without re-reading it.
   // `pred` must be the value set of the same query `exprs` was rewritten
   // from. The view (and what it points into) must stay alive for the call.
   Result<Bitvector> TryEvaluateRewrittenMerged(
       const std::vector<ExprPtr>& exprs, const DeltaView& delta,
-      const ValueSet& pred, const CancelToken* cancel = nullptr);
+      const ValueSet& pred, const CancelToken* cancel = nullptr,
+      uint64_t* count = nullptr);
 
   // Rewrites without executing (for inspection, tests, cost analysis).
   // `cancel` stops the membership rewrite loop between constituents once
@@ -180,9 +188,18 @@ class QueryExecutor {
   // to *count_out; either may be null (no rows_out is count-only: no
   // result bitmap is materialized). Component-wise evaluation over plain
   // leaves runs the blocked union (EvaluateUnionBlocked); the other
-  // strategies and Roaring leaves evaluate node at a time.
+  // strategies and Roaring leaves evaluate node at a time. `exclude`
+  // (nullable, in index positions) is and-notted out of the answer, which
+  // then spans exclude->size() bits.
   Status EvalCore(const std::vector<ExprPtr>& exprs, const CancelToken* cancel,
-                  Bitvector* rows_out, uint64_t* count_out);
+                  Bitvector* rows_out, uint64_t* count_out,
+                  const Bitvector* exclude);
+  // The merged read behind both overlay entry points: the masked base
+  // answer (in original RIDs), then MergeDeltaOverlay. With a null
+  // rows_out on an unreordered base it asks EvalCore for the count only.
+  Status EvalMerged(const std::vector<ExprPtr>& exprs, const DeltaView& delta,
+                    const ValueSet& pred, const CancelToken* cancel,
+                    Bitvector* rows_out, uint64_t* count_out);
 
   const BitmapIndex* index_;
   ExecutorOptions options_;

@@ -701,45 +701,38 @@ QueryResult QueryService::Execute(QueryExecutor* executor, const Task& task,
     }
   }
   const ClockInterface::TimePoint t1 = clock_->Now();
-  // Writable mode with pending updates: evaluate against the base, then
-  // merge the pinned overlay so the answer matches a from-scratch rebuild
-  // of the updated column. A trivial (empty) overlay keeps the read-only
-  // fast paths — including count-only's no-materialization path —
-  // bit-for-bit.
+  // Writable mode with pending updates: the pinned overlay is merged into
+  // the base answer so it matches a from-scratch rebuild of the updated
+  // column. The merge predicate is the query's own, negation included. A
+  // trivial (empty) overlay keeps the read-only paths bit for bit.
   const bool merged = snap != nullptr && !snap->delta->trivial();
+  DeltaView view;
+  ValueSet pred;
+  if (merged) {
+    view = snap->delta->View();
+    const IntervalQuery& q = task.query.interval;
+    pred = task.query.kind == ServiceQuery::Kind::kInterval
+               ? ValueSet::Interval(q.lo, q.hi, q.negated)
+               : ValueSet::Members(task.query.values);
+  }
   Status eval_status;
   {
     TraceScope eval_span(trace, "eval");
-    if (merged) {
-      const ValueSet pred =
-          task.query.kind == ServiceQuery::Kind::kInterval
-              ? ValueSet::Interval(task.query.interval.lo,
-                                   task.query.interval.hi)
-              : ValueSet::Members(task.query.values);
-      const DeltaView view = snap->delta->View();
-      Result<Bitvector> rows =
-          executor->TryEvaluateRewrittenMerged(exprs, view, pred, cancel);
-      if (rows.ok()) {
-        if (task.query.count_only) {
-          result.count = rows.value().Count();
-        } else {
-          result.rows = std::move(rows).value();
-          result.count = result.rows.Count();
-        }
-      }
-      eval_status = rows.status();
-    } else if (task.query.count_only) {
-      // COUNT selection: the evaluator counts in place; no result bitmap is
-      // materialized for the client.
-      Result<uint64_t> count =
-          executor->TryEvaluateCountRewritten(exprs, cancel);
+    if (task.query.count_only) {
+      // COUNT selection: the evaluator counts in place (merged reads too);
+      // no result bitmap is materialized for the client.
+      Result<uint64_t> count = executor->TryEvaluateCountRewritten(
+          exprs, cancel, merged ? &view : nullptr, merged ? &pred : nullptr);
       if (count.ok()) result.count = count.value();
       eval_status = count.status();
     } else {
       // The count comes from the evaluation pass itself; the result is not
       // read a second time to count it.
       Result<Bitvector> rows =
-          executor->TryEvaluateRewritten(exprs, cancel, &result.count);
+          merged ? executor->TryEvaluateRewrittenMerged(exprs, view, pred,
+                                                        cancel, &result.count)
+                 : executor->TryEvaluateRewritten(exprs, cancel,
+                                                  &result.count);
       if (rows.ok()) result.rows = std::move(rows).value();
       eval_status = rows.status();
     }

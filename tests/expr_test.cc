@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "expr/bitmap_expr.h"
+#include "expr/delta_eval.h"
 #include "expr/evaluate.h"
 #include "util/rng.h"
 
@@ -132,6 +137,44 @@ TEST_F(EvalTest, FetchesEachDistinctLeafOnce) {
                      ExprAnd(ExprLeaf(1, 0), ExprNot(ExprLeaf(1, 1))));
   Eval(e);
   EXPECT_EQ(fetches_, 2);
+}
+
+// ValueSet answers exactly its definition: dense member sets (one mask,
+// word boundaries straddled), wide sparse sets (sorted fallback), the empty
+// set, and intervals with and without negation.
+TEST(ValueSetTest, ContainsMatchesDefinition) {
+  const std::vector<std::vector<uint32_t>> sets = {
+      {5},
+      {63, 64},
+      {0, 2, 63, 64, 65, 127, 128, 200},
+      {1000, 1063, 1064, 1127},
+      {0, 70000},                          // wider than the mask allows
+      {7, 3000000000u, UINT32_MAX, 7},     // duplicates, domain top
+      {}};
+  std::vector<uint32_t> probes = {0, 1, UINT32_MAX, UINT32_MAX - 1};
+  for (uint32_t v = 0; v < 1200; ++v) probes.push_back(v);
+  for (const std::vector<uint32_t>& members : sets) {
+    for (uint32_t m : members) {
+      probes.push_back(m);
+      if (m > 0) probes.push_back(m - 1);
+      if (m < UINT32_MAX) probes.push_back(m + 1);
+    }
+  }
+  for (const std::vector<uint32_t>& members : sets) {
+    const ValueSet set = ValueSet::Members(members);
+    for (uint32_t v : probes) {
+      const bool expected =
+          std::find(members.begin(), members.end(), v) != members.end();
+      ASSERT_EQ(set.Contains(v), expected) << "v=" << v;
+    }
+  }
+  for (bool negated : {false, true}) {
+    const ValueSet interval = ValueSet::Interval(64, 127, negated);
+    for (uint32_t v : probes) {
+      ASSERT_EQ(interval.Contains(v), (64 <= v && v <= 127) != negated)
+          << "v=" << v;
+    }
+  }
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 #include <filesystem>
 
 #include "core/writable_index.h"
+#include "merged_oracle.h"
 #include "query/executor.h"
+#include "server/query_service.h"
 #include "util/rng.h"
 #include "workload/column_gen.h"
 #include "workload/scan_baseline.h"
@@ -131,39 +133,16 @@ TEST(IndexUpdateTest, EmptyAppendIsNoop) {
 // --- Writable-index delta semantics (DESIGN.md section 15) --------------
 // Every scenario is checked the same way: merged query results (and, after
 // compaction, the stored bitmaps themselves) must be bit-identical to an
-// index rebuilt from scratch over the updated logical column.
+// index rebuilt from scratch over the updated logical column. The merged
+// reads sweep every interval, plain and negated, and gapped membership
+// sets, each as a bitmap, its count and a count-only answer
+// (ExpectMergedReadsMatchLogical, tests/merged_oracle.h).
 
 std::string FreshDeltaDir(const std::string& name) {
   const std::string path = ::testing::TempDir() + "/" + name;
   std::filesystem::remove_all(path);
   std::filesystem::create_directories(path);
   return path;
-}
-
-// Evaluates every interval query through the base index + delta merge and
-// compares against the naive scan of the current logical column, with
-// tombstoned rows masked out.
-void ExpectAllQueriesMatchRebuild(const WritableBitmapIndex& index,
-                                  const std::string& context) {
-  const IndexSnapshot snap = index.Snapshot();
-  Column logical;
-  logical.cardinality = index.cardinality();
-  logical.values = index.LogicalValues();
-  const Bitvector live = index.LiveMask();
-  QueryExecutor exec(snap.base.get(), {});
-  for (uint32_t lo = 0; lo < logical.cardinality; ++lo) {
-    for (uint32_t hi = lo; hi < logical.cardinality; ++hi) {
-      std::vector<ExprPtr> exprs;
-      exprs.push_back(exec.Rewrite({lo, hi}));
-      Result<Bitvector> got = exec.TryEvaluateRewrittenMerged(
-          exprs, snap.delta->View(), ValueSet::Interval(lo, hi));
-      ASSERT_TRUE(got.ok()) << context;
-      Bitvector expected = NaiveEvaluateInterval(logical, {lo, hi});
-      expected.AndWith(live);
-      ASSERT_EQ(got.value(), expected)
-          << context << " [" << lo << "," << hi << "]";
-    }
-  }
 }
 
 void ExpectStoreMatchesRebuild(const WritableBitmapIndex& index,
@@ -200,7 +179,7 @@ TEST(WritableDeltaTest, DeleteThenReinsertSameRidMatchesRebuild) {
   del.deletes = {5, 6};
   ASSERT_TRUE(index.value()->ApplyBatch(del).ok());
   EXPECT_FALSE(index.value()->LiveMask().Get(5));
-  ExpectAllQueriesMatchRebuild(*index.value(), "after delete");
+  ExpectMergedReadsMatchLogical(*index.value(), "after delete");
 
   // Reinsert rid 5 with a different value; rid 6 stays dead.
   UpdateBatch revive;
@@ -209,10 +188,10 @@ TEST(WritableDeltaTest, DeleteThenReinsertSameRidMatchesRebuild) {
   EXPECT_TRUE(index.value()->LiveMask().Get(5));
   EXPECT_FALSE(index.value()->LiveMask().Get(6));
   EXPECT_EQ(index.value()->LogicalValues()[5], (column.values[5] + 3) % kC);
-  ExpectAllQueriesMatchRebuild(*index.value(), "after reinsert");
+  ExpectMergedReadsMatchLogical(*index.value(), "after reinsert");
 
   ASSERT_TRUE(index.value()->Compact(nullptr).ok());
-  ExpectAllQueriesMatchRebuild(*index.value(), "after compact");
+  ExpectMergedReadsMatchLogical(*index.value(), "after compact");
   ExpectStoreMatchesRebuild(*index.value(), config.encoding, config);
 }
 
@@ -229,7 +208,7 @@ TEST(WritableDeltaTest, UpdateToSameValueIsANoop) {
   UpdateBatch batch;
   batch.updates = {{10, 0, column.values[10]}, {20, 0, column.values[20]}};
   ASSERT_TRUE(index.value()->ApplyBatch(batch).ok());
-  ExpectAllQueriesMatchRebuild(*index.value(), "after same-value update");
+  ExpectMergedReadsMatchLogical(*index.value(), "after same-value update");
   EXPECT_EQ(index.value()->LogicalValues(), column.values);
 
   // Folding the no-op overlay reproduces the original index exactly.
@@ -269,17 +248,101 @@ TEST(WritableDeltaTest, InterleavedBatchesStayBitIdenticalToRebuild) {
     batch.deletes = {rng.UniformInt(0, rows - 1)};
     ASSERT_TRUE(index.value()->ApplyBatch(batch).ok());
     rows += n_ins;
-    ExpectAllQueriesMatchRebuild(*index.value(),
-                                 "round " + std::to_string(round));
+    ExpectMergedReadsMatchLogical(*index.value(),
+                                  "round " + std::to_string(round));
     if (round == 2) {
       // Compact mid-stream: later batches overlay the folded base.
       ASSERT_TRUE(index.value()->Compact(nullptr).ok());
-      ExpectAllQueriesMatchRebuild(*index.value(), "mid-stream compact");
+      ExpectMergedReadsMatchLogical(*index.value(), "mid-stream compact");
     }
   }
   ASSERT_TRUE(index.value()->Compact(nullptr).ok());
-  ExpectAllQueriesMatchRebuild(*index.value(), "final compact");
+  ExpectMergedReadsMatchLogical(*index.value(), "final compact");
   ExpectStoreMatchesRebuild(*index.value(), config.encoding, config);
+}
+
+TEST(WritableDeltaTest, WideDomainOverlayMatchesRebuild) {
+  // Cardinality past 128: membership sets straddle two word boundaries of
+  // ValueSet's member mask, and the overlay keeps carried tombstones,
+  // overrides of them, of live rows and of rows deleted after their
+  // update, and appended rows in both states.
+  constexpr uint32_t kC = 150;
+  Column column = GenerateZipfColumn(
+      {.rows = 400, .cardinality = kC, .zipf_z = 0.3, .seed = 59});
+  IndexConfig config;
+  config.encoding = EncodingKind::kInterval;
+  config.bases_msb_first = {10, 15};
+  auto index = WritableBitmapIndex::Create(FreshDeltaDir("wide_domain"),
+                                           column, config);
+  ASSERT_TRUE(index.ok());
+
+  UpdateBatch first;
+  first.inserts = {149, 63, 64};
+  first.updates = {{7, 0, 128}, {8, 0, 0}};
+  first.deletes = {8, 9, 10, 401};  // 8: overridden, then deleted
+  ASSERT_TRUE(index.value()->ApplyBatch(first).ok());
+  ExpectMergedReadsMatchLogical(*index.value(), "first batch");
+
+  ASSERT_TRUE(index.value()->Compact(nullptr).ok());
+  UpdateBatch second;
+  second.inserts = {127, 65};
+  second.updates = {{9, 0, 64}, {11, 0, 149}, {400, 0, 1}};
+  second.deletes = {11, 12, 404};
+  ASSERT_TRUE(index.value()->ApplyBatch(second).ok());
+  ExpectMergedReadsMatchLogical(*index.value(), "over carried tombstones");
+}
+
+// A negated interval served over a writable overlay: the overlay rows must
+// be judged by the complement the base rewrite evaluated, in bitmap and
+// count-only mode, before and after a compaction.
+TEST(WritableDeltaTest, ServedNegatedIntervalMatchesComplement) {
+  constexpr uint32_t kC = 10;
+  Column column = GenerateZipfColumn(
+      {.rows = 1000, .cardinality = kC, .zipf_z = 0.5, .seed = 61});
+  IndexConfig config;
+  config.encoding = EncodingKind::kInterval;
+  auto index = WritableBitmapIndex::Create(FreshDeltaDir("served_negated"),
+                                           column, config);
+  ASSERT_TRUE(index.ok());
+  WritableBitmapIndex& writable = *index.value();
+  UpdateBatch batch;
+  batch.inserts = {3, 8};
+  batch.updates = {{0, 0, 4}, {1, 0, 9}};
+  batch.deletes = {2};
+  ASSERT_TRUE(writable.ApplyBatch(batch).ok());
+
+  ServiceOptions options;
+  options.num_workers = 1;
+  QueryService service(&writable, options);
+  auto expect_complement = [&](const std::string& context) {
+    Column logical;
+    logical.cardinality = kC;
+    logical.values = writable.LogicalValues();
+    for (const IntervalQuery q :
+         {IntervalQuery{2, 5, true}, IntervalQuery{0, 3, true},
+          IntervalQuery{4, 9, true}}) {
+      Bitvector expected = NaiveEvaluateInterval(logical, q);
+      expected.AndWith(writable.LiveMask());
+      const std::string name = context + " not[" + std::to_string(q.lo) +
+                               "," + std::to_string(q.hi) + "]";
+      QueryResult rows = service.Submit(ServiceQuery::Interval(q)).get();
+      ASSERT_TRUE(rows.status.ok()) << name;
+      EXPECT_EQ(rows.rows, expected) << name;
+      EXPECT_EQ(rows.count, expected.Count()) << name;
+      QueryResult count =
+          service.Submit(ServiceQuery::Interval(q).CountOnly()).get();
+      ASSERT_TRUE(count.status.ok()) << name;
+      EXPECT_EQ(count.count, expected.Count()) << name;
+    }
+  };
+  expect_complement("overlay");
+  ASSERT_TRUE(service.CompactNow().ok());
+  UpdateBatch after;
+  after.inserts = {5};
+  after.updates = {{3, 0, 2}};
+  ASSERT_TRUE(writable.ApplyBatch(after).ok());
+  expect_complement("after compact");
+  service.Shutdown();
 }
 
 TEST(WritableDeltaTest, EmptyBatchIsAcceptedAndChangesNothing) {

@@ -21,6 +21,7 @@
 #include "core/writable_index.h"
 #include "index/reorder.h"
 #include "index/rid_index.h"
+#include "merged_oracle.h"
 #include "query/executor.h"
 #include "server/query_service.h"
 #include "workload/column_gen.h"
@@ -411,28 +412,11 @@ TEST(ReorderPersistenceTest, CorruptedRowOrderFailsTheLoad) {
 
 // Merged query results over {reordered base + overlay} must equal the
 // naive scan of the current logical column with tombstones masked out —
-// the same oracle the unreordered delta tests use.
+// the oracle the unreordered delta tests use (tests/merged_oracle.h), over
+// every other interval start and every third end.
 void ExpectMergedQueriesMatchLogical(const WritableBitmapIndex& index,
                                      const std::string& context) {
-  const IndexSnapshot snap = index.Snapshot();
-  Column logical;
-  logical.cardinality = index.cardinality();
-  logical.values = index.LogicalValues();
-  const Bitvector live = index.LiveMask();
-  QueryExecutor exec(snap.base.get(), {});
-  for (uint32_t lo = 0; lo < logical.cardinality; lo += 2) {
-    for (uint32_t hi = lo; hi < logical.cardinality; hi += 3) {
-      std::vector<ExprPtr> exprs;
-      exprs.push_back(exec.Rewrite({lo, hi}));
-      Result<Bitvector> got = exec.TryEvaluateRewrittenMerged(
-          exprs, snap.delta->View(), ValueSet::Interval(lo, hi));
-      ASSERT_TRUE(got.ok()) << context;
-      Bitvector expected = NaiveEvaluateInterval(logical, {lo, hi});
-      expected.AndWith(live);
-      ASSERT_EQ(got.value(), expected)
-          << context << " [" << lo << "," << hi << "]";
-    }
-  }
+  ExpectMergedReadsMatchLogical(index, context, /*lo_step=*/2, /*hi_step=*/3);
 }
 
 TEST(ReorderWritableTest, DeltaOverlayStaysInOriginalRidSpace) {

@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/bitmap_index_facade.h"
+#include "core/writable_index.h"
 #include "expr/evaluate.h"
 #include "query/executor.h"
 #include "server/query_service.h"
@@ -397,6 +399,81 @@ TEST(CountOnlyServiceTest, CountMatchesMaterializedRows) {
   EXPECT_EQ(count_only.rows.size(), 0u);
   EXPECT_EQ(full.rows, NaiveEvaluateMembership(col, values));
   service.Shutdown();
+}
+
+// Count-only over a writable index whose every read is merged: tombstones
+// carried by a compaction, then a fresh overlay of appends (crossing a word
+// boundary past the base rows), overrides (one deleted after its update),
+// a deleted append and a revived row. Plain leaves take the blocked union
+// with the mask in its pass; Roaring leaves take the node-at-a-time path
+// and mask after it.
+TEST(CountOnlyServiceTest, WritableCountsOverCarriedTombstones) {
+  constexpr uint32_t kC = 30;
+  // Three union blocks, the last base word holding 62 rows.
+  const uint64_t rows = 40958;
+  Column col = GenerateZipfColumn(
+      {.rows = rows, .cardinality = kC, .zipf_z = 1.0, .seed = 23});
+  for (StorageCodec codec : {StorageCodec::kVerbatim, StorageCodec::kRoaring}) {
+    const std::string name = StorageCodecName(codec);
+    SCOPED_TRACE(name);
+    const std::string dir =
+        ::testing::TempDir() + "/count_only_writable_" + name;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    IndexConfig config;
+    config.encoding = EncodingKind::kRange;
+    config.bases_msb_first = {5, 6};
+    config.codec = codec;
+    auto index = WritableBitmapIndex::Create(dir, col, config);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    WritableBitmapIndex& writable = *index.value();
+
+    UpdateBatch deletes;
+    deletes.deletes = {0, 3, 17, 16384, rows - 1};
+    ASSERT_TRUE(writable.ApplyBatch(deletes).ok());
+    ASSERT_TRUE(writable.Compact(nullptr).ok());
+    UpdateBatch overlay;
+    overlay.inserts = {4, 29, 0, 12, 7};
+    overlay.updates = {{10, 0, 7},      // live override
+                       {17, 0, 12},     // revives a carried tombstone
+                       {16385, 0, 29},  // override in the second block
+                       {rows, 0, 1}};   // re-decides an append
+    overlay.deletes = {rows + 2, 20,    // an append and a live base row
+                       16385};          // an override
+    ASSERT_TRUE(writable.ApplyBatch(overlay).ok());
+
+    ServiceOptions options;
+    options.num_workers = 1;
+    QueryService service(&writable, options);
+    Column logical;
+    logical.cardinality = kC;
+    logical.values = writable.LogicalValues();
+    const Bitvector live = writable.LiveMask();
+    const std::vector<ServiceQuery> queries = {
+        ServiceQuery::Membership({0, 1, 7, 12, 29}),
+        ServiceQuery::Membership({4}),
+        ServiceQuery::Interval(IntervalQuery{3, 20, false}),
+        ServiceQuery::Interval(IntervalQuery{3, 20, true}),
+        ServiceQuery::Interval(IntervalQuery{0, kC - 1, false})};
+    for (const ServiceQuery& q : queries) {
+      Bitvector expected =
+          q.kind == ServiceQuery::Kind::kInterval
+              ? NaiveEvaluateInterval(logical, q.interval)
+              : NaiveEvaluateMembership(logical, q.values);
+      expected.AndWith(live);
+      QueryResult full = service.Submit(q).get();
+      ServiceQuery count_query = q;
+      QueryResult count_only = service.Submit(count_query.CountOnly()).get();
+      ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+      ASSERT_TRUE(count_only.status.ok()) << count_only.status.ToString();
+      EXPECT_EQ(full.rows, expected);
+      EXPECT_EQ(full.count, full.rows.Count());
+      EXPECT_EQ(count_only.count, expected.Count());
+      EXPECT_EQ(count_only.count, full.count);
+      EXPECT_EQ(count_only.rows.size(), 0u);
+    }
+    service.Shutdown();
+  }
 }
 
 }  // namespace
