@@ -4,7 +4,8 @@
 // the kernel tier (scalar / avx2 / avx512) and report bytes_per_cycle over
 // the leaf bitmap bytes each query touches, making the SIMD step visible
 // at the query level, not just in the raw kernels. BM_CachedMergedMembership
-// times a writable index's merged read over a standing overlay.
+// times a writable index's merged read over a standing overlay, and
+// BM_CachedMembershipRoaring the warmed path over Roaring-stored leaves.
 
 #include <benchmark/benchmark.h>
 
@@ -30,6 +31,8 @@ namespace {
 struct Fixture {
   Column col;
   std::vector<std::unique_ptr<BitmapIndex>> indexes;  // by EncodingKind
+  // The same column and encodings, every bitmap stored as Roaring.
+  std::vector<std::unique_ptr<BitmapIndex>> roaring_indexes;
 
   static Fixture& Get() {
     static Fixture* f = [] {
@@ -40,6 +43,9 @@ struct Fixture {
         fx->indexes.push_back(std::make_unique<BitmapIndex>(
             BitmapIndex::Build(fx->col, Decomposition::SingleComponent(50),
                                AllEncodingKinds()[i], false)));
+        fx->roaring_indexes.push_back(std::make_unique<BitmapIndex>(
+            BitmapIndex::Build(fx->col, Decomposition::SingleComponent(50),
+                               AllEncodingKinds()[i], StorageCodec::kRoaring)));
       }
       return fx;
     }();
@@ -146,6 +152,43 @@ void BM_CachedMembershipCount(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CachedMembershipCount)->DenseRange(0, 6);
+
+// BM_CachedMembership and BM_CachedMembershipCount over Roaring-stored
+// leaves: the shared cache keeps them in container form, and the union
+// program reads each container one block at a time. range(1) = 1 counts
+// only; range(2) = 1 asks for the single value 6 instead of the six-value
+// set (one stored leaf under equality encoding, two under the others).
+void BM_CachedMembershipRoaring(benchmark::State& state) {
+  Fixture& fx = Fixture::Get();
+  BitmapIndex& index = *fx.roaring_indexes[state.range(0)];
+  ShardedBitmapCache cache(&index.store(), 64ull << 20, 8);
+  ExecutorOptions opts;
+  opts.cold_pool_per_query = false;
+  QueryExecutor exec(&index, opts, &cache);
+  const bool count_only = state.range(1) != 0;
+  const bool single = state.range(2) != 0;
+  const std::vector<uint32_t> values =
+      single ? std::vector<uint32_t>{6}
+             : std::vector<uint32_t>{6, 19, 20, 21, 22, 35};
+  auto exprs = exec.RewriteMembership(values);
+  exec.TryEvaluateRewritten(exprs).value();  // warm the cache
+  CopyCounter copies(state);
+  for (auto _ : state) {
+    if (count_only) {
+      benchmark::DoNotOptimize(exec.TryEvaluateCountRewritten(exprs).value());
+    } else {
+      Bitvector r = exec.TryEvaluateRewritten(exprs).value();
+      benchmark::DoNotOptimize(r);
+    }
+  }
+  std::string label = EncodingKindName(AllEncodingKinds()[state.range(0)]);
+  label += single ? "/{6}" : "/{6,19-22,35}";
+  label += count_only ? "/count" : "/bitmap";
+  state.SetLabel(label);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CachedMembershipRoaring)
+    ->ArgsProduct({benchmark::CreateDenseRange(0, 6, 1), {0, 1}, {0, 1}});
 
 // A merged read over a writable index's overlay, shaped like the served
 // mixed read/write workload between two compactions: 2,500 tombstones

@@ -1,6 +1,5 @@
-// Per-tier kernel throughput: every word kernel (and the Roaring array
-// intersection) measured under each tier this CPU can run — scalar, AVX2,
-// AVX-512 — at the paper-scale 6M-row bitmap size, reported as GB/s and
+// Per-tier kernel throughput: every word kernel measured under each tier
+// this CPU can run — scalar, AVX2, AVX-512 — at the paper-scale 6M-row bitmap size, reported as GB/s and
 // bytes/cycle. This is the step-function evidence for the vectorized tier
 // and the source of the BENCH_simd.json CI artifact: the smoke gate fails
 // if any vector tier loses to scalar on any kernel at this size.
@@ -62,7 +61,6 @@ struct KernelPoint {
 
 struct Buffers {
   std::vector<uint64_t> dst, a, b, c, d;
-  std::vector<uint16_t> small_set, large_set, out_set;
 
   explicit Buffers(size_t n) {
     Rng rng(7);
@@ -75,17 +73,6 @@ struct Buffers {
     fill(&b);
     fill(&c);
     fill(&d);
-    // Lopsided sorted sets inside one Roaring chunk: a 1.5k-probe small
-    // side against a 60k large side (the gallop/window shape).
-    for (uint32_t v = 0; v < 65536; ++v) {
-      if (rng.Bernoulli(60000.0 / 65536.0)) {
-        large_set.push_back(static_cast<uint16_t>(v));
-      }
-    }
-    for (size_t i = 0; i < large_set.size(); i += 40) {
-      small_set.push_back(large_set[i]);
-    }
-    out_set.resize(small_set.size());
   }
 };
 
@@ -166,16 +153,6 @@ void Run(const bench::BenchArgs& args) {
                 [&] { sink += ops.and_count(a, b, n); }));
     add(Measure("and_with_count", t, 3 * wb, reps,
                 [&] { sink += ops.and_with_count(dst, a, n); }));
-    // Array-container intersection: the lopsided in-chunk shape, repeated
-    // to cover comparable traffic.
-    const uint64_t set_bytes =
-        (buf.small_set.size() + buf.large_set.size()) * sizeof(uint16_t);
-    const int set_reps = reps * 4;
-    add(Measure("intersect_u16", t, set_bytes, set_reps, [&] {
-      sink += ops.intersect_u16(buf.small_set.data(), buf.small_set.size(),
-                                buf.large_set.data(), buf.large_set.size(),
-                                buf.out_set.data());
-    }));
   }
 
   // Speedups vs the scalar row of the same kernel.

@@ -67,13 +67,6 @@ uint64_t Bitvector::Count() const {
   return kernels::Active().count(words_.data(), words_.size());
 }
 
-bool Bitvector::AllZero() const {
-  for (uint64_t w : words_) {
-    if (w != 0) return false;
-  }
-  return true;
-}
-
 void Bitvector::AndWith(const Bitvector& other) {
   BIX_CHECK(size_ == other.size_);
   kernels::Active().and_words(words_.data(), other.words_.data(),
@@ -109,23 +102,6 @@ uint64_t Bitvector::AndWithCount(const Bitvector& other) {
 void Bitvector::NotSelf() {
   kernels::Active().not_words(words_.data(), words_.data(), words_.size());
   ClearTrailingBits();
-}
-
-void Bitvector::NotInto(const Bitvector& src, Bitvector* out) {
-  BIX_CHECK(out != nullptr);
-  // Writing the complement into a (possibly fresh) destination rather than
-  // copy-then-NotSelf: the evaluator uses this to negate a borrowed cache
-  // handle without a payload copy. out == &src degrades to NotSelf.
-  out->Resize(src.size_);
-  kernels::Active().not_words(out->words_.data(), src.words_.data(),
-                              src.words_.size());
-  out->ClearTrailingBits();
-}
-
-uint64_t Bitvector::AndCount(const Bitvector& a, const Bitvector& b) {
-  BIX_CHECK(a.size_ == b.size_);
-  return kernels::Active().and_count(a.words_.data(), b.words_.data(),
-                                     a.words_.size());
 }
 
 namespace {

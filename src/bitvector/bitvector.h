@@ -93,9 +93,6 @@ class Bitvector {
 
   // Number of set bits.
   uint64_t Count() const;
-  // True when no bit is set (early-outs on the first nonzero word; the
-  // evaluator uses it to short-circuit AND chains).
-  bool AllZero() const;
 
   // Grows or shrinks to `new_size` bits; new bits are zero, truncated bits
   // are discarded (trailing padding stays clear).
@@ -113,13 +110,6 @@ class Bitvector {
   uint64_t AndWithCount(const Bitvector& other);
   // In-place complement; trailing bits beyond size() stay zero.
   void NotSelf();
-  // *out = ~src without copying src first (out is resized to match and may
-  // alias src). This is how NOT over a borrowed cache handle stays
-  // zero-copy: the complement is written straight into fresh scratch.
-  static void NotInto(const Bitvector& src, Bitvector* out);
-  // popcount(a & b) without materializing the conjunction anywhere — the
-  // count-only path for two borrowed handles.
-  static uint64_t AndCount(const Bitvector& a, const Bitvector& b);
 
   // Fused k-ary kernels: *out = op(*operands[0], ..., *operands[k-1]) in a
   // single pass over the words — each word is read from all k operands and

@@ -100,53 +100,10 @@ uint64_t ScalarAndWithCount(uint64_t* dst, const uint64_t* src, size_t n) {
   return total;
 }
 
-// Sorted-set intersection; gallops (binary search per probe, cursor
-// advancing past each hit) when the sizes are lopsided, merges otherwise.
-size_t ScalarIntersectU16(const uint16_t* a, size_t na, const uint16_t* b,
-                          size_t nb, uint16_t* out) {
-  const uint16_t* small = na <= nb ? a : b;
-  const uint16_t* large = na <= nb ? b : a;
-  const size_t nsmall = std::min(na, nb);
-  const size_t nlarge = std::max(na, nb);
-  size_t count = 0;
-  if (nlarge / 32 > nsmall) {
-    const uint16_t* lo = large;
-    const uint16_t* const end = large + nlarge;
-    for (size_t i = 0; i < nsmall; ++i) {
-      const uint16_t v = small[i];
-      lo = std::lower_bound(lo, end, v);
-      if (lo == end) break;
-      if (*lo == v) {
-        out[count++] = v;
-        // Advance past the match: values are distinct, so the next probe
-        // can never land on it again, and leaving the cursor behind makes
-        // every later lower_bound re-scan the matched element.
-        ++lo;
-      }
-    }
-    return count;
-  }
-  size_t i = 0;
-  size_t j = 0;
-  while (i < nsmall && j < nlarge) {
-    if (small[i] < large[j]) {
-      ++i;
-    } else if (large[j] < small[i]) {
-      ++j;
-    } else {
-      out[count++] = small[i];
-      ++i;
-      ++j;
-    }
-  }
-  return count;
-}
-
 constexpr Ops kScalarOps = {
     ScalarAnd,      ScalarOr,      ScalarXor,     ScalarAndNot,
     ScalarNot,      ScalarAndMany, ScalarOrMany,  ScalarXorMany,
     ScalarCount,    ScalarAndCount, ScalarAndWithCount,
-    ScalarIntersectU16,
 };
 
 }  // namespace

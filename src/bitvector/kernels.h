@@ -9,7 +9,7 @@ namespace kernels {
 
 // The word-level kernel tier behind every hot bitmap loop (DESIGN.md
 // section 17). All kernels operate on raw 64-bit word arrays — the
-// Bitvector layer and the Roaring bitset containers both dispatch here —
+// Bitvector layer and the evaluator's union program both dispatch here —
 // and every tier is bit-identical to the scalar reference (enforced by the
 // differential oracle in tests/simd_kernels_test.cc).
 //
@@ -36,8 +36,6 @@ const char* TierName(Tier t);
 //  - Kernels never touch bits the caller didn't pass: a Bitvector caller
 //    re-establishes its trailing-bit invariant (only NOT-family kernels can
 //    set trailing bits; AND/OR/XOR of zero-padded tails stay zero-padded).
-//  - intersect_u16 intersects two sorted, duplicate-free uint16 arrays;
-//    `out` must not alias the inputs and must have room for min(na, nb).
 struct Ops {
   // dst[i] &= src[i]  (and |=, ^=, &= ~ respectively)
   void (*and_words)(uint64_t* dst, const uint64_t* src, size_t n);
@@ -60,11 +58,6 @@ struct Ops {
   uint64_t (*and_count)(const uint64_t* a, const uint64_t* b, size_t n);
   // dst &= src, returning popcount(dst) from the same pass
   uint64_t (*and_with_count)(uint64_t* dst, const uint64_t* src, size_t n);
-  // Sorted-set intersection for Roaring array containers: writes the
-  // common values to out, returns how many. Gallops when the sizes are
-  // lopsided (scalar) or scans SIMD-width windows (vector tiers).
-  size_t (*intersect_u16)(const uint16_t* a, size_t na, const uint16_t* b,
-                          size_t nb, uint16_t* out);
 };
 
 // The active tier's table. First call runs detection (cheap, cached);

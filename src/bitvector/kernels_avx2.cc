@@ -196,42 +196,10 @@ uint64_t Avx2AndWithCount(uint64_t* dst, const uint64_t* src, size_t n) {
   return total;
 }
 
-// Sorted-set intersection: walk the smaller array one value at a time,
-// sliding a 16-value window over the larger array (skip a whole window
-// while its max is below the probe, then one 16-wide compare answers
-// membership). O(ns + nl/16) — the vector analogue of galloping.
-size_t Avx2IntersectU16(const uint16_t* a, size_t na, const uint16_t* b,
-                        size_t nb, uint16_t* out) {
-  const uint16_t* small = na <= nb ? a : b;
-  const uint16_t* large = na <= nb ? b : a;
-  const size_t nsmall = na <= nb ? na : nb;
-  const uint16_t* w = large;
-  const uint16_t* const lend = large + (na <= nb ? nb : na);
-  size_t count = 0;
-  for (size_t i = 0; i < nsmall; ++i) {
-    const uint16_t v = small[i];
-    while (lend - w >= 16 && w[15] < v) w += 16;
-    if (lend - w >= 16) {
-      const __m256i window =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
-      const __m256i key = _mm256_set1_epi16(static_cast<short>(v));
-      if (_mm256_movemask_epi8(_mm256_cmpeq_epi16(window, key)) != 0) {
-        out[count++] = v;
-      }
-    } else {
-      while (w != lend && *w < v) ++w;
-      if (w == lend) break;
-      if (*w == v) out[count++] = v;
-    }
-  }
-  return count;
-}
-
 constexpr Ops kAvx2Ops = {
     Avx2And,    Avx2Or,      Avx2Xor,     Avx2AndNot,
     Avx2Not,    Avx2AndMany, Avx2OrMany,  Avx2XorMany,
     Avx2Count,  Avx2AndCount, Avx2AndWithCount,
-    Avx2IntersectU16,
 };
 
 }  // namespace

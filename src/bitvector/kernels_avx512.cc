@@ -181,37 +181,10 @@ uint64_t Avx512AndWithCount(uint64_t* dst, const uint64_t* src, size_t n) {
   return static_cast<uint64_t>(_mm512_reduce_add_epi64(acc));
 }
 
-// Sorted-set intersection with a 32-value window over the larger array
-// (see the AVX2 variant for the algorithm; BW gives a 32-wide u16 compare).
-size_t Avx512IntersectU16(const uint16_t* a, size_t na, const uint16_t* b,
-                          size_t nb, uint16_t* out) {
-  const uint16_t* small = na <= nb ? a : b;
-  const uint16_t* large = na <= nb ? b : a;
-  const size_t nsmall = na <= nb ? na : nb;
-  const uint16_t* w = large;
-  const uint16_t* const lend = large + (na <= nb ? nb : na);
-  size_t count = 0;
-  for (size_t i = 0; i < nsmall; ++i) {
-    const uint16_t v = small[i];
-    while (lend - w >= 32 && w[31] < v) w += 32;
-    if (lend - w >= 32) {
-      const __m512i window = _mm512_loadu_si512(w);
-      const __m512i key = _mm512_set1_epi16(static_cast<short>(v));
-      if (_mm512_cmpeq_epi16_mask(window, key) != 0) out[count++] = v;
-    } else {
-      while (w != lend && *w < v) ++w;
-      if (w == lend) break;
-      if (*w == v) out[count++] = v;
-    }
-  }
-  return count;
-}
-
 constexpr Ops kAvx512Ops = {
     Avx512And,    Avx512Or,      Avx512Xor,     Avx512AndNot,
     Avx512Not,    Avx512AndMany, Avx512OrMany,  Avx512XorMany,
     Avx512Count,  Avx512AndCount, Avx512AndWithCount,
-    Avx512IntersectU16,
 };
 
 }  // namespace

@@ -146,8 +146,8 @@ class RoaringCodec final : public CodecInterface {
     return rb.value().ToBitvector();
   }
 
-  // The operate-on-compressed payoff: residency keeps container form, so
-  // no full decode happens on the fetch path.
+  // Residency keeps container form, which the evaluator reads block by
+  // block, so no full decode happens on the fetch path.
   Result<DecodedBitmap> DecodeResident(const std::vector<uint8_t>& bytes,
                                        uint64_t bit_count) const override {
     Result<RoaringBitmap> rb = RoaringBitmap::Deserialize(bytes, bit_count);

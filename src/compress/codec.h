@@ -29,10 +29,10 @@ Result<CodecId> CodecFromByte(uint8_t raw);
 
 // A decoded-for-evaluation bitmap handle: either a plain Bitvector or a
 // Roaring bitmap still in container form. The cache hands these out so
-// Roaring blobs stay compressed end-to-end — the evaluator consumes
-// containers directly and only MaterializePlain() (a counted full decode)
-// expands one. Cheap to copy: two shared_ptrs, exactly one non-null when
-// valid.
+// Roaring blobs stay compressed end-to-end — the evaluator reads the
+// containers block by block and only MaterializePlain() (a counted full
+// decode) expands one. Cheap to copy: two shared_ptrs, exactly one
+// non-null when valid.
 class DecodedBitmap {
  public:
   DecodedBitmap() = default;
@@ -64,8 +64,11 @@ class DecodedBitmap {
   uint64_t Count() const {
     return is_roaring() ? roaring_->Count() : plain_->Count();
   }
-  bool AllZero() const {
-    return is_roaring() ? roaring_->Empty() : plain_->AllZero();
+  // Bytes this handle keeps resident: the plain words, or the containers
+  // in their serialized size.
+  uint64_t resident_bytes() const {
+    return is_roaring() ? roaring_->byte_size()
+                        : plain_->words().size() * sizeof(uint64_t);
   }
 
   // A plain-bitmap handle: free for plain handles (aliases this one), a

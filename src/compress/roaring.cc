@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstring>
 
-#include "bitvector/kernels.h"
 #include "util/byte_io.h"
 #include "util/check.h"
 #include "util/math.h"
@@ -138,319 +137,9 @@ void ChunkStats(const uint64_t* w, uint32_t nwords, uint32_t* card,
   }
 }
 
-// ORs a container's bits into a zero-initialized (or accumulated) chunk
-// word buffer. Doubles as "expand container into words".
-void OrIntoWords(const Container& c, uint64_t* w) {
-  switch (c.type) {
-    case ContainerType::kArray:
-      for (uint16_t v : c.array) w[v >> 6] |= uint64_t{1} << (v & 63);
-      break;
-    case ContainerType::kBitset:
-      kernels::Active().or_words(w, c.words.data(), kChunkWords);
-      break;
-    case ContainerType::kRun:
-      for (const Run& r : c.runs) {
-        ForRunWords(r.start, static_cast<uint32_t>(r.start) + r.length,
-                    [&](uint32_t wi, uint64_t mask) { w[wi] |= mask; });
-      }
-      break;
-  }
-}
-
-void XorIntoWords(const Container& c, uint64_t* w) {
-  switch (c.type) {
-    case ContainerType::kArray:
-      for (uint16_t v : c.array) w[v >> 6] ^= uint64_t{1} << (v & 63);
-      break;
-    case ContainerType::kBitset:
-      kernels::Active().xor_words(w, c.words.data(), kChunkWords);
-      break;
-    case ContainerType::kRun:
-      for (const Run& r : c.runs) {
-        ForRunWords(r.start, static_cast<uint32_t>(r.start) + r.length,
-                    [&](uint32_t wi, uint64_t mask) { w[wi] ^= mask; });
-      }
-      break;
-  }
-}
-
-void ClearIntoWords(const Container& c, uint64_t* w) {
-  switch (c.type) {
-    case ContainerType::kArray:
-      for (uint16_t v : c.array) w[v >> 6] &= ~(uint64_t{1} << (v & 63));
-      break;
-    case ContainerType::kBitset:
-      kernels::Active().andnot_words(w, c.words.data(), kChunkWords);
-      break;
-    case ContainerType::kRun:
-      for (const Run& r : c.runs) {
-        ForRunWords(r.start, static_cast<uint32_t>(r.start) + r.length,
-                    [&](uint32_t wi, uint64_t mask) { w[wi] &= ~mask; });
-      }
-      break;
-  }
-}
-
-bool ContainerContains(const Container& c, uint16_t v) {
-  switch (c.type) {
-    case ContainerType::kArray:
-      return std::binary_search(c.array.begin(), c.array.end(), v);
-    case ContainerType::kBitset:
-      return (c.words[v >> 6] >> (v & 63)) & 1;
-    case ContainerType::kRun: {
-      // First run starting after v; the candidate is its predecessor.
-      auto it = std::upper_bound(
-          c.runs.begin(), c.runs.end(), v,
-          [](uint16_t x, const Run& r) { return x < r.start; });
-      if (it == c.runs.begin()) return false;
-      --it;
-      return v <= static_cast<uint32_t>(it->start) + it->length;
-    }
-  }
-  return false;
-}
-
-Container CanonicalizeFromWords(uint32_t key, const uint64_t* w) {
-  uint32_t card = 0;
-  uint32_t runs = 0;
-  ChunkStats(w, kChunkWords, &card, &runs);
-  Container c;
-  if (card == 0) {
-    c.key = key;
-    c.cardinality = 0;
-    return c;
-  }
-  return MakeContainerFromWords(key, w, kChunkWords, card, runs);
-}
-
-Container CanonicalizeRuns(uint32_t key, const std::vector<Run>& runs) {
-  uint32_t card = 0;
-  for (const Run& r : runs) card += static_cast<uint32_t>(r.length) + 1;
-  Container c;
-  c.key = key;
-  c.cardinality = card;
-  if (card == 0) return c;
-  c.type = ChooseType(card, static_cast<uint32_t>(runs.size()));
-  switch (c.type) {
-    case ContainerType::kRun:
-      c.runs = runs;
-      break;
-    case ContainerType::kArray:
-      c.array.reserve(card);
-      for (const Run& r : runs) {
-        for (uint32_t v = r.start; v <= static_cast<uint32_t>(r.start) + r.length;
-             ++v) {
-          c.array.push_back(static_cast<uint16_t>(v));
-        }
-      }
-      break;
-    case ContainerType::kBitset:
-      c.words.assign(kChunkWords, 0);
-      for (const Run& r : runs) {
-        ForRunWords(r.start, static_cast<uint32_t>(r.start) + r.length,
-                    [&](uint32_t wi, uint64_t mask) { c.words[wi] |= mask; });
-      }
-      break;
-  }
-  return c;
-}
-
-// Sorted-array intersection via the active kernel tier: the scalar tier
-// gallops (binary search per probe, cursor advanced past each hit) when the
-// sizes are lopsided and merges otherwise; the vector tiers scan
-// SIMD-width windows of the larger array. `out` must be empty.
-void IntersectArrays(const std::vector<uint16_t>& a,
-                     const std::vector<uint16_t>& b,
-                     std::vector<uint16_t>* out) {
-  out->resize(std::min(a.size(), b.size()));
-  const size_t n = kernels::Active().intersect_u16(
-      a.data(), a.size(), b.data(), b.size(), out->data());
-  out->resize(n);
-}
-
-// Interval intersection of two canonical run lists.
-void IntersectRuns(const std::vector<Run>& a, const std::vector<Run>& b,
-                   std::vector<Run>* out) {
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const uint32_t a_end = static_cast<uint32_t>(a[i].start) + a[i].length;
-    const uint32_t b_end = static_cast<uint32_t>(b[j].start) + b[j].length;
-    const uint32_t s = std::max<uint32_t>(a[i].start, b[j].start);
-    const uint32_t e = std::min(a_end, b_end);
-    if (s <= e) {
-      out->push_back(Run{static_cast<uint16_t>(s),
-                         static_cast<uint16_t>(e - s)});
-    }
-    if (a_end <= b_end) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-}
-
-// Interval union, merging overlapping/adjacent results back into canonical
-// (non-adjacent) form.
-void UnionRuns(const std::vector<Run>& a, const std::vector<Run>& b,
-               std::vector<Run>* out) {
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() || j < b.size()) {
-    Run next;
-    if (j >= b.size() || (i < a.size() && a[i].start <= b[j].start)) {
-      next = a[i++];
-    } else {
-      next = b[j++];
-    }
-    if (!out->empty()) {
-      Run& last = out->back();
-      const uint32_t last_end = static_cast<uint32_t>(last.start) + last.length;
-      if (next.start <= last_end + 1) {
-        const uint32_t next_end =
-            static_cast<uint32_t>(next.start) + next.length;
-        if (next_end > last_end) {
-          last.length = static_cast<uint16_t>(next_end - last.start);
-        }
-        continue;
-      }
-    }
-    out->push_back(next);
-  }
-}
-
-Container PairAnd(const Container& a, const Container& b) {
-  // Symmetric: normalize so a.type <= b.type (array < bitset < run).
-  if (a.type > b.type) return PairAnd(b, a);
-  Container c;
-  c.key = a.key;
-  if (a.type == ContainerType::kArray) {
-    c.type = ContainerType::kArray;
-    if (b.type == ContainerType::kArray) {
-      IntersectArrays(a.array, b.array, &c.array);
-    } else {
-      for (uint16_t v : a.array) {
-        if (ContainerContains(b, v)) c.array.push_back(v);
-      }
-    }
-    c.cardinality = static_cast<uint32_t>(c.array.size());
-    return c;
-  }
-  if (a.type == ContainerType::kBitset && b.type == ContainerType::kBitset) {
-    uint64_t w[kChunkWords];
-    std::memcpy(w, a.words.data(), sizeof(w));
-    kernels::Active().and_words(w, b.words.data(), kChunkWords);
-    return CanonicalizeFromWords(a.key, w);
-  }
-  if (a.type == ContainerType::kBitset) {  // bitset & run
-    uint64_t w[kChunkWords];
-    std::memset(w, 0, sizeof(w));
-    for (const Run& r : b.runs) {
-      ForRunWords(r.start, static_cast<uint32_t>(r.start) + r.length,
-                  [&](uint32_t wi, uint64_t mask) {
-                    w[wi] |= a.words[wi] & mask;
-                  });
-    }
-    return CanonicalizeFromWords(a.key, w);
-  }
-  // run & run: pure interval arithmetic.
-  std::vector<Run> runs;
-  IntersectRuns(a.runs, b.runs, &runs);
-  return CanonicalizeRuns(a.key, runs);
-}
-
-Container PairOr(const Container& a, const Container& b) {
-  if (a.type == ContainerType::kArray && b.type == ContainerType::kArray &&
-      a.cardinality + b.cardinality <= kArrayCutoff) {
-    Container c;
-    c.key = a.key;
-    c.type = ContainerType::kArray;
-    std::set_union(a.array.begin(), a.array.end(), b.array.begin(),
-                   b.array.end(), std::back_inserter(c.array));
-    c.cardinality = static_cast<uint32_t>(c.array.size());
-    return c;
-  }
-  if (a.type == ContainerType::kRun && b.type == ContainerType::kRun) {
-    std::vector<Run> runs;
-    UnionRuns(a.runs, b.runs, &runs);
-    return CanonicalizeRuns(a.key, runs);
-  }
-  uint64_t w[kChunkWords];
-  std::memset(w, 0, sizeof(w));
-  OrIntoWords(a, w);
-  OrIntoWords(b, w);
-  return CanonicalizeFromWords(a.key, w);
-}
-
-Container PairXor(const Container& a, const Container& b) {
-  if (a.type == ContainerType::kArray && b.type == ContainerType::kArray &&
-      a.cardinality + b.cardinality <= kArrayCutoff) {
-    Container c;
-    c.key = a.key;
-    c.type = ContainerType::kArray;
-    std::set_symmetric_difference(a.array.begin(), a.array.end(),
-                                  b.array.begin(), b.array.end(),
-                                  std::back_inserter(c.array));
-    c.cardinality = static_cast<uint32_t>(c.array.size());
-    return c;
-  }
-  uint64_t w[kChunkWords];
-  std::memset(w, 0, sizeof(w));
-  OrIntoWords(a, w);
-  XorIntoWords(b, w);
-  return CanonicalizeFromWords(a.key, w);
-}
-
-Container PairAndNot(const Container& a, const Container& b) {
-  if (a.type == ContainerType::kArray) {
-    Container c;
-    c.key = a.key;
-    c.type = ContainerType::kArray;
-    for (uint16_t v : a.array) {
-      if (!ContainerContains(b, v)) c.array.push_back(v);
-    }
-    c.cardinality = static_cast<uint32_t>(c.array.size());
-    return c;
-  }
-  uint64_t w[kChunkWords];
-  std::memset(w, 0, sizeof(w));
-  OrIntoWords(a, w);
-  ClearIntoWords(b, w);
-  return CanonicalizeFromWords(a.key, w);
-}
-
-uint64_t PairAndCardinality(const Container& a, const Container& b) {
-  if (a.type > b.type) return PairAndCardinality(b, a);
-  if (a.type == ContainerType::kArray) {
-    if (b.type == ContainerType::kArray) {
-      std::vector<uint16_t> out;
-      IntersectArrays(a.array, b.array, &out);
-      return out.size();
-    }
-    uint64_t n = 0;
-    for (uint16_t v : a.array) n += ContainerContains(b, v) ? 1 : 0;
-    return n;
-  }
-  if (a.type == ContainerType::kBitset && b.type == ContainerType::kBitset) {
-    return kernels::Active().and_count(a.words.data(), b.words.data(),
-                                       kChunkWords);
-  }
-  if (a.type == ContainerType::kBitset) {  // bitset & run
-    uint64_t n = 0;
-    for (const Run& r : b.runs) {
-      ForRunWords(r.start, static_cast<uint32_t>(r.start) + r.length,
-                  [&](uint32_t wi, uint64_t mask) {
-                    n += std::popcount(a.words[wi] & mask);
-                  });
-    }
-    return n;
-  }
-  std::vector<Run> runs;
-  IntersectRuns(a.runs, b.runs, &runs);
-  uint64_t n = 0;
-  for (const Run& r : runs) n += static_cast<uint64_t>(r.length) + 1;
-  return n;
-}
+// The plain form of an absent chunk, or of a block its container leaves
+// empty.
+constexpr uint64_t kZeroChunk[kChunkWords] = {};
 
 Status RoaringCorrupt(const char* what) {
   return Status::Corruption(std::string("roaring stream: ") + what);
@@ -479,14 +168,65 @@ RoaringBitmap RoaringBitmap::FromBitvector(const Bitvector& bv) {
 
 Bitvector RoaringBitmap::ToBitvector() const {
   RoaringStats::full_decodes_.fetch_add(1, std::memory_order_relaxed);
-  Bitvector out;
-  WriteInto(&out);
-  return out;
+  const uint64_t n = Bitvector::WordCount(bit_count_);
+  std::vector<uint64_t> words;
+  words.reserve(n);
+  std::vector<uint64_t> scratch(kChunkWords);
+  BlockReader reader(this);
+  for (uint64_t base = 0; base < n; base += kChunkWords) {
+    const uint32_t len =
+        static_cast<uint32_t>(std::min<uint64_t>(kChunkWords, n - base));
+    const uint64_t* block = reader.Read(base, len, scratch.data());
+    words.insert(words.end(), block, block + len);
+  }
+  return Bitvector::FromWords(bit_count_, std::move(words));
 }
 
-void RoaringBitmap::WriteInto(Bitvector* out) const {
-  *out = Bitvector(bit_count_);
-  OrInto(out);
+const uint64_t* RoaringBitmap::BlockReader::Read(uint64_t base, uint32_t len,
+                                                 uint64_t* scratch) {
+  const std::vector<Container>& containers = rb_->containers_;
+  const uint64_t chunk = base / kChunkWords;
+  while (container_ < containers.size() &&
+         containers[container_].key < chunk) {
+    ++container_;
+    pos_ = 0;
+  }
+  if (container_ == containers.size() || containers[container_].key != chunk) {
+    return kZeroChunk;
+  }
+  const Container& c = containers[container_];
+  const uint32_t first_word = static_cast<uint32_t>(base % kChunkWords);
+  BIX_CHECK_MSG(first_word + len <= kChunkWords, "block straddles a chunk");
+  if (c.type == ContainerType::kBitset) return c.words.data() + first_word;
+  // The block's bits within the chunk: [first, end).
+  const uint32_t first = first_word * 64;
+  const uint32_t end = first + len * 64;
+  if (c.type == ContainerType::kArray) {
+    const std::vector<uint16_t>& values = c.array;
+    while (pos_ < values.size() && values[pos_] < first) ++pos_;
+    if (pos_ == values.size() || values[pos_] >= end) return kZeroChunk;
+    std::memset(scratch, 0, static_cast<size_t>(len) * sizeof(uint64_t));
+    for (; pos_ < values.size() && values[pos_] < end; ++pos_) {
+      const uint32_t bit = values[pos_] - first;
+      scratch[bit >> 6] |= uint64_t{1} << (bit & 63);
+    }
+    return scratch;
+  }
+  const std::vector<Run>& runs = c.runs;
+  auto run_end = [&](size_t i) {
+    return static_cast<uint32_t>(runs[i].start) + runs[i].length;
+  };
+  while (pos_ < runs.size() && run_end(pos_) < first) ++pos_;
+  if (pos_ == runs.size() || runs[pos_].start >= end) return kZeroChunk;
+  std::memset(scratch, 0, static_cast<size_t>(len) * sizeof(uint64_t));
+  // A run crossing the block's end stays current for the next block.
+  for (size_t i = pos_; i < runs.size() && runs[i].start < end; ++i) {
+    const uint32_t lo = std::max<uint32_t>(runs[i].start, first) - first;
+    const uint32_t hi = std::min(run_end(i), end - 1) - first;
+    ForRunWords(lo, hi,
+                [&](uint32_t wi, uint64_t mask) { scratch[wi] |= mask; });
+  }
+  return scratch;
 }
 
 uint64_t RoaringBitmap::Count() const {
@@ -512,257 +252,6 @@ uint64_t RoaringBitmap::byte_size() const {
     }
   }
   return n;
-}
-
-RoaringBitmap RoaringBitmap::And(const RoaringBitmap& a,
-                                 const RoaringBitmap& b) {
-  BIX_CHECK_MSG(a.bit_count_ == b.bit_count_, "roaring AND size mismatch");
-  RoaringBitmap out;
-  out.bit_count_ = a.bit_count_;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.containers_.size() && j < b.containers_.size()) {
-    const Container& ca = a.containers_[i];
-    const Container& cb = b.containers_[j];
-    if (ca.key < cb.key) {
-      ++i;
-    } else if (cb.key < ca.key) {
-      ++j;
-    } else {
-      Container c = PairAnd(ca, cb);
-      if (c.cardinality > 0) out.containers_.push_back(std::move(c));
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-RoaringBitmap RoaringBitmap::Or(const RoaringBitmap& a,
-                                const RoaringBitmap& b) {
-  BIX_CHECK_MSG(a.bit_count_ == b.bit_count_, "roaring OR size mismatch");
-  RoaringBitmap out;
-  out.bit_count_ = a.bit_count_;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.containers_.size() || j < b.containers_.size()) {
-    if (j >= b.containers_.size() ||
-        (i < a.containers_.size() &&
-         a.containers_[i].key < b.containers_[j].key)) {
-      out.containers_.push_back(a.containers_[i++]);
-    } else if (i >= a.containers_.size() ||
-               b.containers_[j].key < a.containers_[i].key) {
-      out.containers_.push_back(b.containers_[j++]);
-    } else {
-      out.containers_.push_back(PairOr(a.containers_[i++], b.containers_[j++]));
-    }
-  }
-  return out;
-}
-
-RoaringBitmap RoaringBitmap::Xor(const RoaringBitmap& a,
-                                 const RoaringBitmap& b) {
-  BIX_CHECK_MSG(a.bit_count_ == b.bit_count_, "roaring XOR size mismatch");
-  RoaringBitmap out;
-  out.bit_count_ = a.bit_count_;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.containers_.size() || j < b.containers_.size()) {
-    if (j >= b.containers_.size() ||
-        (i < a.containers_.size() &&
-         a.containers_[i].key < b.containers_[j].key)) {
-      out.containers_.push_back(a.containers_[i++]);
-    } else if (i >= a.containers_.size() ||
-               b.containers_[j].key < a.containers_[i].key) {
-      out.containers_.push_back(b.containers_[j++]);
-    } else {
-      Container c = PairXor(a.containers_[i++], b.containers_[j++]);
-      if (c.cardinality > 0) out.containers_.push_back(std::move(c));
-    }
-  }
-  return out;
-}
-
-RoaringBitmap RoaringBitmap::AndNot(const RoaringBitmap& a,
-                                    const RoaringBitmap& b) {
-  BIX_CHECK_MSG(a.bit_count_ == b.bit_count_, "roaring ANDNOT size mismatch");
-  RoaringBitmap out;
-  out.bit_count_ = a.bit_count_;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.containers_.size()) {
-    const Container& ca = a.containers_[i];
-    while (j < b.containers_.size() && b.containers_[j].key < ca.key) ++j;
-    if (j < b.containers_.size() && b.containers_[j].key == ca.key) {
-      Container c = PairAndNot(ca, b.containers_[j]);
-      if (c.cardinality > 0) out.containers_.push_back(std::move(c));
-    } else {
-      out.containers_.push_back(ca);
-    }
-    ++i;
-  }
-  return out;
-}
-
-uint64_t RoaringBitmap::AndCount(const RoaringBitmap& a,
-                                 const RoaringBitmap& b) {
-  BIX_CHECK_MSG(a.bit_count_ == b.bit_count_, "roaring AndCount size mismatch");
-  uint64_t n = 0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.containers_.size() && j < b.containers_.size()) {
-    const Container& ca = a.containers_[i];
-    const Container& cb = b.containers_[j];
-    if (ca.key < cb.key) {
-      ++i;
-    } else if (cb.key < ca.key) {
-      ++j;
-    } else {
-      n += PairAndCardinality(ca, cb);
-      ++i;
-      ++j;
-    }
-  }
-  return n;
-}
-
-uint64_t RoaringBitmap::AndCount(const Bitvector& plain) const {
-  BIX_CHECK_MSG(plain.size() == bit_count_, "roaring AndCount size mismatch");
-  const std::vector<uint64_t>& w = plain.words();
-  uint64_t n = 0;
-  for (const Container& c : containers_) {
-    const uint64_t off = static_cast<uint64_t>(c.key) * kChunkWords;
-    switch (c.type) {
-      case ContainerType::kArray:
-        for (uint16_t v : c.array) {
-          n += (w[off + (v >> 6)] >> (v & 63)) & 1;
-        }
-        break;
-      case ContainerType::kBitset: {
-        const uint32_t nw = static_cast<uint32_t>(
-            std::min<uint64_t>(kChunkWords, w.size() - off));
-        n += kernels::Active().and_count(c.words.data(), w.data() + off, nw);
-        break;
-      }
-      case ContainerType::kRun:
-        for (const Run& r : c.runs) {
-          ForRunWords(r.start, static_cast<uint32_t>(r.start) + r.length,
-                      [&](uint32_t wi, uint64_t mask) {
-                        n += std::popcount(w[off + wi] & mask);
-                      });
-        }
-        break;
-    }
-  }
-  return n;
-}
-
-void RoaringBitmap::OrInto(Bitvector* acc) const {
-  BIX_CHECK_MSG(acc->size() == bit_count_, "roaring OrInto size mismatch");
-  std::vector<uint64_t>& w = acc->mutable_words();
-  for (const Container& c : containers_) {
-    const uint64_t off = static_cast<uint64_t>(c.key) * kChunkWords;
-    switch (c.type) {
-      case ContainerType::kArray:
-        for (uint16_t v : c.array) {
-          w[off + (v >> 6)] |= uint64_t{1} << (v & 63);
-        }
-        break;
-      case ContainerType::kBitset: {
-        const uint32_t nw = static_cast<uint32_t>(
-            std::min<uint64_t>(kChunkWords, w.size() - off));
-        kernels::Active().or_words(w.data() + off, c.words.data(), nw);
-        break;
-      }
-      case ContainerType::kRun:
-        for (const Run& r : c.runs) {
-          ForRunWords(r.start, static_cast<uint32_t>(r.start) + r.length,
-                      [&](uint32_t wi, uint64_t mask) { w[off + wi] |= mask; });
-        }
-        break;
-    }
-  }
-}
-
-void RoaringBitmap::XorInto(Bitvector* acc) const {
-  BIX_CHECK_MSG(acc->size() == bit_count_, "roaring XorInto size mismatch");
-  std::vector<uint64_t>& w = acc->mutable_words();
-  for (const Container& c : containers_) {
-    const uint64_t off = static_cast<uint64_t>(c.key) * kChunkWords;
-    switch (c.type) {
-      case ContainerType::kArray:
-        for (uint16_t v : c.array) {
-          w[off + (v >> 6)] ^= uint64_t{1} << (v & 63);
-        }
-        break;
-      case ContainerType::kBitset: {
-        const uint32_t nw = static_cast<uint32_t>(
-            std::min<uint64_t>(kChunkWords, w.size() - off));
-        kernels::Active().xor_words(w.data() + off, c.words.data(), nw);
-        break;
-      }
-      case ContainerType::kRun:
-        for (const Run& r : c.runs) {
-          ForRunWords(r.start, static_cast<uint32_t>(r.start) + r.length,
-                      [&](uint32_t wi, uint64_t mask) { w[off + wi] ^= mask; });
-        }
-        break;
-    }
-  }
-}
-
-void RoaringBitmap::AndInPlace(Bitvector* acc) const {
-  BIX_CHECK_MSG(acc->size() == bit_count_, "roaring AndInPlace size mismatch");
-  std::vector<uint64_t>& w = acc->mutable_words();
-  const uint64_t num_chunks = CeilDiv(bit_count_, kChunkBits);
-  size_t ci = 0;
-  for (uint64_t chunk = 0; chunk < num_chunks; ++chunk) {
-    const uint64_t off = chunk * kChunkWords;
-    const uint32_t nw = static_cast<uint32_t>(
-        std::min<uint64_t>(kChunkWords, w.size() - off));
-    if (ci >= containers_.size() || containers_[ci].key != chunk) {
-      std::fill(w.begin() + off, w.begin() + off + nw, 0);
-      continue;
-    }
-    const Container& c = containers_[ci++];
-    if (c.type == ContainerType::kBitset) {
-      kernels::Active().and_words(w.data() + off, c.words.data(), nw);
-      continue;
-    }
-    // Array/run containers: expand this chunk into a scratch buffer and
-    // mask — still chunk-local, never a whole-bitmap decode.
-    uint64_t buf[kChunkWords];
-    std::memset(buf, 0, static_cast<size_t>(nw) * sizeof(uint64_t));
-    OrIntoWords(c, buf);
-    kernels::Active().and_words(w.data() + off, buf, nw);
-  }
-}
-
-void RoaringBitmap::NotInto(Bitvector* out) const {
-  *out = Bitvector::AllOnes(bit_count_);
-  std::vector<uint64_t>& w = out->mutable_words();
-  for (const Container& c : containers_) {
-    const uint64_t off = static_cast<uint64_t>(c.key) * kChunkWords;
-    switch (c.type) {
-      case ContainerType::kArray:
-        for (uint16_t v : c.array) {
-          w[off + (v >> 6)] &= ~(uint64_t{1} << (v & 63));
-        }
-        break;
-      case ContainerType::kBitset: {
-        const uint32_t nw = static_cast<uint32_t>(
-            std::min<uint64_t>(kChunkWords, w.size() - off));
-        kernels::Active().andnot_words(w.data() + off, c.words.data(), nw);
-        break;
-      }
-      case ContainerType::kRun:
-        for (const Run& r : c.runs) {
-          ForRunWords(r.start, static_cast<uint32_t>(r.start) + r.length,
-                      [&](uint32_t wi, uint64_t mask) { w[off + wi] &= ~mask; });
-        }
-        break;
-    }
-  }
 }
 
 std::vector<uint8_t> RoaringBitmap::Serialize() const {

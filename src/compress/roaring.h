@@ -10,13 +10,12 @@
 
 namespace bix {
 
-// Tripwire accounting for the operate-on-compressed contract: every *full*
+// Tripwire accounting for the read-in-place contract: every *full*
 // expansion of a Roaring bitmap into a plain Bitvector (ToBitvector, and
-// the codec paths built on it) bumps `full_decodes`. Compressed-domain
-// operations, container-consuming kernels (OrInto/AndInPlace/...), and
-// WriteInto of a freshly computed *result* do not count — they are the
-// whole point. Tests Reset() the counter, run a warmed cache-hit AND, and
-// assert it stayed zero.
+// the codec paths built on it) bumps `full_decodes`. Reading blocks
+// through a BlockReader does not count — that is the whole point. Tests
+// Reset() the counter, run a warmed cache-hit query, and assert it stayed
+// zero.
 class RoaringStats {
  public:
   static uint64_t full_decodes() {
@@ -36,10 +35,8 @@ class RoaringStats {
 //   - array:  sorted uint16 values (sparse chunks, <= 4096 values),
 //   - bitset: 1024 x 64-bit words (dense chunks),
 //   - run:    sorted [start, start+length] intervals (clustered chunks).
-// Logical operations work container-against-container without ever
-// expanding the whole bitmap: array/array intersection gallops, bitset
-// ops are word-parallel, run ops intersect intervals. The chunk index is
-// ordered, so binary ops are a linear merge over nonempty chunks.
+// Evaluation never expands the whole bitmap: a BlockReader hands out its
+// plain words one block at a time, reading bitset containers in place.
 class RoaringBitmap {
  public:
   static constexpr uint32_t kChunkBits = 1u << 16;
@@ -74,45 +71,37 @@ class RoaringBitmap {
   static RoaringBitmap FromBitvector(const Bitvector& bv);
 
   // Full decode into a plain bitmap. Counted by RoaringStats — callers on
-  // the evaluation path should consume containers instead.
+  // the evaluation path read blocks through a BlockReader instead.
   Bitvector ToBitvector() const;
 
-  // Writes this bitmap's contents into a fresh plain accumulator (used to
-  // hand a *computed* compressed-domain result back as a Bitvector; not
-  // counted as a decode of stored data).
-  void WriteInto(Bitvector* out) const;
+  // Sequential reader of the plain form, one block of words at a time —
+  // how the evaluator consumes a Roaring leaf without a full decode. Each
+  // block must lie within one chunk, and successive blocks must move
+  // forward through the bitmap.
+  class BlockReader {
+   public:
+    BlockReader() = default;
+    explicit BlockReader(const RoaringBitmap* rb) : rb_(rb) {}
+
+    // Words [base, base + len) of the plain form: a bitset container's
+    // own words, read in place; an array or run container's bits written
+    // into `scratch` (room for len words); or a shared zero block for an
+    // absent chunk or a block the container leaves empty.
+    const uint64_t* Read(uint64_t base, uint32_t len, uint64_t* scratch);
+
+   private:
+    const RoaringBitmap* rb_ = nullptr;
+    size_t container_ = 0;  // first container not behind the last block
+    size_t pos_ = 0;        // its first array value or run not behind it
+  };
 
   uint64_t bit_count() const { return bit_count_; }
-  bool Empty() const { return containers_.empty(); }
   // Popcount from container cardinalities — no expansion.
   uint64_t Count() const;
   // Exact size of Serialize()'s output.
   uint64_t byte_size() const;
   size_t container_count() const { return containers_.size(); }
   const std::vector<Container>& containers() const { return containers_; }
-
-  // Compressed-domain binary operations: a linear merge over the two
-  // container lists, combining matching chunks container-vs-container
-  // (galloping array intersection, word-parallel bitset ops, interval
-  // arithmetic for runs). Both operands must share bit_count.
-  static RoaringBitmap And(const RoaringBitmap& a, const RoaringBitmap& b);
-  static RoaringBitmap Or(const RoaringBitmap& a, const RoaringBitmap& b);
-  static RoaringBitmap Xor(const RoaringBitmap& a, const RoaringBitmap& b);
-  static RoaringBitmap AndNot(const RoaringBitmap& a, const RoaringBitmap& b);
-  // popcount(a & b) without materializing the intersection.
-  static uint64_t AndCount(const RoaringBitmap& a, const RoaringBitmap& b);
-  // popcount(*this & plain) consuming containers against the plain words.
-  uint64_t AndCount(const Bitvector& plain) const;
-
-  // Container-consuming kernels against a plain accumulator of the same
-  // size — how mixed Roaring/verbatim expressions evaluate without a full
-  // decode: each container touches only its own chunk's words.
-  void OrInto(Bitvector* acc) const;
-  void XorInto(Bitvector* acc) const;
-  // acc &= *this; chunks with no container are zeroed wholesale.
-  void AndInPlace(Bitvector* acc) const;
-  // *out = ~*this (trailing bits beyond bit_count stay clear).
-  void NotInto(Bitvector* out) const;
 
   // Serialization (the BitmapStore payload format):
   //   u32 container_count, then per container

@@ -251,7 +251,6 @@ Status QueryExecutor::EvalCore(const std::vector<ExprPtr>& exprs,
       options_.clock != nullptr ? options_.clock : RealClock::Get();
   const uint64_t rows = index_->row_count();
   const auto t0 = std::chrono::steady_clock::now();
-  Status error;  // first storage failure or budget expiry, if any
   auto charge_cpu = [this, t0] {
     const auto t1 = std::chrono::steady_clock::now();
     stats_.cpu_seconds += std::chrono::duration<double>(t1 - t0).count();
@@ -266,132 +265,70 @@ Status QueryExecutor::EvalCore(const std::vector<ExprPtr>& exprs,
     }
   }
 
-  Bitvector result;
-  uint64_t count = 0;
-  // Node-at-a-time evaluation and the OR across constituents, for what the
-  // blocked union does not cover: the one-constituent-at-a-time strategies
-  // and Roaring leaves. Leaves are borrowed from the cache in whatever form
-  // it holds resident (plain, or Roaring container form combined without
-  // full decode), the first constituent's scratch becomes the accumulator
-  // (a borrowed single-leaf constituent is OR-ed into a fresh zero buffer
-  // instead of being copied), later constituents are OR-ed in place.
-  // Count-only single-constituent queries skip the accumulator entirely
-  // (EvaluateExprDecodedCount counts fetched handles / folds the popcount
-  // into the final combine) unless an exclusion mask must apply to it.
-  auto accumulate = [&](const std::vector<const ExprPtr*>& order,
-                        const DecodedLeafFetcher& fetch) {
-    if (rows_out == nullptr && exclude == nullptr && order.size() == 1) {
-      count = EvaluateExprDecodedCount(*order[0], rows, fetch, trace_);
-      return;
-    }
-    bool first = true;
-    for (const ExprPtr* e : order) {
-      EvalResult part = EvaluateExprDecoded(*e, rows, fetch, trace_);
-      if (!error.ok()) return;
-      if (first) {
-        first = false;
-        if (part.borrowed()) {
-          result = Bitvector(rows);
-          result.OrWith(part.view());
-        } else {
-          result = std::move(part).Take();
-        }
-      } else {
-        result.OrWith(part.view());
-      }
-    }
-    if (first) result = Bitvector(rows);  // no constituents: empty result
-    if (exclude != nullptr) {
-      result.Resize(exclude->size());
-      result.AndNotWith(*exclude);
-    }
-    if (count_out != nullptr) count = result.Count();
-  };
-
-  if (options_.strategy == EvalStrategy::kQueryWise ||
-      options_.strategy == EvalStrategy::kBufferAware) {
-    // One constituent at a time; leaf memoization is per constituent, so
-    // shared bitmaps hit the pool (or disk) again on later constituents.
-    // Fetch failures are latched into `error` (the evaluator's fetcher
-    // cannot propagate a Status itself); the constituent's result is then
-    // discarded and remaining constituents are skipped. The token is
-    // checked per fetch, so a deadline hit mid-constituent stops the
-    // remaining fetches too.
+  // Fetch phase: the strategy decides which bitmaps are read and when
+  // (paper Section 6.3), which is all the scans and modeled I/O depend on.
+  std::vector<BitmapKey> fetch_order;
+  if (options_.strategy == EvalStrategy::kComponentWise) {
+    // Every distinct bitmap the whole query needs, exactly once, in
+    // component order: all of component n's bitmaps on behalf of all
+    // constituents, then component n-1, ...
+    for (const ExprPtr& e : exprs) CollectLeaves(e, &fetch_order);
+    std::sort(fetch_order.begin(), fetch_order.end(),
+              [](const BitmapKey& a, const BitmapKey& b) {
+                if (a.component != b.component) return a.component > b.component;
+                return a.slot < b.slot;
+              });
+    fetch_order.erase(std::unique(fetch_order.begin(), fetch_order.end()),
+                      fetch_order.end());
+  } else {
+    // One constituent at a time: each constituent's distinct bitmaps, in
+    // expression order. A bitmap shared with an earlier constituent is
+    // fetched again — served by the pool when it is still resident,
+    // re-read (a rescan) otherwise.
     std::vector<const ExprPtr*> order;
     for (const ExprPtr& e : exprs) order.push_back(&e);
     if (options_.strategy == EvalStrategy::kBufferAware) {
       OrderForSharing(&order);
     }
-    DecodedLeafFetcher fetch = [this, rows, &error,
-                                cancel](BitmapKey key) -> DecodedBitmap {
-      if (!error.ok()) {  // already failed; placeholder, no further work
-        return DecodedBitmap::Plain(std::make_shared<const Bitvector>(rows));
-      }
-      Result<DecodedBitmap> r =
-          cache_->TryFetchDecoded(key, &stats_, cancel, trace_);
-      if (!r.ok()) {
-        error = r.status();
-        return DecodedBitmap::Plain(std::make_shared<const Bitvector>(rows));
-      }
-      return std::move(r).value();
-    };
-    accumulate(order, fetch);
-  } else {
-    // Component-wise (paper Section 6.3): fetch every distinct bitmap the
-    // whole query needs exactly once, in component order (all of component
-    // n's bitmaps on behalf of all constituents, then component n-1, ...),
-    // then combine. The map holds handles, so a bitmap referenced by
-    // several constituents is decoded once and never copied per leaf
-    // reference.
     std::vector<BitmapKey> leaves;
-    for (const ExprPtr& e : exprs) CollectLeaves(e, &leaves);
-    std::sort(leaves.begin(), leaves.end(),
-              [](const BitmapKey& a, const BitmapKey& b) {
-                if (a.component != b.component) return a.component > b.component;
-                return a.slot < b.slot;
-              });
-    leaves.erase(std::unique(leaves.begin(), leaves.end(),
-                             [](const BitmapKey& a, const BitmapKey& b) {
-                               return a == b;
-                             }),
-                 leaves.end());
-    std::unordered_map<uint64_t, DecodedBitmap> fetched;
-    fetched.reserve(leaves.size());
-    bool all_plain = true;
-    for (const BitmapKey& key : leaves) {
-      // Both caches check the budget on every fetch themselves, so an
-      // expired or cancelled query stops here with its typed status.
-      Result<DecodedBitmap> r =
-          cache_->TryFetchDecoded(key, &stats_, cancel, trace_);
-      if (!r.ok()) {
-        error = r.status();
-        break;
-      }
-      all_plain = all_plain && !r.value().is_roaring();
-      fetched.emplace(key.Packed(), std::move(r).value());
-    }
-    if (error.ok()) {
-      DecodedLeafFetcher fetch = [&fetched](BitmapKey key) -> DecodedBitmap {
-        auto it = fetched.find(key.Packed());
-        BIX_CHECK(it != fetched.end());
-        return it->second;
-      };
-      if (all_plain) {
-        // Every bitmap the query needs is resident and plain: one blocked
-        // pass computes the whole union (DESIGN.md section 12).
-        count = EvaluateUnionBlocked(exprs, rows, fetch,
-                                     rows_out != nullptr ? &result : nullptr,
-                                     trace_, exclude);
-      } else {
-        std::vector<const ExprPtr*> order;
-        for (const ExprPtr& e : exprs) order.push_back(&e);
-        accumulate(order, fetch);
+    for (const ExprPtr* e : order) {
+      leaves.clear();
+      CollectLeaves(*e, &leaves);
+      for (size_t i = 0; i < leaves.size(); ++i) {
+        if (std::find(leaves.begin(), leaves.begin() + i, leaves[i]) ==
+            leaves.begin() + i) {
+          fetch_order.push_back(leaves[i]);
+        }
       }
     }
   }
+  // The map holds handles, so a bitmap is never copied per reference.
+  std::unordered_map<uint64_t, DecodedBitmap> fetched;
+  fetched.reserve(fetch_order.size());
+  for (const BitmapKey& key : fetch_order) {
+    // Both caches check the budget on every fetch themselves, so an
+    // expired or cancelled query stops here with its typed status.
+    Result<DecodedBitmap> r =
+        cache_->TryFetchDecoded(key, &stats_, cancel, trace_);
+    if (!r.ok()) {
+      charge_cpu();
+      return r.status();
+    }
+    fetched.insert_or_assign(key.Packed(), std::move(r).value());
+  }
 
+  // One program run combines the fetched bitmaps (DESIGN.md section 12).
+  DecodedLeafFetcher fetch = [&fetched](BitmapKey key) -> DecodedBitmap {
+    auto it = fetched.find(key.Packed());
+    BIX_CHECK(it != fetched.end());
+    return it->second;
+  };
+  Bitvector result;
+  const uint64_t count =
+      EvaluateUnionBlocked(exprs, rows, fetch,
+                           rows_out != nullptr ? &result : nullptr, trace_,
+                           exclude);
   charge_cpu();
-  if (!error.ok()) return error;
   if (rows_out != nullptr) *rows_out = std::move(result);
   if (count_out != nullptr) *count_out = count;
   return Status::OK();

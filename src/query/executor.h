@@ -15,7 +15,10 @@
 
 namespace bix {
 
-// The two evaluation strategies of paper Section 6.3.
+// The two evaluation strategies of paper Section 6.3. A strategy decides
+// which bitmaps are fetched and in what order — what the scans and modeled
+// I/O count; the fetched bitmaps are then combined in one blocked pass
+// whatever the strategy.
 enum class EvalStrategy : uint8_t {
   // Evaluates one constituent interval query at a time, keeping a single
   // intermediate result. Minimal buffer requirement; a bitmap shared by
@@ -111,10 +114,10 @@ class QueryExecutor {
                                          uint64_t* count = nullptr);
   // Count-only evaluation (the serving path's COUNT entry point): the
   // number of qualifying rows without materializing (or copying out) the
-  // result bitmap — COUNT(*) selections are answered from the evaluation
-  // scratch buffer, with single-leaf constituents counted straight off the
-  // cache's shared handle. Identical to TryEvaluateRewritten(exprs)'s
-  // popcount for every strategy.
+  // result bitmap — COUNT(*) selections are counted block by block in the
+  // evaluation pass, and a lone stored leaf straight off the cache's shared
+  // handle. Identical to TryEvaluateRewritten(exprs)'s popcount for every
+  // strategy.
   //
   // With a writable-index overlay (`delta` and `pred` both set, as for
   // TryEvaluateRewrittenMerged) it counts the merged answer, and the
@@ -167,13 +170,14 @@ class QueryExecutor {
   void DropPool() { cache_->DropPool(); }
 
   // Per-query trace sink (nullable, not owned; DESIGN.md section 13). When
-  // set, every evaluation opens spans for its fetches and operator-node
-  // kernels under the caller's currently open span; the caches receive the
-  // same sink so retry/backoff/modeled-I/O time lands in leaf spans. The
-  // executor is single-threaded per query, so the service sets the sink
-  // before Execute and clears it after; nullptr (the default) traces
-  // nothing and allocates nothing. Tracing is observation-only: results,
-  // IoStats, and cache state are bit-identical with the sink on or off.
+  // set, every evaluation opens spans for its fetches and one "kernel" span
+  // for the combine under the caller's currently open span; the caches
+  // receive the same sink so retry/backoff/modeled-I/O time lands in leaf
+  // spans. The executor is single-threaded per query, so the service sets
+  // the sink before Execute and clears it after; nullptr (the default)
+  // traces nothing and allocates nothing. Tracing is observation-only:
+  // results, IoStats, and cache state are bit-identical with the sink on or
+  // off.
   void SetTraceSink(TraceSink* trace) { trace_ = trace; }
 
  private:
@@ -182,15 +186,14 @@ class QueryExecutor {
   void CheckMembership(const std::vector<uint32_t>& values) const;
   // Reorders constituents for kBufferAware (greedy shared-leaf chaining).
   void OrderForSharing(std::vector<const ExprPtr*>* order);
-  // Shared machinery of the value and count-only entry points: evaluates
-  // `exprs` under the configured strategy over shared bitmap handles. On
-  // success the OR of the constituents goes to *rows_out and its popcount
-  // to *count_out; either may be null (no rows_out is count-only: no
-  // result bitmap is materialized). Component-wise evaluation over plain
-  // leaves runs the blocked union (EvaluateUnionBlocked); the other
-  // strategies and Roaring leaves evaluate node at a time. `exclude`
-  // (nullable, in index positions) is and-notted out of the answer, which
-  // then spans exclude->size() bits.
+  // Shared machinery of the value and count-only entry points: fetches
+  // the bitmaps `exprs` needs in the configured strategy's order, then
+  // combines them in one EvaluateUnionBlocked run over the shared handles.
+  // On success the OR of the constituents goes to *rows_out and its
+  // popcount to *count_out; either may be null (no rows_out is count-only:
+  // no result bitmap is materialized). `exclude` (nullable, in index
+  // positions) is and-notted out of the answer, which then spans
+  // exclude->size() bits.
   Status EvalCore(const std::vector<ExprPtr>& exprs, const CancelToken* cancel,
                   Bitvector* rows_out, uint64_t* count_out,
                   const Bitvector* exclude);

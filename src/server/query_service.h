@@ -284,7 +284,6 @@ class QueryService {
   // The current epoch's shared cache. In writable mode the reference is
   // only stable between compactions; read-only mode has a single epoch.
   const ShardedBitmapCache& cache() const;
-  uint32_t num_workers() const { return options_.num_workers; }
 
  private:
   struct Task {

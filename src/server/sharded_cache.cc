@@ -8,7 +8,6 @@ ShardedBitmapCache::ShardedBitmapCache(const BitmapStore* store,
                                        double io_latency_scale,
                                        ClockInterface* clock)
     : store_(store),
-      pool_bytes_(pool_bytes),
       shard_pool_bytes_(num_shards == 0 ? 0 : pool_bytes / num_shards),
       disk_(disk),
       io_latency_scale_(io_latency_scale),
@@ -111,7 +110,7 @@ Result<DecodedBitmap> ShardedBitmapCache::TryFetchDecoded(
   }
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    Insert(&shard, key, stored_bytes, bitmap);
+    Insert(&shard, key, bitmap);
   }
   return bitmap;
 }
@@ -149,21 +148,22 @@ ShardedBitmapCache::Counters ShardedBitmapCache::TotalCounters() const {
 }
 
 void ShardedBitmapCache::Insert(Shard* shard, BitmapKey key,
-                                uint64_t stored_bytes, DecodedBitmap bitmap) {
-  if (stored_bytes > shard_pool_bytes_) return;  // too big; read-through
-  if (shard->resident.count(key) > 0) return;    // raced with another miss
-  while (shard->used_bytes + stored_bytes > shard_pool_bytes_ &&
+                                DecodedBitmap bitmap) {
+  const uint64_t bytes = bitmap.resident_bytes();
+  if (bytes > shard_pool_bytes_) return;       // too big; read-through
+  if (shard->resident.count(key) > 0) return;  // raced with another miss
+  while (shard->used_bytes + bytes > shard_pool_bytes_ &&
          !shard->lru.empty()) {
     BitmapKey victim = shard->lru.back();
     shard->lru.pop_back();
     auto vit = shard->resident.find(victim);
-    shard->used_bytes -= vit->second.stored_bytes;
+    shard->used_bytes -= vit->second.resident_bytes;
     shard->resident.erase(vit);
   }
   shard->lru.push_front(key);
   shard->resident.emplace(
-      key, Shard::Entry{shard->lru.begin(), stored_bytes, std::move(bitmap)});
-  shard->used_bytes += stored_bytes;
+      key, Shard::Entry{shard->lru.begin(), bytes, std::move(bitmap)});
+  shard->used_bytes += bytes;
 }
 
 }  // namespace bix

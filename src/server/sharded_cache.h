@@ -28,9 +28,10 @@ namespace bix {
 //  - Shards cache *decoded* bitmaps, so a pool hit skips the real
 //    decompression work as well as the modeled disk read (a server
 //    optimizes wall-clock; the paper's file-system buffer caches the
-//    stored form and re-decodes every fetch). The byte budget still counts
-//    *stored* bytes so pool sizing stays comparable with BitmapCache.
-//    Shard-level aggregate hit/miss counters are kept for ServiceStats,
+//    stored form and re-decodes every fetch). The byte budget charges what
+//    a shard keeps resident — a plain bitmap's words, a Roaring bitmap's
+//    containers — so a BBC or WAH blob counts at its decoded size, not at
+//    its compressed one. Shard-level aggregate hit/miss counters are kept for ServiceStats,
 //    next to the per-query IoStats blocks every fetch accounts into.
 //  - When `io_latency_scale` > 0, a miss sleeps for the modeled
 //    (io + decode) seconds scaled by that factor — turning the DiskModel
@@ -80,9 +81,8 @@ class ShardedBitmapCache : public BitmapCacheInterface {
   // pointer itself is unsynchronized.
   void SetFaultInjector(FaultInjector* injector) { injector_ = injector; }
 
-  uint64_t pool_bytes() const { return pool_bytes_; }
-  uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
-  uint64_t pool_bytes_used() const;  // sum over shards (racy-but-consistent)
+  // Resident bytes summed over shards (racy-but-consistent).
+  uint64_t pool_bytes_used() const;
 
   // Cache-level aggregate counters (independent of per-query blocks).
   struct Counters {
@@ -101,7 +101,7 @@ class ShardedBitmapCache : public BitmapCacheInterface {
     std::list<BitmapKey> lru;
     struct Entry {
       std::list<BitmapKey>::iterator lru_it;
-      uint64_t stored_bytes = 0;
+      uint64_t resident_bytes = 0;
       DecodedBitmap bitmap;
     };
     std::unordered_map<BitmapKey, Entry, BitmapKeyHash> resident;
@@ -114,13 +114,12 @@ class ShardedBitmapCache : public BitmapCacheInterface {
   Shard& ShardFor(BitmapKey key) {
     return *shards_[BitmapKeyHash{}(key) % shards_.size()];
   }
-  // Inserts under the shard lock, evicting LRU entries to fit.
-  void Insert(Shard* shard, BitmapKey key, uint64_t stored_bytes,
-              DecodedBitmap bitmap);
+  // Inserts under the shard lock, evicting LRU entries to fit its
+  // resident bytes.
+  void Insert(Shard* shard, BitmapKey key, DecodedBitmap bitmap);
 
   const BitmapStore* store_;
-  const uint64_t pool_bytes_;        // total budget, split evenly per shard
-  const uint64_t shard_pool_bytes_;  // per-shard budget
+  const uint64_t shard_pool_bytes_;  // the total budget, split evenly
   const DiskModel disk_;
   const double io_latency_scale_;
   ClockInterface* const clock_;

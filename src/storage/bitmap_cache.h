@@ -32,7 +32,7 @@ class BitmapCacheInterface {
   // One bitmap scan: accounts I/O into *stats, updates the pool, and
   // returns a shared handle to the bitmap in the form evaluation consumes —
   // a plain Bitvector for verbatim/BBC/WAH blobs, container form for
-  // Roaring blobs (the operate-on-compressed path: no full decode on
+  // Roaring blobs (read in place by the evaluator: no full decode on
   // fetch). Failures are typed errors instead of aborts on data-dependent
   // input: InvalidArgument for an unknown key, Corruption for a checksum
   // mismatch or malformed stored stream, Unavailable for an injected
@@ -127,7 +127,6 @@ class BitmapCache : public BitmapCacheInterface {
   // between queries to mimic the paper's flushed file-system buffer.
   void DropPool() override;
 
-  uint64_t pool_bytes() const { return pool_bytes_; }
   uint64_t pool_bytes_used() const { return used_bytes_; }
 
  private:

@@ -55,7 +55,9 @@ struct MiniIndex {
       EXPECT_LT(key.slot, bitmaps.size());
       return DecodedBitmap::Plain(bitmaps[key.slot]);
     };
-    return EvaluateExprDecoded(e, rows.size(), fetch).Take();
+    Bitvector out;
+    EvaluateUnionBlocked({e}, rows.size(), fetch, &out);
+    return out;
   }
 };
 

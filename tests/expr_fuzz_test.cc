@@ -95,8 +95,8 @@ TEST_P(ExprFuzz, BuilderSimplificationsPreserveSemantics) {
   Rng rng(GetParam() * 7919 + 13);
   for (int trial = 0; trial < 200; ++trial) {
     Built b = BuildRandom(env, &rng, 4);
-    Bitvector evaluated =
-        EvaluateExprDecoded(b.expr, kRows, env.Fetcher()).Take();
+    Bitvector evaluated;
+    EvaluateUnionBlocked({b.expr}, kRows, env.Fetcher(), &evaluated);
     ASSERT_EQ(evaluated, b.value)
         << "seed=" << GetParam() << " trial=" << trial << " expr "
         << ExprToString(b.expr);
@@ -117,7 +117,8 @@ TEST(ExprFuzzDeep, DeepXorChainsKeepParity) {
   Env env(99);
   for (int i = 2; i <= 40; ++i) {
     acc = ExprXor(std::move(acc), leaf);
-    Bitvector v = EvaluateExprDecoded(acc, kRows, env.Fetcher()).Take();
+    Bitvector v;
+    EvaluateUnionBlocked({acc}, kRows, env.Fetcher(), &v);
     if (i % 2 == 0) {
       EXPECT_EQ(v.Count(), 0u) << i;
     } else {

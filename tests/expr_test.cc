@@ -109,7 +109,9 @@ class EvalTest : public ::testing::Test {
   }
 
   Bitvector Eval(const ExprPtr& e) {
-    return EvaluateExprDecoded(e, kRows, Fetcher()).Take();
+    Bitvector rows;
+    EvaluateUnionBlocked({e}, kRows, Fetcher(), &rows);
+    return rows;
   }
 
   // Shared handles the evaluator borrows, as it borrows the cache's.

@@ -1,10 +1,11 @@
-// Differential tests for the Roaring container codec, the codec registry,
-// and operate-on-compressed evaluation: every generated bitmap must round
-// trip bit-for-bit through every codec, and every compressed-domain
-// operation must agree exactly with the plain Bitvector kernels.
+// Differential tests for the Roaring container codec and the codec
+// registry: every generated bitmap must round trip bit-for-bit through
+// every codec, and the block reader the evaluator consumes Roaring leaves
+// through must yield exactly the plain form, block by block.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -191,91 +192,77 @@ TEST(RoaringSerialization, CorruptBytesRejectedNotCrashed) {
   }
 }
 
-// ------------------------------------------- compressed-domain operators --
+// ---------------------------------------------------------- block reader --
 
-TEST(RoaringOps, BinaryOpsMatchPlainKernels) {
-  const std::vector<Bitvector> corpus = Corpus();
-  // Pair up corpus members of equal size (the seven shapes per size are
-  // contiguous).
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    for (size_t j = i; j < corpus.size(); ++j) {
-      if (corpus[i].size() != corpus[j].size()) continue;
-      const Bitvector& a = corpus[i];
-      const Bitvector& b = corpus[j];
-      const RoaringBitmap ra = RoaringBitmap::FromBitvector(a);
-      const RoaringBitmap rb = RoaringBitmap::FromBitvector(b);
-
-      Bitvector got;
-      RoaringBitmap::And(ra, rb).WriteInto(&got);
-      EXPECT_EQ(got, Bitvector::And(a, b)) << "AND size=" << a.size();
-      RoaringBitmap::Or(ra, rb).WriteInto(&got);
-      EXPECT_EQ(got, Bitvector::Or(a, b)) << "OR size=" << a.size();
-      RoaringBitmap::Xor(ra, rb).WriteInto(&got);
-      EXPECT_EQ(got, Bitvector::Xor(a, b)) << "XOR size=" << a.size();
-      RoaringBitmap::AndNot(ra, rb).WriteInto(&got);
-      Bitvector andnot = a;
-      andnot.AndNotWith(b);
-      EXPECT_EQ(got, andnot) << "ANDNOT size=" << a.size();
-
-      EXPECT_EQ(RoaringBitmap::AndCount(ra, rb), Bitvector::AndCount(a, b));
-      EXPECT_EQ(ra.AndCount(b), Bitvector::AndCount(a, b));
-      EXPECT_EQ(RoaringBitmap::And(ra, rb).Count(),
-                Bitvector::AndCount(a, b));
-    }
+// Reads `rb` the way the evaluator does — 256-word blocks in increasing
+// order, scratch refilled with garbage before each read so a reader that
+// leaves stale words shows — and compares every block with `want`.
+void ExpectBlocksMatch(const RoaringBitmap& rb, const Bitvector& want,
+                       const std::string& label) {
+  constexpr uint32_t kBlockWords = 256;
+  const std::vector<uint64_t>& words = want.words();
+  RoaringBitmap::BlockReader reader(&rb);
+  std::vector<uint64_t> scratch(kBlockWords);
+  for (uint64_t base = 0; base < words.size(); base += kBlockWords) {
+    const uint32_t len = static_cast<uint32_t>(
+        std::min<uint64_t>(kBlockWords, words.size() - base));
+    std::fill(scratch.begin(), scratch.end(), 0xA5A5A5A5A5A5A5A5ull);
+    const uint64_t* block = reader.Read(base, len, scratch.data());
+    ASSERT_TRUE(std::equal(block, block + len, words.begin() + base))
+        << label << " block at word " << base;
   }
 }
 
-TEST(RoaringOps, ContainerKernelsMatchPlainKernels) {
-  const std::vector<Bitvector> corpus = Corpus();
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    for (size_t j = i; j < corpus.size(); ++j) {
-      if (corpus[i].size() != corpus[j].size()) continue;
-      const Bitvector& acc0 = corpus[i];
-      const Bitvector& b = corpus[j];
-      const RoaringBitmap rb = RoaringBitmap::FromBitvector(b);
+TEST(RoaringBlockReader, EveryBlockMatchesToBitvector) {
+  // One chunk per case, then a partial last chunk:
+  //   0: array  — a few values, in some blocks only;
+  //   1: absent — no bits at all;
+  //   2: bitset — dense noise;
+  //   3: run    — runs crossing block edges, one covering whole blocks;
+  //   4: run    — partial chunk, a run reaching the last bit.
+  const uint64_t bits = 4 * uint64_t{kChunk} + 20000;
+  Bitvector bv(bits);
+  for (uint64_t v : {3u, 64u, 16383u, 16384u, 40000u, 65535u}) bv.Set(v);
+  Rng rng(71);
+  for (uint64_t i = 2 * uint64_t{kChunk}; i < 3 * uint64_t{kChunk}; ++i) {
+    if (rng.Bernoulli(0.5)) bv.Set(i);
+  }
+  const uint64_t c3 = 3 * uint64_t{kChunk};
+  for (uint64_t i = c3 + 16000; i < c3 + 16400; ++i) bv.Set(i);
+  for (uint64_t i = c3 + 20000; i < c3 + 60000; ++i) bv.Set(i);
+  bv.Set(c3 + 65535);
+  const uint64_t c4 = 4 * uint64_t{kChunk};
+  for (uint64_t i = c4 + 100; i < c4 + 300; ++i) bv.Set(i);
+  for (uint64_t i = c4 + 19000; i < bits; ++i) bv.Set(i);
 
-      Bitvector acc = acc0;
-      rb.OrInto(&acc);
-      EXPECT_EQ(acc, Bitvector::Or(acc0, b)) << "OrInto size=" << b.size();
+  const RoaringBitmap rb = RoaringBitmap::FromBitvector(bv);
+  using Type = RoaringBitmap::ContainerType;
+  ASSERT_EQ(rb.container_count(), 4u);
+  EXPECT_EQ(rb.containers()[0].key, 0u);
+  EXPECT_EQ(rb.containers()[0].type, Type::kArray);
+  EXPECT_EQ(rb.containers()[1].key, 2u);
+  EXPECT_EQ(rb.containers()[1].type, Type::kBitset);
+  EXPECT_EQ(rb.containers()[2].type, Type::kRun);
+  EXPECT_EQ(rb.containers()[3].type, Type::kRun);
+  const Bitvector expanded = rb.ToBitvector();
+  ASSERT_EQ(expanded, bv);
+  ExpectBlocksMatch(rb, expanded, "mixed containers");
 
-      acc = acc0;
-      rb.XorInto(&acc);
-      EXPECT_EQ(acc, Bitvector::Xor(acc0, b)) << "XorInto size=" << b.size();
-
-      acc = acc0;
-      rb.AndInPlace(&acc);
-      EXPECT_EQ(acc, Bitvector::And(acc0, b))
-          << "AndInPlace size=" << b.size();
-
-      Bitvector out;
-      rb.NotInto(&out);
-      EXPECT_EQ(out, Bitvector::Not(b)) << "NotInto size=" << b.size();
-    }
+  for (const Bitvector& c : Corpus()) {
+    const RoaringBitmap r = RoaringBitmap::FromBitvector(c);
+    ExpectBlocksMatch(r, r.ToBitvector(), "corpus size=" +
+                                              std::to_string(c.size()));
   }
 }
 
-TEST(RoaringOps, CompressedOpsNeverFullyDecode) {
-  const Bitvector a = RandomRunHeavy(3 * kChunk + 777, 100, 41);
-  const Bitvector b = RandomSparse(3 * kChunk + 777, 500, 42);
-  const RoaringBitmap ra = RoaringBitmap::FromBitvector(a);
-  const RoaringBitmap rb = RoaringBitmap::FromBitvector(b);
+TEST(RoaringBlockReader, ReadingBlocksNeverFullyDecodes) {
+  const Bitvector bv = RandomRunHeavy(3 * kChunk + 777, 100, 41);
+  const RoaringBitmap rb = RoaringBitmap::FromBitvector(bv);
   RoaringStats::Reset();
-  Bitvector sink;
-  RoaringBitmap::And(ra, rb).WriteInto(&sink);
-  RoaringBitmap::Or(ra, rb).WriteInto(&sink);
-  RoaringBitmap::Xor(ra, rb).WriteInto(&sink);
-  RoaringBitmap::AndNot(ra, rb).WriteInto(&sink);
-  (void)RoaringBitmap::AndCount(ra, rb);
-  (void)ra.AndCount(b);
-  (void)ra.Count();
-  Bitvector acc = a;
-  rb.OrInto(&acc);
-  rb.AndInPlace(&acc);
-  rb.XorInto(&acc);
-  rb.NotInto(&acc);
+  ExpectBlocksMatch(rb, bv, "run heavy");
   EXPECT_EQ(RoaringStats::full_decodes(), 0u)
-      << "a compressed-domain operation expanded a whole bitmap";
-  (void)ra.ToBitvector();
+      << "reading blocks expanded a whole bitmap";
+  (void)rb.ToBitvector();
   EXPECT_EQ(RoaringStats::full_decodes(), 1u);
 }
 

@@ -125,7 +125,7 @@ class ShardedCacheTest : public ::testing::Test {
         if (rng.Bernoulli(0.3)) bv.Set(i);
       }
       reference_.push_back(bv);
-      // 125 stored bytes each.
+      // 125 stored bytes each; 16 words (128 bytes) resident.
       store_.PutWithCodec({1, s}, bv, CodecId::kVerbatim);
     }
   }
@@ -171,8 +171,8 @@ TEST_F(ShardedCacheTest, CallersShareResidency) {
 }
 
 TEST_F(ShardedCacheTest, TinyShardsEvictAndRescan) {
-  // One shard with room for a single 125-byte bitmap: alternating fetches
-  // evict each other and re-reads count as rescans.
+  // One shard with room for a single 128-byte resident bitmap: alternating
+  // fetches evict each other and re-reads count as rescans.
   ShardedBitmapCache cache(&store_, 130, 1);
   IoStats stats;
   ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
@@ -200,7 +200,37 @@ TEST_F(ShardedCacheTest, DropPoolForgetsResidencyAndHistory) {
   ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   EXPECT_EQ(stats.disk_reads, 2u);
   EXPECT_EQ(stats.rescans, 0u);
-  EXPECT_EQ(cache.pool_bytes_used(), 125u);
+  EXPECT_EQ(cache.pool_bytes_used(), 128u);
+}
+
+// The budget charges what a shard keeps resident, not the stored blob.
+// Sparse BBC blobs are a small fraction of their decoded size: all sixteen
+// fit the budget in stored bytes, but only four fit decoded. Charged by
+// stored bytes, every key stayed resident and the shard held about four
+// times its budget in decoded bitmaps.
+TEST(ShardedCacheBudgetTest, ChargesDecodedBytesOfCompressedBlobs) {
+  constexpr uint64_t kBits = 64000;
+  constexpr uint32_t kKeys = 16;
+  const uint64_t decoded = Bitvector::WordCount(kBits) * sizeof(uint64_t);
+  const uint64_t budget = 4 * decoded + decoded / 2;
+  BitmapStore store;
+  uint64_t stored = 0;
+  for (uint32_t s = 0; s < kKeys; ++s) {
+    Bitvector bv(kBits);
+    for (uint64_t i = s; i < kBits; i += 997) bv.Set(i);
+    store.PutWithCodec({1, s}, bv, CodecId::kBbc);
+    stored += store.GetBlob({1, s}).bytes.size();
+  }
+  ASSERT_LE(stored, budget);
+  ShardedBitmapCache cache(&store, budget, 1);
+  for (int pass = 0; pass < 2; ++pass) {
+    IoStats stats;
+    for (uint32_t s = 0; s < kKeys; ++s) {
+      ASSERT_TRUE(cache.TryFetchDecoded({1, s}, &stats).ok());
+    }
+    EXPECT_LE(stats.pool_hits * decoded, budget) << "pass " << pass;
+    EXPECT_LE(cache.pool_bytes_used(), budget) << "pass " << pass;
+  }
 }
 
 TEST_F(ShardedCacheTest, ConcurrentFetchesReturnCorrectBitmaps) {

@@ -2,20 +2,17 @@
 // every tier the build+CPU can run must be bit-identical to the scalar
 // reference on adversarial shapes — ragged tails, aliasing destinations,
 // k=1..32 operand lists, all-zero/all-one words — at the raw word level,
-// through the Bitvector API (trailing-bit invariant), through the Roaring
-// container ops, and through full query evaluation over every encoding
-// scheme and storage codec.
+// through the Bitvector API (trailing-bit invariant), and through full
+// query evaluation over every encoding scheme and storage codec.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "bitvector/bitvector.h"
 #include "bitvector/kernels.h"
 #include "compress/codec.h"
-#include "compress/roaring.h"
 #include "encoding/encoding_scheme.h"
 #include "expr/evaluate.h"
 #include "util/rng.h"
@@ -42,7 +39,7 @@ std::vector<Tier> VectorTiers() {
 }
 
 // Flips the process-wide active tier for a scope, restoring on exit, so
-// Bitvector/Roaring/evaluator paths run under the tier being checked.
+// Bitvector and evaluator paths run under the tier being checked.
 class TierGuard {
  public:
   explicit TierGuard(Tier t) : saved_(kernels::ActiveTier()) {
@@ -210,132 +207,6 @@ TEST(SimdKernelsOracle, FoldKernelsMatchScalarForEveryWidthAndAlias) {
 }
 
 // ---------------------------------------------------------------------------
-// Sorted-set intersection.
-// ---------------------------------------------------------------------------
-
-// Independent reference: the textbook two-pointer merge, written here so
-// the gallop branch (and the vector windows) are pinned against a second
-// implementation, not against themselves.
-std::vector<uint16_t> MergeIntersect(const std::vector<uint16_t>& a,
-                                     const std::vector<uint16_t>& b) {
-  std::vector<uint16_t> out;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out.push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-std::vector<uint16_t> SortedDistinct(size_t n, Rng* rng) {
-  std::vector<uint16_t> v;
-  uint32_t next = 0;
-  while (v.size() < n && next < 65536) {
-    if (rng->Bernoulli(0.3)) v.push_back(static_cast<uint16_t>(next));
-    ++next;
-  }
-  return v;
-}
-
-void CheckIntersect(const std::vector<uint16_t>& a,
-                    const std::vector<uint16_t>& b, const char* label) {
-  const std::vector<uint16_t> want = MergeIntersect(a, b);
-  for (Tier t : SupportedTiers()) {
-    const Ops& ops = *kernels::OpsForTier(t);
-    std::vector<uint16_t> out(std::min(a.size(), b.size()) + 1, 0xBEEF);
-    const size_t n =
-        ops.intersect_u16(a.data(), a.size(), b.data(), b.size(), out.data());
-    ASSERT_EQ(n, want.size())
-        << label << " tier=" << kernels::TierName(t) << " na=" << a.size()
-        << " nb=" << b.size();
-    EXPECT_TRUE(std::equal(want.begin(), want.end(), out.begin()))
-        << label << " tier=" << kernels::TierName(t);
-    // Symmetric call: intersection is commutative.
-    std::vector<uint16_t> rev(out.size(), 0xBEEF);
-    const size_t rn =
-        ops.intersect_u16(b.data(), b.size(), a.data(), a.size(), rev.data());
-    EXPECT_EQ(rn, want.size()) << label << " reversed";
-    EXPECT_TRUE(std::equal(want.begin(), want.end(), rev.begin()))
-        << label << " reversed tier=" << kernels::TierName(t);
-  }
-}
-
-TEST(SimdKernelsOracle, IntersectU16MatchesMergeReference) {
-  Rng rng(1004);
-  CheckIntersect({}, {}, "both empty");
-  CheckIntersect({}, {1, 2, 3}, "one empty");
-  const std::vector<uint16_t> dense = [] {
-    std::vector<uint16_t> v(4096);
-    for (size_t i = 0; i < v.size(); ++i) v[i] = static_cast<uint16_t>(i);
-    return v;
-  }();
-  CheckIntersect(dense, dense, "identical dense");
-  CheckIntersect(dense, {0, 4095, 9000}, "dense vs endpoints");
-  const std::vector<uint16_t> evens = [] {
-    std::vector<uint16_t> v;
-    for (uint32_t i = 0; i < 8192; i += 2) {
-      v.push_back(static_cast<uint16_t>(i));
-    }
-    return v;
-  }();
-  const std::vector<uint16_t> odds = [] {
-    std::vector<uint16_t> v;
-    for (uint32_t i = 1; i < 8192; i += 2) {
-      v.push_back(static_cast<uint16_t>(i));
-    }
-    return v;
-  }();
-  CheckIntersect(evens, odds, "disjoint interleaved");
-  for (int trial = 0; trial < 25; ++trial) {
-    const std::vector<uint16_t> a =
-        SortedDistinct(rng.UniformInt(0, 3000), &rng);
-    const std::vector<uint16_t> b =
-        SortedDistinct(rng.UniformInt(0, 3000), &rng);
-    CheckIntersect(a, b, "random");
-  }
-}
-
-// Regression for the galloping branch of IntersectArrays: the cursor never
-// advanced past a matched element, so every later lower_bound re-scanned
-// it. Correctness was unaffected (lower_bound still found later probes),
-// but the lopsided shape below pins the fixed path's output — every small
-// element present in the large array, probes landing on consecutive large
-// elements — against the merge reference for all tiers.
-TEST(SimdKernelsOracle, IntersectGallopRegressionLopsidedSubset) {
-  // nlarge/32 > nsmall forces the scalar gallop path: 60 probes into a
-  // 4000-element array. The small array is a subset, so *every* probe hits
-  // and the cursor must advance past each match to find the next.
-  std::vector<uint16_t> large;
-  for (uint32_t i = 0; i < 4000; ++i) {
-    large.push_back(static_cast<uint16_t>(i * 3));
-  }
-  std::vector<uint16_t> small;
-  for (uint32_t i = 0; i < 60; ++i) {
-    // First 30 consecutive elements of large, then a spread tail.
-    small.push_back(i < 30 ? large[i] : large[30 + (i - 30) * 100]);
-  }
-  CheckIntersect(small, large, "gallop subset");
-  // Adjacent-value probes where the match is the immediate next element:
-  // a cursor stuck on the previous match would still be correct but this
-  // shape plus the subset one exercises both the hit and post-hit seams.
-  std::vector<uint16_t> adjacent(small);
-  for (uint16_t& v : adjacent) v = static_cast<uint16_t>(v + 1);
-  CheckIntersect(adjacent, large, "gallop near-misses");
-  // Probe set extending past the large array's end: the gallop must stop
-  // cleanly at lo == end.
-  std::vector<uint16_t> overshoot = {0, 3, 60000, 65535};
-  CheckIntersect(overshoot, large, "gallop overshoot");
-}
-
-// ---------------------------------------------------------------------------
 // Bitvector layer: trailing-bit invariant and cross-tier equality.
 // ---------------------------------------------------------------------------
 
@@ -375,10 +246,10 @@ TEST(SimdKernelsOracle, BitvectorOpsBitIdenticalAcrossTiers) {
       TierGuard g(Tier::kScalar);
       want_and = a;
       want_and.AndWith(b);
-      Bitvector::NotInto(a, &want_not);
+      want_not = Bitvector::Not(a);
       Bitvector::OrManyInto(operands, &want_fused);
       want_count = a.Count();
-      want_and_count = Bitvector::AndCount(a, b);
+      want_and_count = want_and.Count();
     }
 
     for (Tier t : VectorTiers()) {
@@ -399,10 +270,6 @@ TEST(SimdKernelsOracle, BitvectorOpsBitIdenticalAcrossTiers) {
         ref.AndNotWith(b);
       }
       EXPECT_EQ(got, ref) << "Or/Xor/AndNot chain bits=" << bits;
-      Bitvector got_not;
-      Bitvector::NotInto(a, &got_not);
-      EXPECT_EQ(got_not, want_not) << "NotInto bits=" << bits;
-      ExpectTrailingClear(got_not, "NotInto");
       Bitvector self_not = a;
       self_not.NotSelf();
       EXPECT_EQ(self_not, want_not) << "NotSelf bits=" << bits;
@@ -416,8 +283,6 @@ TEST(SimdKernelsOracle, BitvectorOpsBitIdenticalAcrossTiers) {
       Bitvector::OrManyInto({&alias, &b, &alias}, &alias);
       EXPECT_EQ(alias, want_fused) << "OrManyInto aliased bits=" << bits;
       EXPECT_EQ(a.Count(), want_count) << "Count bits=" << bits;
-      EXPECT_EQ(Bitvector::AndCount(a, b), want_and_count)
-          << "AndCount bits=" << bits;
       Bitvector awc = a;
       EXPECT_EQ(awc.AndWithCount(b), want_and_count)
           << "AndWithCount bits=" << bits;
@@ -438,9 +303,8 @@ TEST(SimdKernelsOracle, TrailingBitsStayClearAfterEverySimdStorePath) {
       ExpectTrailingClear(inv, "Not(AllOnes)");
       EXPECT_EQ(inv.Count(), 0u) << "Not(AllOnes) bits=" << bits;
       const Bitvector r = RandomBitvector(bits, 0.5, &rng);
-      Bitvector n;
-      Bitvector::NotInto(r, &n);
-      ExpectTrailingClear(n, "NotInto(random)");
+      const Bitvector n = Bitvector::Not(r);
+      ExpectTrailingClear(n, "Not(random)");
       EXPECT_EQ(n.Count() + r.Count(), bits) << "complement count";
       // Fused NOT-free paths preserve zero-padded tails by construction;
       // verify Count (which trusts the invariant) agrees with a bit loop.
@@ -449,90 +313,6 @@ TEST(SimdKernelsOracle, TrailingBitsStayClearAfterEverySimdStorePath) {
       ExpectTrailingClear(fused, "AndManyInto");
       EXPECT_EQ(fused, r) << "AND with all-ones identity bits=" << bits;
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Roaring container ops under every tier.
-// ---------------------------------------------------------------------------
-
-// Shapes chosen to materialize all three container types: sparse chunk
-// (array), dense chunk (bitset), and solid-run chunk (run).
-Bitvector MixedContainerBitmap(uint64_t bits, uint64_t seed) {
-  Rng rng(seed);
-  Bitvector bv(bits);
-  const uint64_t chunk = RoaringBitmap::kChunkBits;
-  for (uint64_t base = 0; base < bits; base += chunk) {
-    const uint64_t end = std::min(bits, base + chunk);
-    switch ((base / chunk + seed) % 3) {
-      case 0:  // sparse -> array container
-        for (int i = 0; i < 300; ++i) {
-          bv.Set(base + rng.UniformInt(0, end - base - 1));
-        }
-        break;
-      case 1:  // dense noise -> bitset container
-        for (uint64_t p = base; p < end; ++p) {
-          if (rng.Bernoulli(0.45)) bv.Set(p);
-        }
-        break;
-      case 2:  // long runs -> run container
-        for (uint64_t p = base; p < end; ++p) {
-          if ((p / 5000) % 2 == 0) bv.Set(p);
-        }
-        break;
-    }
-  }
-  return bv;
-}
-
-TEST(SimdKernelsOracle, RoaringOpsBitIdenticalAcrossTiers) {
-  const uint64_t bits = 5 * RoaringBitmap::kChunkBits + 777;
-  const Bitvector pa = MixedContainerBitmap(bits, 1);
-  const Bitvector pb = MixedContainerBitmap(bits, 2);
-  const RoaringBitmap ra = RoaringBitmap::FromBitvector(pa);
-  const RoaringBitmap rb = RoaringBitmap::FromBitvector(pb);
-
-  struct Snapshot {
-    Bitvector and_bv, or_bv, xor_bv, andnot_bv, not_bv, and_in_place;
-    uint64_t and_count_rr = 0;
-    uint64_t and_count_rp = 0;
-  };
-  const auto run = [&]() {
-    Snapshot s;
-    s.and_bv = RoaringBitmap::And(ra, rb).ToBitvector();
-    s.or_bv = RoaringBitmap::Or(ra, rb).ToBitvector();
-    s.xor_bv = RoaringBitmap::Xor(ra, rb).ToBitvector();
-    s.andnot_bv = RoaringBitmap::AndNot(ra, rb).ToBitvector();
-    ra.NotInto(&s.not_bv);
-    s.and_in_place = pb;
-    ra.AndInPlace(&s.and_in_place);
-    s.and_count_rr = RoaringBitmap::AndCount(ra, rb);
-    s.and_count_rp = ra.AndCount(pb);
-    return s;
-  };
-
-  Snapshot want;
-  {
-    TierGuard g(Tier::kScalar);
-    want = run();
-  }
-  // Plain-domain cross-check of the scalar snapshot itself.
-  EXPECT_EQ(want.and_bv, Bitvector::And(pa, pb));
-  EXPECT_EQ(want.or_bv, Bitvector::Or(pa, pb));
-  EXPECT_EQ(want.xor_bv, Bitvector::Xor(pa, pb));
-  EXPECT_EQ(want.and_count_rr, Bitvector::AndCount(pa, pb));
-
-  for (Tier t : VectorTiers()) {
-    TierGuard g(t);
-    const Snapshot got = run();
-    EXPECT_EQ(got.and_bv, want.and_bv) << kernels::TierName(t);
-    EXPECT_EQ(got.or_bv, want.or_bv) << kernels::TierName(t);
-    EXPECT_EQ(got.xor_bv, want.xor_bv) << kernels::TierName(t);
-    EXPECT_EQ(got.andnot_bv, want.andnot_bv) << kernels::TierName(t);
-    EXPECT_EQ(got.not_bv, want.not_bv) << kernels::TierName(t);
-    EXPECT_EQ(got.and_in_place, want.and_in_place) << kernels::TierName(t);
-    EXPECT_EQ(got.and_count_rr, want.and_count_rr) << kernels::TierName(t);
-    EXPECT_EQ(got.and_count_rp, want.and_count_rp) << kernels::TierName(t);
   }
 }
 
@@ -603,14 +383,14 @@ TEST(SimdKernelsOracle, QuerySweepAllEncodingsCodecsTiers) {
         };
         for (const auto& [lo, hi] : queries) {
           const ExprPtr e = scheme.IntervalExpr(1, kCardinality, lo, hi);
-          const Bitvector got =
-              EvaluateExprDecoded(e, idx.rows, fetch).Take();
+          Bitvector got;
+          EvaluateUnionBlocked({e}, idx.rows, fetch, &got);
           const Bitvector want = idx.Naive(lo, hi);
           EXPECT_EQ(got, want)
               << scheme.name() << " codec=" << codec.name()
               << " tier=" << kernels::TierName(t) << " [" << lo << "," << hi
               << "]";
-          EXPECT_EQ(EvaluateExprDecodedCount(e, idx.rows, fetch),
+          EXPECT_EQ(EvaluateUnionBlocked({e}, idx.rows, fetch, nullptr),
                     want.Count())
               << scheme.name() << " codec=" << codec.name() << " count"
               << " tier=" << kernels::TierName(t);

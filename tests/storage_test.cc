@@ -605,6 +605,8 @@ TEST(CacheFaultOracleTest, BothCachesFaultAndAccountAMissIdentically) {
   pool.SetFaultInjector(&pool_faults);
   shard.SetFaultInjector(&shard_faults);
 
+  uint64_t stored_resident = 0;   // the paper pool's unit
+  uint64_t decoded_resident = 0;  // the shared cache's unit
   for (size_t k = 0; k < keys.size(); ++k) {
     for (int attempt = 0; attempt < 4; ++attempt) {
       SCOPED_TRACE("slot " + std::to_string(k) + " attempt " +
@@ -624,11 +626,20 @@ TEST(CacheFaultOracleTest, BothCachesFaultAndAccountAMissIdentically) {
       if (a.ok()) {
         EXPECT_EQ(*a.value().MaterializePlain(), reference[k]);
         EXPECT_EQ(*b.value().MaterializePlain(), reference[k]);
+        const uint64_t stored = store.GetBlob(keys[k]).bytes.size();
+        stored_resident += stored;
+        decoded_resident += b.value().is_roaring()
+                                ? stored
+                                : Bitvector::WordCount(4000) * sizeof(uint64_t);
         break;
       }
     }
   }
-  EXPECT_EQ(pool.pool_bytes_used(), shard.pool_bytes_used());
+  // Both caches hold the same keys, each charged in its own unit: the
+  // paper's pool keeps the stored bytes, the shared cache the decoded form
+  // (plain words, or a Roaring bitmap's containers at their stored size).
+  EXPECT_EQ(pool.pool_bytes_used(), stored_resident);
+  EXPECT_EQ(shard.pool_bytes_used(), decoded_resident);
   // The oracle saw every kind of fault.
   const FaultInjector::Counters c = pool_faults.counters();
   EXPECT_GT(c.unavailable, 0u);

@@ -3,8 +3,8 @@
 // tail words, empty and all-ones operands, and destination aliasing), the
 // copy-count tripwires that keep by-value bitmap handoffs from silently
 // returning, and bit-identical results across the query-wise,
-// component-wise (blocked union), buffer-aware, and count-only evaluation
-// paths.
+// component-wise and buffer-aware strategies, every storage codec, and the
+// bitmap and count-only modes of the one blocked union evaluator.
 
 #include <gtest/gtest.h>
 
@@ -121,51 +121,11 @@ TEST(FusedKernelTest, AndWithCountMatchesAndThenCount) {
   }
 }
 
-TEST(FusedKernelTest, NotIntoMatchesCopyThenNotSelf) {
-  Rng rng(31);
-  for (uint64_t bits : {0u, 1u, 63u, 64u, 65u, 501u}) {
-    Bitvector src = MakeRandom(bits, 0.5, &rng);
-    Bitvector expected = src;
-    expected.NotSelf();
-    Bitvector out;
-    Bitvector::NotInto(src, &out);
-    ASSERT_EQ(out, expected) << bits;
-    // Aliasing degrades to NotSelf.
-    Bitvector aliased = src;
-    Bitvector::NotInto(aliased, &aliased);
-    ASSERT_EQ(aliased, expected) << bits;
-    // Trailing padding beyond size() stays clear.
-    ASSERT_EQ(out.Count() + src.Count(), bits) << bits;
-  }
-}
-
-TEST(FusedKernelTest, AndCountMatchesMaterializedConjunction) {
-  Rng rng(32);
-  for (uint64_t bits : {0u, 1u, 64u, 129u, 2000u}) {
-    for (int round = 0; round < 10; ++round) {
-      const Bitvector a = MakeRandom(bits, rng.UniformDouble(), &rng);
-      const Bitvector b = MakeRandom(bits, rng.UniformDouble(), &rng);
-      ASSERT_EQ(Bitvector::AndCount(a, b), Bitvector::And(a, b).Count());
-    }
-  }
-}
-
-TEST(FusedKernelTest, AllZero) {
-  EXPECT_TRUE(Bitvector().AllZero());
-  EXPECT_TRUE(Bitvector(1000).AllZero());
-  Bitvector bv(1000);
-  bv.Set(999);
-  EXPECT_FALSE(bv.AllZero());
-  bv.Clear(999);
-  EXPECT_TRUE(bv.AllZero());
-}
-
 // ------------------------------------------------------- copy tripwires --
 
-// The evaluator memoizes leaf *handles*: a leaf referenced repeatedly in
-// one expression is fetched once and never copied to be handed out again.
-// This pins the FetchMemoized by-value regression (evaluate.cc used to
-// return its memo entry by value on every reference).
+// The evaluator fetches each distinct leaf once, by key, and reads its
+// handle in place: a leaf referenced repeatedly in one expression is never
+// fetched again or copied to be handed out.
 TEST(CopyTripwireTest, RepeatedLeafIsFetchedOnceAndNeverCopied) {
   const uint64_t kRows = 10000;
   Rng rng(5);
@@ -185,15 +145,16 @@ TEST(CopyTripwireTest, RepeatedLeafIsFetchedOnceAndNeverCopied) {
   ExprPtr e = ExprOr(ExprAnd(ExprLeaf(1, 0), ExprLeaf(1, 1)),
                      ExprAnd(ExprLeaf(1, 0), ExprLeaf(1, 2)));
   BitvectorCopyStats::Reset();
-  EvalResult r = EvaluateExprDecoded(e, kRows, fetch);
-  EXPECT_EQ(fetches, 3);  // B0 memoized as a handle
+  Bitvector r;
+  EvaluateUnionBlocked({e}, kRows, fetch, &r);
+  EXPECT_EQ(fetches, 3);  // B0 fetched once, by key
   // All-leaf n-ary nodes and the OR combine run over borrowed handles and
   // scratch buffers: zero payload copies end to end.
   EXPECT_EQ(BitvectorCopyStats::copies(), 0u);
   // Sanity: the result is right.
   Bitvector expected = Bitvector::And(*b0, *b1);
   expected.OrWith(Bitvector::And(*b0, *b2));
-  EXPECT_EQ(r.view(), expected);
+  EXPECT_EQ(r, expected);
 }
 
 // The cached component-wise serving path: leaves come out of the shared
@@ -231,17 +192,17 @@ TEST(CopyTripwireTest, CachedComponentWiseMembershipCopiesNothing) {
   EXPECT_EQ(count, warm.Count());
 }
 
-// The operate-on-compressed tripwire: once the sharded cache is warm, an
-// AND over Roaring-stored bitmaps runs entirely in the compressed domain —
-// container-vs-container kernels plus WriteInto of the computed result —
-// and performs ZERO full decodes of stored bitmaps (RoaringStats counts
-// every whole-bitmap expansion: ToBitvector, MaterializePlain, and the
-// codec Decode path).
+// The read-in-place tripwire: once the sharded cache is warm, an AND over
+// Roaring-stored bitmaps reads each container one block at a time — bitset
+// words in place, array and run containers expanded block by block — and
+// performs ZERO full decodes of stored bitmaps (RoaringStats counts every
+// whole-bitmap expansion: ToBitvector, MaterializePlain, and the codec
+// Decode path).
 TEST(CopyTripwireTest, WarmedRoaringAndPerformsZeroFullDecodes) {
   Column col = GenerateZipfColumn(
       {.rows = 30000, .cardinality = 36, .zipf_z = 1.2, .seed = 13});
   // Two components: each membership value rewrites to an AND of two leaves,
-  // so the warmed path exercises the compressed-domain conjunction.
+  // so the warmed path exercises a conjunction of Roaring leaves.
   BitmapIndex index =
       BitmapIndex::Build(col, Decomposition::Make(36, {6, 6}).value(),
                          EncodingKind::kEquality, StorageCodec::kRoaring);
@@ -260,8 +221,8 @@ TEST(CopyTripwireTest, WarmedRoaringAndPerformsZeroFullDecodes) {
       << "a warmed Roaring AND expanded a whole stored bitmap";
   EXPECT_EQ(warm, NaiveEvaluateMembership(col, values));
 
-  // Count-only over the same warm working set folds container
-  // cardinalities (AndCount) — also decode-free.
+  // Count-only over the same warm working set counts block by block —
+  // also decode-free.
   RoaringStats::Reset();
   const uint64_t count = exec.TryEvaluateCountRewritten(exprs).value();
   EXPECT_EQ(RoaringStats::full_decodes(), 0u);
@@ -273,8 +234,8 @@ TEST(CopyTripwireTest, WarmedRoaringAndPerformsZeroFullDecodes) {
 // Every evaluation path against the naive scan, bitmap and count-only: the
 // three strategies over a cold private pool, and the component-wise
 // strategy over a warmed shared cache (the service's configuration), which
-// must copy no bitmap bytes. Component-wise evaluation over plain leaves is
-// the blocked union; the other strategies evaluate node at a time.
+// must copy no bitmap bytes. The strategies differ only in what they fetch
+// and when; every one combines its leaves in one blocked union run.
 void ExpectAllPathsMatchNaive(const Column& col, const BitmapIndex& index,
                               const std::vector<uint32_t>& values,
                               const std::string& label) {
@@ -332,10 +293,13 @@ TEST(EvalPathEquivalenceTest, AllStrategiesAndCountAgreeOnSeededWorkload) {
   }
 
   // Shapes the blocked union must get right at its edges: row counts that
-  // end mid-word and mid-block (256-word blocks), plain and Gray-reordered
-  // indexes, and membership sets whose rewrite has a constant-true
-  // constituent (the whole domain) or a NOT at a constituent's root (a top
-  // suffix, or the top value alone), which set bits past the last row.
+  // end mid-word, mid-block (256-word blocks) and mid-chunk (Roaring's
+  // 1024-word chunks), plain and Gray-reordered indexes (the latter turn
+  // Roaring chunks into run containers), every storage codec — kAuto mixes
+  // plain and Roaring leaves in one query — and membership sets whose
+  // rewrite has a constant-true constituent (the whole domain) or a NOT at
+  // a constituent's root (a top suffix, or the top value alone), which set
+  // bits past the last row.
   std::vector<std::vector<uint32_t>> sets;
   sets.emplace_back();
   for (uint32_t v = 0; v < 25; ++v) sets.back().push_back(v);
@@ -356,17 +320,23 @@ TEST(EvalPathEquivalenceTest, AllStrategiesAndCountAgreeOnSeededWorkload) {
     for (EncodingKind enc : AllEncodingKinds()) {
       for (ReorderStrategy reorder :
            {ReorderStrategy::kNone, ReorderStrategy::kGrayCode}) {
-        IndexConfig config;
-        config.encoding = enc;
-        config.bases_msb_first = {5, 5};
-        config.reorder = reorder;
-        BitmapIndex index = BuildIndex(edge, config).value();
-        for (const std::vector<uint32_t>& values : sets) {
-          ASSERT_NO_FATAL_FAILURE(ExpectAllPathsMatchNaive(
-              edge, index, values,
-              std::string(EncodingKindName(enc)) + " rows=" +
-                  std::to_string(rows) +
-                  (reorder == ReorderStrategy::kNone ? "" : " gray")));
+        for (StorageCodec codec :
+             {StorageCodec::kVerbatim, StorageCodec::kBbc,
+              StorageCodec::kRoaring, StorageCodec::kAuto}) {
+          IndexConfig config;
+          config.encoding = enc;
+          config.bases_msb_first = {5, 5};
+          config.reorder = reorder;
+          config.codec = codec;
+          BitmapIndex index = BuildIndex(edge, config).value();
+          for (const std::vector<uint32_t>& values : sets) {
+            ASSERT_NO_FATAL_FAILURE(ExpectAllPathsMatchNaive(
+                edge, index, values,
+                std::string(EncodingKindName(enc)) + "/" +
+                    StorageCodecName(codec) + " rows=" +
+                    std::to_string(rows) +
+                    (reorder == ReorderStrategy::kNone ? "" : " gray")));
+          }
         }
       }
     }
@@ -404,9 +374,8 @@ TEST(CountOnlyServiceTest, CountMatchesMaterializedRows) {
 // Count-only over a writable index whose every read is merged: tombstones
 // carried by a compaction, then a fresh overlay of appends (crossing a word
 // boundary past the base rows), overrides (one deleted after its update),
-// a deleted append and a revived row. Plain leaves take the blocked union
-// with the mask in its pass; Roaring leaves take the node-at-a-time path
-// and mask after it.
+// a deleted append and a revived row. Plain and Roaring leaves alike take
+// the blocked union with the mask in its pass.
 TEST(CountOnlyServiceTest, WritableCountsOverCarriedTombstones) {
   constexpr uint32_t kC = 30;
   // Three union blocks, the last base word holding 62 rows.
