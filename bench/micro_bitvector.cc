@@ -122,74 +122,6 @@ void BM_Count(benchmark::State& state) {
 }
 BENCHMARK(BM_Count)->Arg(1 << 20);
 
-// Fused k-ary kernels vs the naive copy-then-fold composition. The naive
-// variant is exactly what the evaluator used to do: copy the first operand,
-// then one full pass (load+store) per remaining operand. The fused kernel
-// makes a single pass reading all k operands per word.
-void BM_AndManyNaive(benchmark::State& state) {
-  const uint64_t bits = state.range(0);
-  const size_t k = state.range(1);
-  std::vector<Bitvector> ops;
-  for (size_t i = 0; i < k; ++i) ops.push_back(MakeRandom(bits, 0.5, i + 1));
-  for (auto _ : state) {
-    Bitvector r = ops[0];
-    for (size_t i = 1; i < k; ++i) r.AndWith(ops[i]);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetBytesProcessed(state.iterations() * (bits / 8) * k);
-}
-BENCHMARK(BM_AndManyNaive)
-    ->Args({1 << 20, 2})->Args({1 << 20, 4})->Args({1 << 20, 8})
-    ->Args({6 << 20, 4});
-
-void BM_AndManyFused(benchmark::State& state) {
-  const uint64_t bits = state.range(0);
-  const size_t k = state.range(1);
-  std::vector<Bitvector> ops;
-  for (size_t i = 0; i < k; ++i) ops.push_back(MakeRandom(bits, 0.5, i + 1));
-  std::vector<const Bitvector*> ptrs;
-  for (const Bitvector& op : ops) ptrs.push_back(&op);
-  Bitvector out;
-  for (auto _ : state) {
-    Bitvector::AndManyInto(ptrs, &out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(state.iterations() * (bits / 8) * k);
-}
-BENCHMARK(BM_AndManyFused)
-    ->Args({1 << 20, 2})->Args({1 << 20, 4})->Args({1 << 20, 8})
-    ->Args({6 << 20, 4});
-
-void BM_OrManyNaive(benchmark::State& state) {
-  const uint64_t bits = state.range(0);
-  const size_t k = state.range(1);
-  std::vector<Bitvector> ops;
-  for (size_t i = 0; i < k; ++i) ops.push_back(MakeRandom(bits, 0.1, i + 1));
-  for (auto _ : state) {
-    Bitvector r = ops[0];
-    for (size_t i = 1; i < k; ++i) r.OrWith(ops[i]);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetBytesProcessed(state.iterations() * (bits / 8) * k);
-}
-BENCHMARK(BM_OrManyNaive)->Args({1 << 20, 4})->Args({1 << 20, 8});
-
-void BM_OrManyFused(benchmark::State& state) {
-  const uint64_t bits = state.range(0);
-  const size_t k = state.range(1);
-  std::vector<Bitvector> ops;
-  for (size_t i = 0; i < k; ++i) ops.push_back(MakeRandom(bits, 0.1, i + 1));
-  std::vector<const Bitvector*> ptrs;
-  for (const Bitvector& op : ops) ptrs.push_back(&op);
-  Bitvector out;
-  for (auto _ : state) {
-    Bitvector::OrManyInto(ptrs, &out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(state.iterations() * (bits / 8) * k);
-}
-BENCHMARK(BM_OrManyFused)->Args({1 << 20, 4})->Args({1 << 20, 8});
-
 // a AND NOT b: the two-pass Not-then-And vs the fused single pass.
 void BM_AndNotNaive(benchmark::State& state) {
   const uint64_t bits = state.range(0);
@@ -218,32 +150,6 @@ void BM_AndNotFused(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * (bits / 8) * 2);
 }
 BENCHMARK(BM_AndNotFused)->Arg(1 << 20);
-
-// COUNT(a AND b): separate And-then-Count passes vs the fused popcount.
-void BM_AndCountNaive(benchmark::State& state) {
-  const uint64_t bits = state.range(0);
-  Bitvector a = MakeRandom(bits, 0.5, 1);
-  Bitvector b = MakeRandom(bits, 0.5, 2);
-  for (auto _ : state) {
-    Bitvector r = a;
-    r.AndWith(b);
-    benchmark::DoNotOptimize(r.Count());
-  }
-  state.SetBytesProcessed(state.iterations() * (bits / 8) * 2);
-}
-BENCHMARK(BM_AndCountNaive)->Arg(1 << 20);
-
-void BM_AndCountFused(benchmark::State& state) {
-  const uint64_t bits = state.range(0);
-  Bitvector a = MakeRandom(bits, 0.5, 1);
-  Bitvector b = MakeRandom(bits, 0.5, 2);
-  for (auto _ : state) {
-    Bitvector r = a;
-    benchmark::DoNotOptimize(r.AndWithCount(b));
-  }
-  state.SetBytesProcessed(state.iterations() * (bits / 8) * 2);
-}
-BENCHMARK(BM_AndCountFused)->Arg(1 << 20);
 
 void BM_SetBits(benchmark::State& state) {
   const uint64_t bits = 1 << 20;
@@ -294,41 +200,11 @@ void BM_CountPerTier(benchmark::State& state, kernels::Tier tier) {
   state.SetBytesProcessed(state.iterations() * (bits / 8));
 }
 
-void BM_AndManyFusedPerTier(benchmark::State& state, kernels::Tier tier) {
-  const uint64_t bits = 6'000'000;
-  const size_t k = 4;
-  std::vector<Bitvector> ops;
-  for (size_t i = 0; i < k; ++i) ops.push_back(MakeRandom(bits, 0.5, i + 1));
-  std::vector<const Bitvector*> ptrs;
-  for (const Bitvector& op : ops) ptrs.push_back(&op);
-  Bitvector out;
-  TierScope scope(state, tier);
-  for (auto _ : state) {
-    Bitvector::AndManyInto(ptrs, &out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(state.iterations() * (bits / 8) * k);
-}
-
-void BM_AndCountFusedPerTier(benchmark::State& state, kernels::Tier tier) {
-  const uint64_t bits = 6'000'000;
-  const Bitvector a = MakeRandom(bits, 0.5, 1);
-  const Bitvector b = MakeRandom(bits, 0.5, 2);
-  TierScope scope(state, tier);
-  for (auto _ : state) {
-    Bitvector r = a;
-    benchmark::DoNotOptimize(r.AndWithCount(b));
-  }
-  state.SetBytesProcessed(state.iterations() * (bits / 8) * 2);
-}
-
 void RegisterPerTierBenches() {
   using Fn = void (*)(benchmark::State&, kernels::Tier);
   const std::pair<const char*, Fn> benches[] = {
       {"BM_AndPerTier", BM_AndPerTier},
       {"BM_CountPerTier", BM_CountPerTier},
-      {"BM_AndManyFusedPerTier", BM_AndManyFusedPerTier},
-      {"BM_AndCountFusedPerTier", BM_AndCountFusedPerTier},
   };
   for (const auto& [name, fn] : benches) {
     for (kernels::Tier t : {kernels::Tier::kScalar, kernels::Tier::kAvx2,

@@ -60,7 +60,7 @@ struct KernelPoint {
 };
 
 struct Buffers {
-  std::vector<uint64_t> dst, a, b, c, d;
+  std::vector<uint64_t> dst, a, b, c, d, e, f, mask;
 
   explicit Buffers(size_t n) {
     Rng rng(7);
@@ -68,11 +68,9 @@ struct Buffers {
       v->resize(n);
       for (uint64_t& w : *v) w = rng.engine()();
     };
-    fill(&dst);
-    fill(&a);
-    fill(&b);
-    fill(&c);
-    fill(&d);
+    for (std::vector<uint64_t>* v : {&dst, &a, &b, &c, &d, &e, &f, &mask}) {
+      fill(v);
+    }
   }
 };
 
@@ -124,7 +122,6 @@ void Run(const bench::BenchArgs& args) {
     const Ops& ops = *kernels::OpsForTier(t);
     uint64_t* dst = buf.dst.data();
     const uint64_t* a = buf.a.data();
-    const uint64_t* b = buf.b.data();
     const uint64_t* srcs[4] = {buf.a.data(), buf.b.data(), buf.c.data(),
                                buf.d.data()};
     uint64_t sink = 0;
@@ -149,10 +146,18 @@ void Run(const bench::BenchArgs& args) {
                 [&] { ops.xor_many(srcs, 4, dst, n); }));
     // Popcounts.
     add(Measure("count", t, wb, reps, [&] { sink += ops.count(a, n); }));
-    add(Measure("and_count", t, 2 * wb, reps,
-                [&] { sink += ops.and_count(a, b, n); }));
-    add(Measure("and_with_count", t, 3 * wb, reps,
-                [&] { sink += ops.and_with_count(dst, a, n); }));
+    // The union root's shape on interval encoding: three a & ~b terms and
+    // a tombstone mask, stored and counted in the same pass (read 7
+    // operands, write dst).
+    const uint64_t* blocks[6] = {buf.a.data(), buf.b.data(), buf.c.data(),
+                                 buf.d.data(), buf.e.data(), buf.f.data()};
+    const kernels::Term terms[3] = {
+        {kernels::TermKind::kAndNot, &blocks[0], &blocks[1]},
+        {kernels::TermKind::kAndNot, &blocks[2], &blocks[3]},
+        {kernels::TermKind::kAndNot, &blocks[4], &blocks[5]}};
+    add(Measure("or_terms", t, 8 * wb, reps, [&] {
+      sink += ops.or_terms(terms, 3, buf.mask.data(), ~uint64_t{0}, dst, n);
+    }));
   }
 
   // Speedups vs the scalar row of the same kernel.
@@ -179,7 +184,7 @@ void Run(const bench::BenchArgs& args) {
   table.Print();
   std::printf("\nExpected: every vector tier at or above scalar on every\n"
               "kernel (the CI gate enforces this); the largest steps on\n"
-              "count/and_count (nibble-LUT popcount vs word popcount) and\n"
+              "count/or_terms (nibble-LUT popcount vs word popcount) and\n"
               "the k-ary folds (register accumulator vs blocked passes).\n");
 
   if (!args.json_path.empty()) {

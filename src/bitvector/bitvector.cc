@@ -93,64 +93,9 @@ void Bitvector::AndNotWith(const Bitvector& other) {
                                  words_.size());
 }
 
-uint64_t Bitvector::AndWithCount(const Bitvector& other) {
-  BIX_CHECK(size_ == other.size_);
-  return kernels::Active().and_with_count(words_.data(), other.words_.data(),
-                                          words_.size());
-}
-
 void Bitvector::NotSelf() {
   kernels::Active().not_words(words_.data(), words_.data(), words_.size());
   ClearTrailingBits();
-}
-
-namespace {
-
-// Shared shape checks for the fused kernels: equal operand sizes, and the
-// output resized to match (a same-size resize of an aliasing output is a
-// no-op, so aliasing stays safe).
-void PrepareFusedOut(const std::vector<const Bitvector*>& operands,
-                     Bitvector* out) {
-  BIX_CHECK(!operands.empty());
-  BIX_CHECK(out != nullptr);
-  const uint64_t size = operands[0]->size();
-  for (const Bitvector* op : operands) BIX_CHECK(op->size() == size);
-  out->Resize(size);
-}
-
-// Collects the raw word pointers the k-ary kernels consume. The kernels
-// read every operand's word for a stride before writing that stride of the
-// output, so `out` aliasing one of the operands stays safe.
-std::vector<const uint64_t*> OperandWords(
-    const std::vector<const Bitvector*>& operands) {
-  std::vector<const uint64_t*> srcs(operands.size());
-  for (size_t i = 0; i < operands.size(); ++i) {
-    srcs[i] = operands[i]->words().data();
-  }
-  return srcs;
-}
-
-}  // namespace
-
-void Bitvector::AndManyInto(const std::vector<const Bitvector*>& operands,
-                            Bitvector* out) {
-  PrepareFusedOut(operands, out);
-  kernels::Active().and_many(OperandWords(operands).data(), operands.size(),
-                             out->words_.data(), out->words_.size());
-}
-
-void Bitvector::OrManyInto(const std::vector<const Bitvector*>& operands,
-                           Bitvector* out) {
-  PrepareFusedOut(operands, out);
-  kernels::Active().or_many(OperandWords(operands).data(), operands.size(),
-                            out->words_.data(), out->words_.size());
-}
-
-void Bitvector::XorManyInto(const std::vector<const Bitvector*>& operands,
-                            Bitvector* out) {
-  PrepareFusedOut(operands, out);
-  kernels::Active().xor_many(OperandWords(operands).data(), operands.size(),
-                             out->words_.data(), out->words_.size());
 }
 
 Bitvector Bitvector::And(const Bitvector& a, const Bitvector& b) {

@@ -104,26 +104,8 @@ class Bitvector {
   void XorWith(const Bitvector& other);
   // this &= ~other (one pass; the naive spelling Not + And costs two).
   void AndNotWith(const Bitvector& other);
-  // this &= other, returning the popcount of the result from the same pass
-  // over the words (COUNT queries fold the count into the last combine
-  // instead of re-reading the result).
-  uint64_t AndWithCount(const Bitvector& other);
   // In-place complement; trailing bits beyond size() stay zero.
   void NotSelf();
-
-  // Fused k-ary kernels: *out = op(*operands[0], ..., *operands[k-1]) in a
-  // single pass over the words — each word is read from all k operands and
-  // written once, instead of k separate load/op/store passes over the whole
-  // accumulator (the paper's combine step is bandwidth-bound, so pass count
-  // is what the fused form buys back). All operands must share one size;
-  // `out` is resized to match and may alias one of the operands (each word
-  // is fully read before it is written).
-  static void AndManyInto(const std::vector<const Bitvector*>& operands,
-                          Bitvector* out);
-  static void OrManyInto(const std::vector<const Bitvector*>& operands,
-                         Bitvector* out);
-  static void XorManyInto(const std::vector<const Bitvector*>& operands,
-                          Bitvector* out);
 
   // Value-returning counterparts.
   static Bitvector And(const Bitvector& a, const Bitvector& b);

@@ -82,28 +82,61 @@ uint64_t ScalarCount(const uint64_t* w, size_t n) {
   return total;
 }
 
-uint64_t ScalarAndCount(const uint64_t* a, const uint64_t* b, size_t n) {
-  uint64_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    total += static_cast<uint64_t>(__builtin_popcountll(a[i] & b[i]));
+// acc[i] |= term t's word base + i, one two-pointer pass per term kind.
+void OrTermInto(const Term& t, size_t base, uint64_t* acc, size_t len) {
+  const uint64_t* a = *t.a + base;
+  switch (t.kind) {
+    case TermKind::kA:
+      for (size_t i = 0; i < len; ++i) acc[i] |= a[i];
+      return;
+    case TermKind::kNotA:
+      for (size_t i = 0; i < len; ++i) acc[i] |= ~a[i];
+      return;
+    default:
+      break;
   }
-  return total;
+  const uint64_t* b = *t.b + base;
+  switch (t.kind) {
+    case TermKind::kAnd:
+      for (size_t i = 0; i < len; ++i) acc[i] |= a[i] & b[i];
+      return;
+    case TermKind::kAndNot:
+      for (size_t i = 0; i < len; ++i) acc[i] |= a[i] & ~b[i];
+      return;
+    case TermKind::kNor:
+      for (size_t i = 0; i < len; ++i) acc[i] |= ~(a[i] | b[i]);
+      return;
+    case TermKind::kXor:
+      for (size_t i = 0; i < len; ++i) acc[i] |= a[i] ^ b[i];
+      return;
+    default:  // kXnor
+      for (size_t i = 0; i < len; ++i) acc[i] |= ~(a[i] ^ b[i]);
+      return;
+  }
 }
 
-uint64_t ScalarAndWithCount(uint64_t* dst, const uint64_t* src, size_t n) {
+// Like the folds: the terms are ORed one pass each into an L1 block, which
+// is then masked, counted and stored.
+uint64_t ScalarOrTerms(const Term* terms, size_t k, const uint64_t* exclude,
+                       uint64_t last_mask, uint64_t* dst, size_t n) {
+  uint64_t block[kFuseBlockWords];
   uint64_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t w = dst[i] & src[i];
-    dst[i] = w;
-    total += static_cast<uint64_t>(__builtin_popcountll(w));
+  for (size_t base = 0; base < n; base += kFuseBlockWords) {
+    const size_t len = std::min(kFuseBlockWords, n - base);
+    std::memset(block, 0, len * sizeof(uint64_t));
+    for (size_t j = 0; j < k; ++j) OrTermInto(terms[j], base, block, len);
+    if (exclude != nullptr) ScalarAndNot(block, exclude + base, len);
+    if (base + len == n) block[len - 1] &= last_mask;
+    total += ScalarCount(block, len);
+    if (dst != nullptr) std::memcpy(dst + base, block, len * sizeof(uint64_t));
   }
   return total;
 }
 
 constexpr Ops kScalarOps = {
-    ScalarAnd,      ScalarOr,      ScalarXor,     ScalarAndNot,
-    ScalarNot,      ScalarAndMany, ScalarOrMany,  ScalarXorMany,
-    ScalarCount,    ScalarAndCount, ScalarAndWithCount,
+    ScalarAnd,     ScalarOr,      ScalarXor,   ScalarAndNot,
+    ScalarNot,     ScalarAndMany, ScalarOrMany, ScalarXorMany,
+    ScalarCount,   ScalarOrTerms,
 };
 
 }  // namespace

@@ -27,6 +27,28 @@ enum class Tier : int {
 // trace tags, and the BENCH_simd.json artifact.
 const char* TierName(Tier t);
 
+// One term of or_terms: a literal or a two-operand AND/XOR, its
+// complements folded into one of seven kinds (a & ~b covers ~a & b with
+// the operands swapped; ~a ^ ~b is a ^ b). Each operand is read through a
+// pointer to its current block, so a term built once follows its operands
+// from block to block.
+enum class TermKind : uint8_t {
+  kA,       // a
+  kNotA,    // ~a
+  kAnd,     // a & b
+  kAndNot,  // a & ~b
+  kNor,     // ~(a | b)
+  kXor,     // a ^ b
+  kXnor,    // ~(a ^ b)
+};
+
+struct Term {
+  TermKind kind = TermKind::kA;
+  const uint64_t* const* a = nullptr;  // -> operand a's words
+  const uint64_t* const* b = nullptr;  // -> operand b's words (two-operand
+                                       //    kinds only)
+};
+
 // A tier's kernel table. Contracts shared by all implementations:
 //  - `n` counts 64-bit words; n == 0 is valid everywhere.
 //  - Pairwise ops are in-place on dst; dst == src is allowed.
@@ -54,10 +76,21 @@ struct Ops {
                    size_t n);
   // popcount(w)
   uint64_t (*count)(const uint64_t* w, size_t n);
-  // popcount(a & b) without materializing the conjunction
-  uint64_t (*and_count)(const uint64_t* a, const uint64_t* b, size_t n);
-  // dst &= src, returning popcount(dst) from the same pass
-  uint64_t (*and_with_count)(uint64_t* dst, const uint64_t* src, size_t n);
+  // The union program's root (DESIGN.md section 12). Answer word i is the
+  // OR of the k terms' words i, & ~exclude[i] when exclude is non-null;
+  // word n-1 is also ANDed with last_mask. Stores the answer to dst when
+  // dst is non-null (dst overlaps no operand) and returns its popcount.
+  // Each operand word is loaded once and each answer word stored once;
+  // k == 0 is an all-zero answer.
+  uint64_t (*or_terms)(const Term* terms, size_t k, const uint64_t* exclude,
+                       uint64_t last_mask, uint64_t* dst, size_t n);
+
+  // popcount(a & b): one kAnd term through or_terms (perfbench's traced
+  // run measures it as a kernel rate).
+  uint64_t and_count(const uint64_t* a, const uint64_t* b, size_t n) const {
+    const Term term{TermKind::kAnd, &a, &b};
+    return or_terms(&term, 1, nullptr, ~uint64_t{0}, nullptr, n);
+  }
 };
 
 // The active tier's table. First call runs detection (cheap, cached);

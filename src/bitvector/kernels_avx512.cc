@@ -147,44 +147,115 @@ uint64_t Avx512Count(const uint64_t* w, size_t n) {
   return static_cast<uint64_t>(_mm512_reduce_add_epi64(acc));
 }
 
-uint64_t Avx512AndCount(const uint64_t* a, const uint64_t* b, size_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm512_add_epi64(
-        acc, PopcountLanes(_mm512_and_si512(LoadU(a + i), LoadU(b + i))));
+// An operand's 8 words at p: all of them, or the lanes set in m (the others
+// read as 0, and are never touched in memory).
+struct FullLoad {
+  __m512i operator()(const uint64_t* p) const { return LoadU(p); }
+};
+struct MaskedLoad {
+  __mmask8 m;
+  __m512i operator()(const uint64_t* p) const {
+    return _mm512_maskz_loadu_epi64(m, p);
   }
-  if (i < n) {
-    const __mmask8 m = TailMask(n - i);
-    const __m512i v = _mm512_and_si512(_mm512_maskz_loadu_epi64(m, a + i),
-                                       _mm512_maskz_loadu_epi64(m, b + i));
-    acc = _mm512_add_epi64(acc, PopcountLanes(v));
+};
+
+// acc[v] |= term(words [i + 8v, i + 8v + 8)), v < V, in one ternary-logic
+// instruction per vector: kImm is the truth table of acc | f(x, y).
+template <int kImm, int V, typename Load>
+inline void Fold1(const uint64_t* a, Load load, __m512i* acc) {
+  for (int v = 0; v < V; ++v) {
+    const __m512i x = load(a + 8 * v);
+    acc[v] = _mm512_ternarylogic_epi64(acc[v], x, x, kImm);
   }
-  return static_cast<uint64_t>(_mm512_reduce_add_epi64(acc));
+}
+template <int kImm, int V, typename Load>
+inline void Fold2(const uint64_t* a, const uint64_t* b, Load load,
+                  __m512i* acc) {
+  for (int v = 0; v < V; ++v) {
+    acc[v] = _mm512_ternarylogic_epi64(acc[v], load(a + 8 * v),
+                                       load(b + 8 * v), kImm);
+  }
 }
 
-uint64_t Avx512AndWithCount(uint64_t* dst, const uint64_t* src, size_t n) {
-  __m512i acc = _mm512_setzero_si512();
+// ORs every term's words [i, i + 8V) into acc[0..V).
+template <int V, typename Load>
+inline void OrTermsInto(const Term* terms, size_t k, size_t i, Load load,
+                        __m512i* acc) {
+  for (size_t j = 0; j < k; ++j) {
+    const Term& t = terms[j];
+    const uint64_t* a = *t.a + i;
+    switch (t.kind) {
+      case TermKind::kA:
+        Fold1<0xFC, V>(a, load, acc);  // acc | x
+        continue;
+      case TermKind::kNotA:
+        Fold1<0xF3, V>(a, load, acc);  // acc | ~x
+        continue;
+      default:
+        break;
+    }
+    const uint64_t* b = *t.b + i;
+    switch (t.kind) {
+      case TermKind::kAnd:
+        Fold2<0xF8, V>(a, b, load, acc);  // acc | (x & y)
+        break;
+      case TermKind::kAndNot:
+        Fold2<0xF4, V>(a, b, load, acc);  // acc | (x & ~y)
+        break;
+      case TermKind::kNor:
+        Fold2<0xF1, V>(a, b, load, acc);  // acc | ~(x | y)
+        break;
+      case TermKind::kXor:
+        Fold2<0xF6, V>(a, b, load, acc);  // acc | (x ^ y)
+        break;
+      default:
+        Fold2<0xF9, V>(a, b, load, acc);  // kXnor: acc | ~(x ^ y)
+        break;
+    }
+  }
+}
+
+// Four vectors of terms per stride; the last (partial) vectors run with
+// masked loads and stores, and word n-1 alone takes last_mask.
+uint64_t Avx512OrTerms(const Term* terms, size_t k, const uint64_t* exclude,
+                       uint64_t last_mask, uint64_t* dst, size_t n) {
+  if (n == 0) return 0;
+  __m512i count = _mm512_setzero_si512();
+  const size_t whole = last_mask == ~uint64_t{0} ? n : n - 1;
   size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i w = _mm512_and_si512(LoadU(dst + i), LoadU(src + i));
-    StoreU(dst + i, w);
-    acc = _mm512_add_epi64(acc, PopcountLanes(w));
+  for (; i + 32 <= whole; i += 32) {
+    __m512i acc[4] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
+                      _mm512_setzero_si512(), _mm512_setzero_si512()};
+    OrTermsInto<4>(terms, k, i, FullLoad{}, acc);
+    for (int v = 0; v < 4; ++v) {
+      if (exclude != nullptr) {
+        acc[v] = _mm512_andnot_si512(LoadU(exclude + i + 8 * v), acc[v]);
+      }
+      if (dst != nullptr) StoreU(dst + i + 8 * v, acc[v]);
+      count = _mm512_add_epi64(count, PopcountLanes(acc[v]));
+    }
   }
-  if (i < n) {
-    const __mmask8 m = TailMask(n - i);
-    const __m512i w = _mm512_and_si512(_mm512_maskz_loadu_epi64(m, dst + i),
-                                       _mm512_maskz_loadu_epi64(m, src + i));
-    _mm512_mask_storeu_epi64(dst + i, m, w);
-    acc = _mm512_add_epi64(acc, PopcountLanes(w));
+  for (; i < n; i += 8) {
+    const MaskedLoad load{n - i >= 8 ? __mmask8{0xFF} : TailMask(n - i)};
+    __m512i acc = _mm512_setzero_si512();
+    OrTermsInto<1>(terms, k, i, load, &acc);
+    if (exclude != nullptr) acc = _mm512_andnot_si512(load(exclude + i), acc);
+    if (n - i <= 8) {
+      acc = _mm512_mask_and_epi64(acc, static_cast<__mmask8>(1u << (n - 1 - i)),
+                                  acc, _mm512_set1_epi64(
+                                           static_cast<long long>(last_mask)));
+    }
+    acc = _mm512_maskz_mov_epi64(load.m, acc);
+    if (dst != nullptr) _mm512_mask_storeu_epi64(dst + i, load.m, acc);
+    count = _mm512_add_epi64(count, PopcountLanes(acc));
   }
-  return static_cast<uint64_t>(_mm512_reduce_add_epi64(acc));
+  return static_cast<uint64_t>(_mm512_reduce_add_epi64(count));
 }
 
 constexpr Ops kAvx512Ops = {
-    Avx512And,    Avx512Or,      Avx512Xor,     Avx512AndNot,
-    Avx512Not,    Avx512AndMany, Avx512OrMany,  Avx512XorMany,
-    Avx512Count,  Avx512AndCount, Avx512AndWithCount,
+    Avx512And,    Avx512Or,      Avx512Xor,    Avx512AndNot,
+    Avx512Not,    Avx512AndMany, Avx512OrMany, Avx512XorMany,
+    Avx512Count,  Avx512OrTerms,
 };
 
 }  // namespace

@@ -201,26 +201,32 @@ const uint64_t* RoaringBitmap::BlockReader::Read(uint64_t base, uint32_t len,
   // The block's bits within the chunk: [first, end).
   const uint32_t first = first_word * 64;
   const uint32_t end = first + len * 64;
+  // The cursor moves in a local: a store into scratch may alias pos_ (both
+  // are 64-bit words), which would send every step through memory.
+  size_t pos = pos_;
   if (c.type == ContainerType::kArray) {
     const std::vector<uint16_t>& values = c.array;
-    while (pos_ < values.size() && values[pos_] < first) ++pos_;
-    if (pos_ == values.size() || values[pos_] >= end) return kZeroChunk;
+    while (pos < values.size() && values[pos] < first) ++pos;
+    pos_ = pos;
+    if (pos == values.size() || values[pos] >= end) return kZeroChunk;
     std::memset(scratch, 0, static_cast<size_t>(len) * sizeof(uint64_t));
-    for (; pos_ < values.size() && values[pos_] < end; ++pos_) {
-      const uint32_t bit = values[pos_] - first;
+    for (; pos < values.size() && values[pos] < end; ++pos) {
+      const uint32_t bit = values[pos] - first;
       scratch[bit >> 6] |= uint64_t{1} << (bit & 63);
     }
+    pos_ = pos;
     return scratch;
   }
   const std::vector<Run>& runs = c.runs;
   auto run_end = [&](size_t i) {
     return static_cast<uint32_t>(runs[i].start) + runs[i].length;
   };
-  while (pos_ < runs.size() && run_end(pos_) < first) ++pos_;
-  if (pos_ == runs.size() || runs[pos_].start >= end) return kZeroChunk;
+  while (pos < runs.size() && run_end(pos) < first) ++pos;
+  pos_ = pos;
+  if (pos == runs.size() || runs[pos].start >= end) return kZeroChunk;
   std::memset(scratch, 0, static_cast<size_t>(len) * sizeof(uint64_t));
   // A run crossing the block's end stays current for the next block.
-  for (size_t i = pos_; i < runs.size() && runs[i].start < end; ++i) {
+  for (size_t i = pos; i < runs.size() && runs[i].start < end; ++i) {
     const uint32_t lo = std::max<uint32_t>(runs[i].start, first) - first;
     const uint32_t hi = std::min(run_end(i), end - 1) - first;
     ForRunWords(lo, hi,

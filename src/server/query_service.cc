@@ -111,7 +111,9 @@ class QueryService::FaultPolicyCache : public BitmapCacheInterface {
                                         TraceSink* trace) override {
     TraceScope fetch_span(trace, "fetch");
     if (trace != nullptr) trace->Tag("key", TraceKeyTag(key));
-    {
+    // While nothing is quarantined (a healthy service) no fetch takes the
+    // service-wide lock.
+    if (quarantined_keys_.load() > 0) {
       std::lock_guard<std::mutex> lock(mu_);
       if (quarantine_.count(key.Packed()) > 0) {
         if (trace != nullptr) trace->Tag("outcome", "quarantined");
@@ -154,6 +156,7 @@ class QueryService::FaultPolicyCache : public BitmapCacheInterface {
         {
           std::lock_guard<std::mutex> lock(mu_);
           newly_quarantined = quarantine_.insert(key.Packed()).second;
+          quarantined_keys_.store(quarantine_.size());
         }
         corruptions_->Increment();
         if (newly_quarantined) quarantined_->Increment();
@@ -210,6 +213,8 @@ class QueryService::FaultPolicyCache : public BitmapCacheInterface {
   MetricsCounter* const quarantined_;
   std::mutex mu_;
   std::unordered_set<uint64_t> quarantine_;  // guarded by mu_
+  std::atomic<size_t> quarantined_keys_{0};  // quarantine_.size(), set
+                                             // under mu_
 };
 
 // One epoch's read stack. `base` keeps the epoch's index alive for as

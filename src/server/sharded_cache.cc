@@ -47,9 +47,9 @@ Result<DecodedBitmap> ShardedBitmapCache::TryFetchDecoded(
       ++stats->pool_hits;
       ++shard.counters.hits;
       Shard::Entry& e = it->second;
-      shard.lru.erase(e.lru_it);
-      shard.lru.push_front(key);
-      e.lru_it = shard.lru.begin();
+      // Relinks the node in place: a hit allocates nothing, and lru_it
+      // stays valid.
+      shard.lru.splice(shard.lru.begin(), shard.lru, e.lru_it);
       cached = e.bitmap;
     }
   }

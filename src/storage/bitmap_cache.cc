@@ -101,10 +101,9 @@ void BitmapCache::DropPool() {
 }
 
 void BitmapCache::Touch(BitmapKey key) {
-  Entry& e = resident_.at(key);
-  lru_.erase(e.lru_it);
-  lru_.push_front(key);
-  e.lru_it = lru_.begin();
+  // Relinks the node in place: a hit allocates nothing, and lru_it stays
+  // valid.
+  lru_.splice(lru_.begin(), lru_, resident_.at(key).lru_it);
 }
 
 void BitmapCache::Evict(BitmapKey key) {

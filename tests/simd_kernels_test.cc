@@ -21,6 +21,8 @@ namespace bix {
 namespace {
 
 using kernels::Ops;
+using kernels::Term;
+using kernels::TermKind;
 using kernels::Tier;
 
 std::vector<Tier> SupportedTiers() {
@@ -140,21 +142,8 @@ TEST(SimdKernelsOracle, CountKernelsMatchScalar) {
     for (size_t n : kWordSizes) {
       for (Fill fill : kFills) {
         const std::vector<uint64_t> a = MakeWords(n, fill, &rng);
-        const std::vector<uint64_t> b = MakeWords(n, Fill::kMixed, &rng);
         EXPECT_EQ(ops.count(a.data(), n), scalar.count(a.data(), n))
             << "count tier=" << kernels::TierName(t) << " n=" << n;
-        EXPECT_EQ(ops.and_count(a.data(), b.data(), n),
-                  scalar.and_count(a.data(), b.data(), n))
-            << "and_count tier=" << kernels::TierName(t) << " n=" << n;
-        std::vector<uint64_t> got = a;
-        std::vector<uint64_t> want = a;
-        const uint64_t got_c = ops.and_with_count(got.data(), b.data(), n);
-        const uint64_t want_c =
-            scalar.and_with_count(want.data(), b.data(), n);
-        EXPECT_EQ(got, want)
-            << "and_with_count words tier=" << kernels::TierName(t);
-        EXPECT_EQ(got_c, want_c)
-            << "and_with_count count tier=" << kernels::TierName(t);
       }
     }
   }
@@ -206,6 +195,103 @@ TEST(SimdKernelsOracle, FoldKernelsMatchScalarForEveryWidthAndAlias) {
   }
 }
 
+// One term's word from first principles, independent of every tier.
+uint64_t NaiveTermWord(TermKind kind, uint64_t a, uint64_t b) {
+  switch (kind) {
+    case TermKind::kA:
+      return a;
+    case TermKind::kNotA:
+      return ~a;
+    case TermKind::kAnd:
+      return a & b;
+    case TermKind::kAndNot:
+      return a & ~b;
+    case TermKind::kNor:
+      return ~a & ~b;
+    case TermKind::kXor:
+      return a ^ b;
+    case TermKind::kXnor:
+      return a ^ ~b;
+  }
+  return 0;
+}
+
+// or_terms: every tier, the scalar reference included, against a naive
+// per-word union, over every term kind, k = 1..32 terms, block lengths
+// around every stride and tail, an exclusion mask and a destination each
+// present or absent, and last-word masks both full and partial. The count
+// is the popcount of the stored words, bits outside the last word's mask
+// stay clear, and no word past n is written.
+TEST(SimdKernelsOracle, OrTermsMatchNaiveUnionOnEveryTier) {
+  const TermKind kinds[] = {TermKind::kA,      TermKind::kNotA,
+                            TermKind::kAnd,    TermKind::kAndNot,
+                            TermKind::kNor,    TermKind::kXor,
+                            TermKind::kXnor};
+  constexpr uint64_t kSentinel = 0x5A5A5A5A5A5A5A5Aull;
+  constexpr size_t kGuard = 8;  // words past n that must stay untouched
+  Rng rng(1004);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                   size_t{255}, size_t{256}}) {
+    std::vector<std::vector<uint64_t>> operands;
+    for (size_t i = 0; i < 8; ++i) {
+      operands.push_back(MakeWords(n, kFills[i % 4], &rng));
+    }
+    std::vector<const uint64_t*> blocks;
+    for (const auto& op : operands) blocks.push_back(op.data());
+    const std::vector<uint64_t> exclude = MakeWords(n, Fill::kMixed, &rng);
+    const uint64_t partial = (uint64_t{1} << rng.UniformInt(1, 63)) - 1;
+    for (size_t k = 1; k <= 32; ++k) {
+      std::vector<Term> terms;
+      for (size_t j = 0; j < k; ++j) {
+        terms.push_back(Term{kinds[(j + k) % 7],
+                             &blocks[rng.UniformInt(0, 7)],
+                             &blocks[rng.UniformInt(0, 7)]});
+      }
+      for (const uint64_t* excl : {static_cast<const uint64_t*>(nullptr),
+                                   exclude.data()}) {
+        for (uint64_t last_mask : {~uint64_t{0}, partial}) {
+          std::vector<uint64_t> naive(n);
+          uint64_t naive_count = 0;
+          for (size_t i = 0; i < n; ++i) {
+            uint64_t w = 0;
+            for (const Term& t : terms) {
+              w |= NaiveTermWord(t.kind, (*t.a)[i], (*t.b)[i]);
+            }
+            if (excl != nullptr) w &= ~excl[i];
+            if (i + 1 == n) w &= last_mask;
+            naive[i] = w;
+            naive_count += static_cast<uint64_t>(__builtin_popcountll(w));
+          }
+          for (Tier t : SupportedTiers()) {
+            const Ops& ops = *kernels::OpsForTier(t);
+            std::vector<uint64_t> got(n + kGuard, kSentinel);
+            const uint64_t count =
+                ops.or_terms(terms.data(), k, excl, last_mask, got.data(), n);
+            const std::vector<uint64_t> stored(got.begin(), got.begin() + n);
+            EXPECT_EQ(stored, naive)
+                << "or_terms tier=" << kernels::TierName(t) << " k=" << k
+                << " n=" << n << " exclude=" << (excl != nullptr)
+                << " last_mask=" << last_mask;
+            EXPECT_EQ(count, naive_count)
+                << "or_terms count tier=" << kernels::TierName(t)
+                << " k=" << k << " n=" << n;
+            for (size_t i = n; i < n + kGuard; ++i) {
+              EXPECT_EQ(got[i], kSentinel)
+                  << "or_terms wrote past n tier=" << kernels::TierName(t)
+                  << " n=" << n;
+            }
+            EXPECT_EQ(ops.or_terms(terms.data(), k, excl, last_mask, nullptr,
+                                   n),
+                      naive_count)
+                << "or_terms count-only tier=" << kernels::TierName(t)
+                << " k=" << k << " n=" << n;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Bitvector layer: trailing-bit invariant and cross-tier equality.
 // ---------------------------------------------------------------------------
@@ -234,22 +320,17 @@ TEST(SimdKernelsOracle, BitvectorOpsBitIdenticalAcrossTiers) {
   for (uint64_t bits : kBitSizes) {
     const Bitvector a = RandomBitvector(bits, 0.4, &rng);
     const Bitvector b = RandomBitvector(bits, 0.1, &rng);
-    const std::vector<const Bitvector*> operands = {&a, &b, &a};
 
     // Scalar-tier reference results.
     Bitvector want_and;
     Bitvector want_not;
-    Bitvector want_fused;
     uint64_t want_count = 0;
-    uint64_t want_and_count = 0;
     {
       TierGuard g(Tier::kScalar);
       want_and = a;
       want_and.AndWith(b);
       want_not = Bitvector::Not(a);
-      Bitvector::OrManyInto(operands, &want_fused);
       want_count = a.Count();
-      want_and_count = want_and.Count();
     }
 
     for (Tier t : VectorTiers()) {
@@ -274,19 +355,7 @@ TEST(SimdKernelsOracle, BitvectorOpsBitIdenticalAcrossTiers) {
       self_not.NotSelf();
       EXPECT_EQ(self_not, want_not) << "NotSelf bits=" << bits;
       ExpectTrailingClear(self_not, "NotSelf");
-      Bitvector got_fused;
-      Bitvector::OrManyInto(operands, &got_fused);
-      EXPECT_EQ(got_fused, want_fused) << "OrManyInto bits=" << bits;
-      ExpectTrailingClear(got_fused, "OrManyInto");
-      // Fused with the output aliasing an operand.
-      Bitvector alias = a;
-      Bitvector::OrManyInto({&alias, &b, &alias}, &alias);
-      EXPECT_EQ(alias, want_fused) << "OrManyInto aliased bits=" << bits;
       EXPECT_EQ(a.Count(), want_count) << "Count bits=" << bits;
-      Bitvector awc = a;
-      EXPECT_EQ(awc.AndWithCount(b), want_and_count)
-          << "AndWithCount bits=" << bits;
-      EXPECT_EQ(awc, want_and) << "AndWithCount words bits=" << bits;
     }
   }
 }
@@ -306,12 +375,6 @@ TEST(SimdKernelsOracle, TrailingBitsStayClearAfterEverySimdStorePath) {
       const Bitvector n = Bitvector::Not(r);
       ExpectTrailingClear(n, "Not(random)");
       EXPECT_EQ(n.Count() + r.Count(), bits) << "complement count";
-      // Fused NOT-free paths preserve zero-padded tails by construction;
-      // verify Count (which trusts the invariant) agrees with a bit loop.
-      Bitvector fused;
-      Bitvector::AndManyInto({&r, &all, &r}, &fused);
-      ExpectTrailingClear(fused, "AndManyInto");
-      EXPECT_EQ(fused, r) << "AND with all-ones identity bits=" << bits;
     }
   }
 }

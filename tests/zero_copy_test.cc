@@ -1,10 +1,9 @@
-// Tests for the zero-copy evaluation pipeline: fused k-ary kernel
-// equivalence against the naive per-operand composition (including ragged
-// tail words, empty and all-ones operands, and destination aliasing), the
-// copy-count tripwires that keep by-value bitmap handoffs from silently
-// returning, and bit-identical results across the query-wise,
-// component-wise and buffer-aware strategies, every storage codec, and the
-// bitmap and count-only modes of the one blocked union evaluator.
+// Tests for the zero-copy evaluation pipeline: the fused andnot against
+// its two-pass spelling, the copy-count tripwires that keep by-value
+// bitmap handoffs from silently returning, and bit-identical results
+// across the query-wise, component-wise and buffer-aware strategies, every
+// storage codec, the exclusion mask, and the bitmap and count-only modes
+// of the one blocked union evaluator.
 
 #include <gtest/gtest.h>
 
@@ -34,58 +33,7 @@ Bitvector MakeRandom(uint64_t bits, double density, Rng* rng) {
   return bv;
 }
 
-// ---------------------------------------------------- fused kernel fuzz --
-
-TEST(FusedKernelTest, ManyIntoMatchesNaiveComposition) {
-  Rng rng(1234);
-  // Sizes cover empty, sub-word, exact-word, and ragged-tail shapes.
-  const std::vector<uint64_t> sizes = {0, 1, 5, 63, 64, 65, 127, 128, 1000};
-  for (int round = 0; round < 200; ++round) {
-    const uint64_t bits = round < 9 * 8
-                              ? sizes[round % sizes.size()]
-                              : rng.UniformInt(0, 2000);
-    const size_t k = rng.UniformInt(2, 6);
-    std::vector<Bitvector> operands;
-    for (size_t i = 0; i < k; ++i) {
-      // Mix random densities with degenerate all-zero / all-one operands.
-      const uint64_t shape = rng.UniformInt(0, 4);
-      if (shape == 0) {
-        operands.push_back(Bitvector(bits));
-      } else if (shape == 1) {
-        operands.push_back(Bitvector::AllOnes(bits));
-      } else {
-        operands.push_back(MakeRandom(bits, rng.UniformDouble(), &rng));
-      }
-    }
-    std::vector<const Bitvector*> ptrs;
-    for (const Bitvector& op : operands) ptrs.push_back(&op);
-
-    Bitvector naive_and = operands[0];
-    Bitvector naive_or = operands[0];
-    Bitvector naive_xor = operands[0];
-    for (size_t i = 1; i < k; ++i) {
-      naive_and.AndWith(operands[i]);
-      naive_or.OrWith(operands[i]);
-      naive_xor.XorWith(operands[i]);
-    }
-
-    Bitvector fused;
-    Bitvector::AndManyInto(ptrs, &fused);
-    ASSERT_EQ(fused, naive_and) << "AND bits=" << bits << " k=" << k;
-    Bitvector::OrManyInto(ptrs, &fused);
-    ASSERT_EQ(fused, naive_or) << "OR bits=" << bits << " k=" << k;
-    Bitvector::XorManyInto(ptrs, &fused);
-    ASSERT_EQ(fused, naive_xor) << "XOR bits=" << bits << " k=" << k;
-
-    // Aliasing: the destination doubles as an operand (the evaluator reuses
-    // a child's scratch buffer this way).
-    Bitvector aliased = operands[0];
-    std::vector<const Bitvector*> aliased_ptrs = ptrs;
-    aliased_ptrs[0] = &aliased;
-    Bitvector::AndManyInto(aliased_ptrs, &aliased);
-    ASSERT_EQ(aliased, naive_and) << "aliased AND bits=" << bits;
-  }
-}
+// ------------------------------------------------------- fused andnot --
 
 TEST(FusedKernelTest, AndNotWithMatchesNotThenAnd) {
   Rng rng(99);
@@ -102,21 +50,6 @@ TEST(FusedKernelTest, AndNotWithMatchesNotThenAnd) {
       Bitvector all = Bitvector::AllOnes(bits);
       all.AndNotWith(Bitvector(bits));
       ASSERT_EQ(all.Count(), bits);
-    }
-  }
-}
-
-TEST(FusedKernelTest, AndWithCountMatchesAndThenCount) {
-  Rng rng(7);
-  for (uint64_t bits : {0u, 1u, 63u, 64u, 129u, 1000u}) {
-    for (int round = 0; round < 20; ++round) {
-      Bitvector a = MakeRandom(bits, rng.UniformDouble(), &rng);
-      const Bitvector b = MakeRandom(bits, rng.UniformDouble(), &rng);
-      Bitvector expected = a;
-      expected.AndWith(b);
-      const uint64_t count = a.AndWithCount(b);
-      ASSERT_EQ(a, expected);
-      ASSERT_EQ(count, expected.Count());
     }
   }
 }
@@ -336,6 +269,69 @@ TEST(EvalPathEquivalenceTest, AllStrategiesAndCountAgreeOnSeededWorkload) {
                     StorageCodecName(codec) + " rows=" +
                     std::to_string(rows) +
                     (reorder == ReorderStrategy::kNone ? "" : " gray")));
+          }
+        }
+      }
+    }
+  }
+}
+
+// The exclusion mask rides in the root's kernel call. A mask longer than
+// row_count (a writable index's appended rows) that ends mid-word, over
+// membership sets whose rewrite has a constant-true constituent (the whole
+// domain) or a NOT at a constituent's root (a top suffix, the top value
+// alone), for every encoding over one and two components and the
+// verbatim, Roaring and mixed codecs: the answer is the naive scan minus
+// the mask, the count matches it in both modes, and every bit past
+// row_count comes out clear.
+TEST(EvalPathEquivalenceTest, ExclusionMaskOverNotRootedAndConstantTerms) {
+  constexpr uint32_t kC = 25;
+  const uint64_t rows = 16385;            // a second block, one row into it
+  const uint64_t mask_bits = rows + 100;  // ends mid-word
+  Column col = GenerateZipfColumn(
+      {.rows = rows, .cardinality = kC, .zipf_z = 1.0, .seed = 31});
+  Rng rng(97);
+  Bitvector exclude(mask_bits);
+  for (uint64_t i = 0; i < mask_bits; ++i) {
+    if (rng.Bernoulli(0.2)) exclude.Set(i);
+  }
+  std::vector<std::vector<uint32_t>> sets = {{}, {22, 23, 24}, {24},
+                                             {0, 12, 24}, {3, 7, 8, 9, 20}};
+  for (uint32_t v = 0; v < kC; ++v) sets[0].push_back(v);
+  for (EncodingKind enc : AllEncodingKinds()) {
+    for (const std::vector<uint32_t>& bases :
+         std::vector<std::vector<uint32_t>>{{kC}, {5, 5}}) {
+      for (StorageCodec codec : {StorageCodec::kVerbatim,
+                                 StorageCodec::kRoaring, StorageCodec::kAuto}) {
+        IndexConfig config;
+        config.encoding = enc;
+        config.bases_msb_first = bases;
+        config.codec = codec;
+        BitmapIndex index = BuildIndex(col, config).value();
+        QueryExecutor exec(&index, ExecutorOptions{});
+        const DecodedLeafFetcher fetch = [&index](BitmapKey key) {
+          return TryMaterializeBlobResident(index.store().GetBlob(key))
+              .value();
+        };
+        for (const std::vector<uint32_t>& values : sets) {
+          SCOPED_TRACE(std::string(EncodingKindName(enc)) + "/" +
+                       StorageCodecName(codec) + " components=" +
+                       std::to_string(bases.size()) + " values=" +
+                       std::to_string(values.size()));
+          Bitvector expected = NaiveEvaluateMembership(col, values);
+          expected.Resize(mask_bits);
+          expected.AndNotWith(exclude);
+          const std::vector<ExprPtr> exprs = exec.RewriteMembership(values);
+          Bitvector got;
+          const uint64_t count =
+              EvaluateUnionBlocked(exprs, rows, fetch, &got, nullptr, &exclude);
+          ASSERT_EQ(got, expected);
+          EXPECT_EQ(count, expected.Count());
+          EXPECT_EQ(EvaluateUnionBlocked(exprs, rows, fetch, nullptr, nullptr,
+                                         &exclude),
+                    expected.Count());
+          for (uint64_t i = rows; i < mask_bits; ++i) {
+            ASSERT_FALSE(got.Get(i)) << "bit past row_count set: " << i;
           }
         }
       }
