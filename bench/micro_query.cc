@@ -19,7 +19,7 @@
 #include "bitvector/kernels.h"
 #include "index/delta_store.h"
 #include "query/executor.h"
-#include "server/sharded_cache.h"
+#include "storage/bitmap_cache.h"
 #include "util/clock.h"
 #include "util/rng.h"
 #include "util/trace.h"

@@ -52,10 +52,6 @@ class DecodedBitmap {
   bool is_roaring() const { return roaring_ != nullptr; }
   const Bitvector* plain() const { return plain_.get(); }
   const RoaringBitmap* roaring() const { return roaring_.get(); }
-  std::shared_ptr<const Bitvector> plain_handle() const { return plain_; }
-  std::shared_ptr<const RoaringBitmap> roaring_handle() const {
-    return roaring_;
-  }
 
   uint64_t bits() const {
     return is_roaring() ? roaring_->bit_count() : plain_->size();

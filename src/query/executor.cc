@@ -15,9 +15,10 @@ namespace bix {
 QueryExecutor::QueryExecutor(const BitmapIndex* index, ExecutorOptions options)
     : index_(index),
       options_(options),
-      owned_cache_(std::make_unique<BitmapCache>(
-          &index->store(), options.buffer_pool_bytes, options.disk,
-          options.clock)),
+      owned_cache_(std::make_unique<ShardedBitmapCache>(
+          &index->store(), options.buffer_pool_bytes, /*num_shards=*/1,
+          options.disk, /*io_latency_scale=*/0.0, options.clock,
+          PoolForm::kStored)),
       cache_(owned_cache_.get()) {
   BIX_CHECK(index != nullptr);
 }
@@ -306,8 +307,8 @@ Status QueryExecutor::EvalCore(const std::vector<ExprPtr>& exprs,
   std::unordered_map<uint64_t, DecodedBitmap> fetched;
   fetched.reserve(fetch_order.size());
   for (const BitmapKey& key : fetch_order) {
-    // Both caches check the budget on every fetch themselves, so an
-    // expired or cancelled query stops here with its typed status.
+    // The cache checks the budget on every fetch itself, so an expired or
+    // cancelled query stops here with its typed status.
     Result<DecodedBitmap> r =
         cache_->TryFetchDecoded(key, &stats_, cancel, trace_);
     if (!r.ok()) {

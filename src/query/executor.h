@@ -63,15 +63,16 @@ struct ExecutorOptions {
 // Counts need no mapping (permutations preserve popcounts).
 //
 // The executor fetches bitmaps through a BitmapCacheInterface. By default
-// it owns a private BitmapCache (the paper's single-query buffer pool);
-// the second constructor borrows a shared, thread-safe cache instead so
+// it owns a private one-shard stored-form pool (the paper's single-query
+// buffer pool); the second constructor borrows a shared cache instead so
 // that many executors — one per worker thread of a QueryService — share
 // fetched bitmaps across concurrent queries. Either way, I/O and CPU cost
 // is accounted into the executor's own IoStats block, so per-executor
 // breakdowns survive cache sharing.
 class QueryExecutor {
  public:
-  // Owns a private BitmapCache sized to options.buffer_pool_bytes.
+  // Owns a one-shard PoolForm::kStored pool of options.buffer_pool_bytes
+  // on options.disk and options.clock.
   QueryExecutor(const BitmapIndex* index, ExecutorOptions options);
   // Borrows `shared_cache` (must outlive the executor). Requires
   // options.cold_pool_per_query == false: a shared pool is never dropped
@@ -206,8 +207,8 @@ class QueryExecutor {
 
   const BitmapIndex* index_;
   ExecutorOptions options_;
-  std::unique_ptr<BitmapCache> owned_cache_;  // null when borrowing
-  BitmapCacheInterface* cache_;               // owned_cache_.get() or borrowed
+  std::unique_ptr<ShardedBitmapCache> owned_cache_;  // null when borrowing
+  BitmapCacheInterface* cache_;  // owned_cache_.get() or borrowed
   IoStats stats_;
   TraceSink* trace_ = nullptr;  // per-query, set by the serving layer
 };

@@ -312,7 +312,7 @@ QueryService::QueryService(const BitmapIndex* index,
   }
   workers_.reserve(options_.num_workers);
   for (uint32_t i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
   if (provider_ != nullptr && options_.compaction_interval_seconds > 0.0) {
     compaction_cancel_ = CancelToken::Manual();
@@ -606,10 +606,8 @@ std::string QueryService::ExportMetrics(MetricsFormat format) const {
   return out;
 }
 
-void QueryService::WorkerLoop(uint32_t worker_id) {
-  (void)worker_id;
+void QueryService::WorkerLoop() {
   ExecutorOptions exec_options;
-  exec_options.buffer_pool_bytes = options_.buffer_pool_bytes;
   exec_options.cold_pool_per_query = false;  // the pool is shared and warm
   exec_options.clock = clock_;
   // The worker's executor is bound to one epoch's {base, cache, policy}
@@ -637,7 +635,7 @@ void QueryService::WorkerLoop(uint32_t worker_id) {
       if (!budget.ok()) {
         const bool deadline_miss =
             budget.code() == Status::Code::kDeadlineExceeded;
-        ResolveShed(&*task, std::move(budget));
+        ResolveShed({&*task, 1}, budget, "at_dequeue", now);
         if (breaker_ != nullptr && deadline_miss &&
             breaker_->RecordOutcome(/*failure=*/true, now)) {
           ShedForBrownout();
@@ -804,32 +802,37 @@ void QueryService::RecordCompletion(const Task& task,
   }
 }
 
-void QueryService::ResolveShed(Task* task, Status status) {
-  m_.shed_in_queue->Increment();
+void QueryService::ResolveShed(std::span<Task> tasks, const Status& status,
+                               const char* where,
+                               ClockInterface::TimePoint now) {
+  m_.shed_in_queue->Increment(tasks.size());
   if (status.code() == Status::Code::kDeadlineExceeded) {
-    m_.deadline_exceeded->Increment();
+    m_.deadline_exceeded->Increment(tasks.size());
   }
-  if (status.code() == Status::Code::kCancelled) m_.cancelled->Increment();
+  if (status.code() == Status::Code::kCancelled) {
+    m_.cancelled->Increment(tasks.size());
+  }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    --pending_;
+    pending_ -= tasks.size();
   }
   drained_cv_.notify_all();
-  QueryResult result;
-  result.status = std::move(status);
-  const ClockInterface::TimePoint now = clock_->Now();
-  result.metrics.queue_seconds = SecondsBetween(task->enqueued, now);
-  // A traced shed query still gets a trace: the waits it did spend, plus
-  // the shed decision, so "where did my query die" is answerable.
-  if (task->query.traced) {
-    TraceSink sink(clock_, "query", task->submitted);
-    sink.Record("admission", task->submitted, task->enqueued);
-    sink.Record("queue", task->enqueued, now);
-    sink.Tag("shed", "at_dequeue");
-    sink.Tag("status", CodeName(result.status.code()));
-    result.trace = std::make_shared<const TraceSpan>(sink.Finish());
+  for (Task& task : tasks) {
+    QueryResult result;
+    result.status = status;
+    result.metrics.queue_seconds = SecondsBetween(task.enqueued, now);
+    // A traced shed query still gets a trace: the waits it did spend, plus
+    // the shed decision, so "where did my query die" is answerable.
+    if (task.query.traced) {
+      TraceSink sink(clock_, "query", task.submitted);
+      sink.Record("admission", task.submitted, task.enqueued);
+      sink.Record("queue", task.enqueued, now);
+      sink.Tag("shed", where);
+      sink.Tag("status", CodeName(status.code()));
+      result.trace = std::make_shared<const TraceSpan>(sink.Finish());
+    }
+    task.Resolve(std::move(result));
   }
-  task->Resolve(std::move(result));
 }
 
 void QueryService::ShedForBrownout() {
@@ -850,28 +853,8 @@ void QueryService::ShedForBrownout() {
         }
         return token->RemainingSeconds(now);
       });
-  if (shed.empty()) return;
-  m_.shed_in_queue->Increment(shed.size());
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    pending_ -= shed.size();
-  }
-  drained_cv_.notify_all();
-  for (Task& task : shed) {
-    QueryResult result;
-    result.status =
-        Status::Unavailable("shed by overload breaker (brownout)");
-    result.metrics.queue_seconds = SecondsBetween(task.enqueued, now);
-    if (task.query.traced) {
-      TraceSink sink(clock_, "query", task.submitted);
-      sink.Record("admission", task.submitted, task.enqueued);
-      sink.Record("queue", task.enqueued, now);
-      sink.Tag("shed", "brownout");
-      sink.Tag("status", CodeName(result.status.code()));
-      result.trace = std::make_shared<const TraceSpan>(sink.Finish());
-    }
-    task.Resolve(std::move(result));
-  }
+  ResolveShed(shed, Status::Unavailable("shed by overload breaker (brownout)"),
+              "brownout", now);
 }
 
 const ShardedBitmapCache& QueryService::cache() const {

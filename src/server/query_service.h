@@ -7,6 +7,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -16,8 +17,8 @@
 #include "server/brownout.h"
 #include "server/metrics.h"
 #include "server/metrics_registry.h"
-#include "server/sharded_cache.h"
 #include "server/work_queue.h"
+#include "storage/bitmap_cache.h"
 #include "util/cancel_token.h"
 #include "util/clock.h"
 #include "util/status.h"
@@ -336,7 +337,7 @@ class QueryService {
   Status Validate(const ServiceQuery& query) const;
   std::future<QueryResult> SubmitInternal(ServiceQuery query, bool blocking,
                                           ResultCallback done = nullptr);
-  void WorkerLoop(uint32_t worker_id);
+  void WorkerLoop();
   void CompactionLoop();
   // `snap` is the query's pinned snapshot in writable mode, null in
   // read-only mode.
@@ -347,9 +348,13 @@ class QueryService {
   // counters owned by the policy cache, I/O roll-up, pool residency) just
   // before a dump, so exporters never read stale snapshots.
   void RefreshGauges() const;
-  // Resolves a dequeued-but-not-executed task with `status` (queue-side
-  // shedding: expired/cancelled at dequeue).
-  void ResolveShed(Task* task, Status status);
+  // Resolves `tasks`, shed from the queue without executing, with
+  // `status` decided at `now`: releases them from the pending count, and
+  // a traced task gets its admission and queue waits plus the tags
+  // shed=`where` and its status. Both shedding points route through here:
+  // "at_dequeue" (expired/cancelled when a worker pops it) and "brownout".
+  void ResolveShed(std::span<Task> tasks, const Status& status,
+                   const char* where, ClockInterface::TimePoint now);
   // Sheds the lowest-remaining-deadline fraction of the queue when the
   // breaker opens; shed tasks resolve Unavailable without executing.
   void ShedForBrownout();

@@ -151,7 +151,6 @@ class BoundedWorkQueue {
     std::lock_guard<std::mutex> lock(mu_);
     return closed_;
   }
-  size_t capacity() const { return capacity_; }
 
  private:
   const size_t capacity_;

@@ -1,11 +1,18 @@
 #include "storage/bitmap_cache.h"
 
+#include <optional>
+
 namespace bix {
 
-std::string TraceKeyTag(BitmapKey key) {
-  return "c" + std::to_string(key.component) + "/s" + std::to_string(key.slot);
-}
+namespace {
 
+// The miss-path fault switch, run on a simulated disk read of `blob`.
+// Consults `injector` (not null) and applies its verdict: an injected
+// transient error returns Unavailable; a bit flip returns the
+// integrity-checked decode of a corrupted copy of the stored bytes (the
+// caller caches nothing, so the pool never holds known-bad bytes); a
+// latency spike sleeps on `clock`, cancellable by `cancel`, and lets the
+// read proceed. Returns nullopt when the read proceeds.
 std::optional<Result<DecodedBitmap>> InjectReadFault(
     FaultInjector* injector, BitmapKey key, const BitmapStore::Blob& blob,
     ClockInterface* clock, const CancelToken* cancel, TraceSink* trace) {
@@ -34,10 +41,36 @@ std::optional<Result<DecodedBitmap>> InjectReadFault(
   return std::nullopt;
 }
 
-Result<DecodedBitmap> BitmapCache::TryFetchDecoded(BitmapKey key,
-                                                   IoStats* stats,
-                                                   const CancelToken* cancel,
-                                                   TraceSink* trace) {
+}  // namespace
+
+std::string TraceKeyTag(BitmapKey key) {
+  return "c" + std::to_string(key.component) + "/s" + std::to_string(key.slot);
+}
+
+ShardedBitmapCache::ShardedBitmapCache(const BitmapStore* store,
+                                       uint64_t pool_bytes,
+                                       uint32_t num_shards, DiskModel disk,
+                                       double io_latency_scale,
+                                       ClockInterface* clock, PoolForm form)
+    : store_(store),
+      shard_pool_bytes_(num_shards == 0 ? 0 : pool_bytes / num_shards),
+      disk_(disk),
+      io_latency_scale_(io_latency_scale),
+      clock_(clock != nullptr ? clock : RealClock::Get()),
+      form_(form) {
+  BIX_CHECK(store != nullptr);
+  BIX_CHECK(num_shards > 0);
+  shards_.reserve(num_shards);
+  for (uint32_t i = 0; i < num_shards; ++i) {
+    shards_.push_back(std::make_unique<Shard>());
+  }
+}
+
+Result<DecodedBitmap> ShardedBitmapCache::TryFetchDecoded(
+    BitmapKey key, IoStats* stats, const CancelToken* cancel,
+    TraceSink* trace) {
+  // Fetch-granularity budget check: a query past its deadline (or
+  // cancelled) stops here, before paying for a modeled read.
   if (cancel != nullptr) {
     Status budget = cancel->CheckAt(clock_->Now());
     if (!budget.ok()) return budget;
@@ -45,40 +78,85 @@ Result<DecodedBitmap> BitmapCache::TryFetchDecoded(BitmapKey key,
   TraceScope read_span(trace, "read");
   if (trace != nullptr) trace->Tag("key", TraceKeyTag(key));
   ++stats->scans;
+  Shard& shard = ShardFor(key);
+
+  // Hit path. In decoded form, hand out the resident handle itself — no
+  // payload copy; the shared_ptr keeps the entry's bitmap alive for the
+  // query even if it is evicted meanwhile. Cached entries were
+  // integrity-checked when inserted, so hits need no re-verification and
+  // are never faulted (faults model the disk).
+  bool hit = false;
+  DecodedBitmap cached;
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.resident.find(key);
+    if (it != shard.resident.end()) {
+      hit = true;
+      ++stats->pool_hits;
+      ++shard.counters.hits;
+      Shard::Entry& e = it->second;
+      // Relinks the node in place: a hit allocates nothing, and lru_it
+      // stays valid.
+      shard.lru.splice(shard.lru.begin(), shard.lru, e.lru_it);
+      cached = e.bitmap;
+    }
+  }
+  if (hit && trace != nullptr) trace->Tag("outcome", "hit");
+  if (cached.valid()) return cached;
+
+  // A stored-form hit or any miss decodes the blob. The store is immutable
+  // after build, so blob access and materialization need no lock; only
+  // the accounting and the pool updates take the shard mutex.
   Result<const BitmapStore::Blob*> blob_r = store_->TryGetBlob(key);
   if (!blob_r.ok()) return blob_r.status();
   const BitmapStore::Blob& blob = *blob_r.value();
-  const uint64_t bytes = blob.bytes.size();
-  if (trace != nullptr) trace->Tag("codec", CodecName(blob.codec));
-  // Decompression is paid on every fetch (the pool caches the stored form);
-  // the charge is codec-aware — verbatim is free, Roaring pays only the
-  // container-parse fraction.
-  stats->decode_seconds += disk_.DecodeSeconds(bytes, blob.codec);
-  ++stats->codec_decodes[static_cast<size_t>(blob.codec)];
-  const bool hit = resident_.count(key) > 0;
-  if (hit) {
-    ++stats->pool_hits;
-    if (trace != nullptr) trace->Tag("outcome", "hit");
-    Touch(key);
-  } else {
+  const uint64_t stored_bytes = blob.bytes.size();
+  const size_t codec = static_cast<size_t>(blob.codec);
+  double io_s = 0.0;
+  if (!hit) {
     ++stats->disk_reads;
-    stats->bytes_read += bytes;
-    stats->io_seconds += disk_.ReadSeconds(bytes);
-    if (!read_before_.insert(key.Packed()).second) ++stats->rescans;
-    if (trace != nullptr) {
+    stats->bytes_read += stored_bytes;
+    io_s = disk_.ReadSeconds(stored_bytes);
+    stats->io_seconds += io_s;
+  }
+  // The decode charge is codec-aware: verbatim is free, Roaring pays only
+  // the container-parse fraction.
+  const double decode_s = disk_.DecodeSeconds(stored_bytes, blob.codec);
+  stats->decode_seconds += decode_s;
+  ++stats->codec_decodes[codec];
+  if (trace != nullptr) {
+    if (!hit) {
       trace->Tag("outcome", "miss");
-      trace->Tag("bytes", bytes);
+      trace->Tag("bytes", stored_bytes);
     }
-    // Faults model the disk, so they strike only this (simulated) read;
-    // pool hits above are served from memory and stay clean.
-    if (injector_ != nullptr) {
-      std::optional<Result<DecodedBitmap>> faulted =
-          InjectReadFault(injector_, key, blob, clock_, cancel, trace);
-      if (faulted.has_value()) return *std::move(faulted);
+    trace->Tag("codec", CodecName(blob.codec));
+  }
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    ++shard.counters.codec_decodes[codec];
+    if (!hit) {
+      ++shard.counters.misses;
+      if (!shard.read_before.insert(key.Packed()).second) ++stats->rescans;
     }
   }
-  // Decode CPU (BBC decompression for compressed indexes) is measured by
-  // the executor's end-to-end timer, not here, to avoid double counting.
+  if (io_latency_scale_ > 0.0) {
+    // The modeled wait is split so the trace attributes disk transfer and
+    // decompression separately; the total slept time is unchanged.
+    if (!hit) {
+      TraceScope io_span(trace, "io");
+      clock_->SleepFor(io_s * io_latency_scale_, cancel);
+    }
+    if (decode_s > 0.0) {
+      TraceScope decode_span(trace, "decode");
+      clock_->SleepFor(decode_s * io_latency_scale_, cancel);
+    }
+  }
+  // The pool never sees a faulted read, so cached state stays verified.
+  if (!hit && injector_ != nullptr) {
+    std::optional<Result<DecodedBitmap>> faulted =
+        InjectReadFault(injector_, key, blob, clock_, cancel, trace);
+    if (faulted.has_value()) return *std::move(faulted);
+  }
   Result<DecodedBitmap> decoded = [&] {
     TraceScope materialize_span(trace, "materialize");
     return TryMaterializeBlobResident(blob);
@@ -86,41 +164,73 @@ Result<DecodedBitmap> BitmapCache::TryFetchDecoded(BitmapKey key,
   // Only bytes that passed their integrity check stay in the pool: a
   // failed decode evicts a resident key and never admits a missed one.
   if (!decoded.ok()) {
-    if (hit) Evict(key);
+    if (hit) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      Evict(&shard, key);
+    }
   } else if (!hit) {
-    Insert(key, bytes);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    Insert(&shard, key, decoded.value(), stored_bytes);
   }
   return decoded;
 }
 
-void BitmapCache::DropPool() {
-  lru_.clear();
-  resident_.clear();
-  used_bytes_ = 0;
-  read_before_.clear();
-}
-
-void BitmapCache::Touch(BitmapKey key) {
-  // Relinks the node in place: a hit allocates nothing, and lru_it stays
-  // valid.
-  lru_.splice(lru_.begin(), lru_, resident_.at(key).lru_it);
-}
-
-void BitmapCache::Evict(BitmapKey key) {
-  auto it = resident_.find(key);
-  lru_.erase(it->second.lru_it);
-  used_bytes_ -= it->second.bytes;
-  resident_.erase(it);
-}
-
-void BitmapCache::Insert(BitmapKey key, uint64_t bytes) {
-  if (bytes > pool_bytes_) return;  // too big to cache; read-through
-  while (used_bytes_ + bytes > pool_bytes_ && !lru_.empty()) {
-    Evict(lru_.back());
+void ShardedBitmapCache::DropPool() {
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    shard->lru.clear();
+    shard->resident.clear();
+    shard->used_bytes = 0;
+    shard->read_before.clear();
   }
-  lru_.push_front(key);
-  resident_.emplace(key, Entry{lru_.begin(), bytes});
-  used_bytes_ += bytes;
+}
+
+uint64_t ShardedBitmapCache::pool_bytes_used() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    total += shard->used_bytes;
+  }
+  return total;
+}
+
+ShardedBitmapCache::Counters ShardedBitmapCache::TotalCounters() const {
+  Counters total;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    total.hits += shard->counters.hits;
+    total.misses += shard->counters.misses;
+    for (size_t i = 0; i < kNumCodecs; ++i) {
+      total.codec_decodes[i] += shard->counters.codec_decodes[i];
+    }
+  }
+  return total;
+}
+
+void ShardedBitmapCache::Insert(Shard* shard, BitmapKey key,
+                                const DecodedBitmap& bitmap,
+                                uint64_t stored_bytes) {
+  const bool stored = form_ == PoolForm::kStored;
+  const uint64_t bytes = stored ? stored_bytes : bitmap.resident_bytes();
+  if (bytes > shard_pool_bytes_) return;       // too big; read-through
+  if (shard->resident.count(key) > 0) return;  // raced with another miss
+  while (shard->used_bytes + bytes > shard_pool_bytes_ &&
+         !shard->lru.empty()) {
+    Evict(shard, shard->lru.back());
+  }
+  shard->lru.push_front(key);
+  shard->resident.emplace(
+      key, Shard::Entry{shard->lru.begin(), bytes,
+                        stored ? DecodedBitmap() : bitmap});
+  shard->used_bytes += bytes;
+}
+
+void ShardedBitmapCache::Evict(Shard* shard, BitmapKey key) {
+  auto it = shard->resident.find(key);
+  if (it == shard->resident.end()) return;
+  shard->lru.erase(it->second.lru_it);
+  shard->used_bytes -= it->second.charged_bytes;
+  shard->resident.erase(it);
 }
 
 }  // namespace bix

@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <list>
-#include <optional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "storage/bitmap_store.h"
 #include "storage/disk_model.h"
@@ -18,10 +20,10 @@
 
 namespace bix {
 
-// Anything the query evaluator can fetch bitmaps through: the classic
-// single-owner BitmapCache below, or the thread-safe ShardedBitmapCache of
-// src/server. Implementations account each fetch into the *caller-supplied*
-// stats block rather than shared internal state, so a caller always gets a
+// Anything the query evaluator can fetch bitmaps through: the buffer pool
+// below, or a decorator over it (the service's FaultPolicyCache).
+// Implementations account each fetch into the *caller-supplied* stats
+// block rather than shared internal state, so a caller always gets a
 // consistent per-query / per-worker cost breakdown even when the cache
 // itself is shared by many concurrent queries; aggregation across callers
 // is then an explicit IoStats::Add roll-up.
@@ -68,88 +70,131 @@ class BitmapCacheInterface {
 // "c<component>/s<slot>": the "key" tag of every fetch span.
 std::string TraceKeyTag(BitmapKey key);
 
-// The miss-path fault switch both caches run on a simulated disk read of
-// `blob`. Consults `injector` (not null) and applies its verdict: an
-// injected transient error returns Unavailable; a bit flip returns the
-// integrity-checked decode of a corrupted copy of the stored bytes (the
-// caller caches nothing, so the pool never holds known-bad bytes); a
-// latency spike sleeps on `clock`, cancellable by `cancel`, and lets the
-// read proceed. Returns nullopt when the read proceeds.
-std::optional<Result<DecodedBitmap>> InjectReadFault(
-    FaultInjector* injector, BitmapKey key, const BitmapStore::Blob& blob,
-    ClockInterface* clock, const CancelToken* cancel, TraceSink* trace);
+// What a resident key keeps, and is charged against the budget.
+enum class PoolForm : uint8_t {
+  // Only the key, charged its blob's stored bytes: every fetch decodes the
+  // stored bitmap again, while disk I/O is paid only on misses — the
+  // paper's file-system buffer over index files (Sections 6.3/7), so
+  // compressed indexes pay their decompression CPU per scan.
+  kStored,
+  // The decoded handle, charged its resident_bytes() (a plain bitmap's
+  // words, a Roaring bitmap's containers): a hit skips the decode as well
+  // as the read and copies zero bytes — the serving cache.
+  kDecoded,
+};
 
-// The buffer pool of Section 6.3/7: a byte-budgeted LRU cache of stored
-// bitmap payloads sitting between the query evaluator and the simulated
-// disk. The pool caches bitmaps in their *stored* form (compressed indexes
-// cache compressed bytes, mirroring a file-system buffer over index files),
-// so decompression CPU is paid on every fetch while disk I/O is paid only
-// on pool misses — exactly the cost structure the paper measures.
+// The buffer pool between query evaluation and the simulated disk: a
+// byte-budgeted LRU of N lock-striped shards keyed by BitmapKey. A
+// QueryExecutor that owns its pool runs one kStored shard (the paper's
+// single-query pool); the query service shares one kDecoded cache among
+// its workers, so a bitmap fetched for one query is a pool hit for every
+// other in-flight query — the paper's buffer-pool sharing, across queries.
 //
-// A bitmap larger than the whole pool is read from disk and not cached.
+// The budget is split evenly across shards; a bitmap larger than its
+// shard's slice is read through and never cached. A miss accounts the
+// modeled disk read (and counts a rescan when the key was read before);
+// the modeled decode and the codec_decodes tally are charged whenever the
+// pool decodes: on every fetch in stored form, on every miss in decoded
+// form. When `io_latency_scale` > 0, those modeled seconds are also slept
+// (scaled) on the pool's clock, turning the DiskModel from pure accounting
+// into actual latency so worker-count scaling and cache sharing have
+// measurable wall-clock effects (benches use this; tests leave it 0).
 //
-// Not thread-safe: one owner at a time (the paper's single-query setting).
-// Concurrent readers share a ShardedBitmapCache (src/server) instead.
-class BitmapCache : public BitmapCacheInterface {
+// Decodes are integrity-checked (blob checksum + validating decode): only
+// bytes that passed their check stay in the pool — a failed decode evicts
+// a resident key and never admits a missed one — so corrupt stored bytes
+// surface as Corruption for that fetch only.
+//
+// Locking: one mutex per shard, held only for map/LRU bookkeeping — never
+// across materialization or a sleep. Two threads missing the same key
+// concurrently may both materialize it (both count as disk reads, exactly
+// like two concurrent misses against a real buffer pool).
+class ShardedBitmapCache : public BitmapCacheInterface {
  public:
   // `clock` (nullable => RealClock) is what deadlines are checked against
-  // and what injected latency spikes sleep on — the owning executor passes
-  // its ExecutorOptions::clock, so a VirtualClock run sees consistent
-  // budgets and zero wall-clock sleeps.
-  BitmapCache(const BitmapStore* store, uint64_t pool_bytes,
-              DiskModel disk = DiskModel{}, ClockInterface* clock = nullptr)
-      : store_(store),
-        pool_bytes_(pool_bytes),
-        disk_(disk),
-        clock_(clock != nullptr ? clock : RealClock::Get()) {
-    BIX_CHECK(store != nullptr);
-  }
+  // and what modeled-latency and injected-spike sleeps run on, so tests on
+  // a VirtualClock simulate slow reads in zero wall-clock time; sleeps are
+  // cancellable by the fetching query's CancelToken.
+  ShardedBitmapCache(const BitmapStore* store, uint64_t pool_bytes,
+                     uint32_t num_shards, DiskModel disk = DiskModel{},
+                     double io_latency_scale = 0.0,
+                     ClockInterface* clock = nullptr,
+                     PoolForm form = PoolForm::kDecoded);
 
-  BitmapCache(const BitmapCache&) = delete;
-  BitmapCache& operator=(const BitmapCache&) = delete;
+  ShardedBitmapCache(const ShardedBitmapCache&) = delete;
+  ShardedBitmapCache& operator=(const ShardedBitmapCache&) = delete;
 
-  // BitmapCacheInterface: accounts the scan into *stats. Materialization
-  // is integrity-checked (blob checksum + validating decode), so corrupt
-  // stored bytes surface as Corruption for this fetch only. The pool holds
-  // the *stored* form, so the handle owns a freshly decoded buffer — built
-  // once, never copied on the way out. Roaring blobs come back in
-  // container form.
+  // BitmapCacheInterface. Thread-safe; `stats` must be private to the
+  // calling thread (or otherwise synchronized by the caller). A decoded
+  // hit hands out the shard's own resident handle — zero bytes copied; the
+  // shared_ptr keeps the bitmap alive for the query even if it is evicted
+  // meanwhile. A stored-form fetch hands out a freshly decoded handle,
+  // built once and never copied on the way out. Either way plain codecs
+  // come back as Bitvectors and Roaring in container form. An
+  // expired/cancelled `cancel` token fails the fetch up front with the
+  // token's typed status (deadline checks happen at fetch granularity).
   Result<DecodedBitmap> TryFetchDecoded(BitmapKey key, IoStats* stats,
                                         const CancelToken* cancel,
                                         TraceSink* trace) override;
   using BitmapCacheInterface::TryFetchDecoded;
-
-  // Plugs deterministic fault injection into the miss (disk read) path.
-  // Not owned; must outlive the cache. Pass nullptr to disable.
-  void SetFaultInjector(FaultInjector* injector) { injector_ = injector; }
-
-  // Drops all cached pages and the has-been-read history. Benches call this
-  // between queries to mimic the paper's flushed file-system buffer.
+  // Benches call this between queries to mimic the paper's flushed
+  // file-system buffer.
   void DropPool() override;
 
-  uint64_t pool_bytes_used() const { return used_bytes_; }
+  // Plugs deterministic fault injection into the miss (disk read) path;
+  // hits are served from verified memory and never faulted. Not owned;
+  // must outlive the cache. Set before serving starts — the pointer itself
+  // is unsynchronized. Pass nullptr to disable.
+  void SetFaultInjector(FaultInjector* injector) { injector_ = injector; }
+
+  // Resident bytes summed over shards (racy-but-consistent).
+  uint64_t pool_bytes_used() const;
+
+  // Cache-level aggregate counters, independent of the per-fetch IoStats
+  // blocks.
+  struct Counters {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    // Decodes by stored codec, under the same rule as the modeled decode.
+    uint64_t codec_decodes[kNumCodecs] = {};
+  };
+  Counters TotalCounters() const;
 
  private:
-  void Touch(BitmapKey key);
-  void Evict(BitmapKey key);
-  void Insert(BitmapKey key, uint64_t bytes);
+  struct Shard {
+    mutable std::mutex mu;
+    // LRU bookkeeping: most-recently-used at the front.
+    std::list<BitmapKey> lru;
+    struct Entry {
+      std::list<BitmapKey>::iterator lru_it;
+      uint64_t charged_bytes = 0;  // stored or resident, by form
+      DecodedBitmap bitmap;        // empty in stored form
+    };
+    std::unordered_map<BitmapKey, Entry, BitmapKeyHash> resident;
+    uint64_t used_bytes = 0;
+    // Keys ever read from disk, to count rescans.
+    std::unordered_set<uint64_t> read_before;
+    Counters counters;
+  };
+
+  Shard& ShardFor(BitmapKey key) {
+    return *shards_[BitmapKeyHash{}(key) % shards_.size()];
+  }
+  // Inserts under the shard lock, evicting LRU entries to fit the charged
+  // bytes.
+  void Insert(Shard* shard, BitmapKey key, const DecodedBitmap& bitmap,
+              uint64_t stored_bytes);
+  // Under the shard lock; a no-op for a key that is no longer resident.
+  static void Evict(Shard* shard, BitmapKey key);
 
   const BitmapStore* store_;
-  uint64_t pool_bytes_;
-  DiskModel disk_;
+  const uint64_t shard_pool_bytes_;  // the total budget, split evenly
+  const DiskModel disk_;
+  const double io_latency_scale_;
   ClockInterface* const clock_;
+  const PoolForm form_;
   FaultInjector* injector_ = nullptr;
-
-  // LRU bookkeeping: most-recently-used at the front.
-  std::list<BitmapKey> lru_;
-  struct Entry {
-    std::list<BitmapKey>::iterator lru_it;
-    uint64_t bytes = 0;
-  };
-  std::unordered_map<BitmapKey, Entry, BitmapKeyHash> resident_;
-  uint64_t used_bytes_ = 0;
-  // Keys ever read from disk, to count rescans.
-  std::unordered_set<uint64_t> read_before_;
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace bix

@@ -38,8 +38,8 @@ struct BitmapKeyHash {
 // The "disk": an immutable-after-build container of stored bitmaps, each
 // encoded with one of the registered codecs (verbatim, BBC, WAH, Roaring)
 // and tagged with the codec per blob. It performs no cost accounting
-// itself — reads go through BitmapCache, which models the buffer pool and
-// the disk.
+// itself — reads go through the buffer pool (storage/bitmap_cache), which
+// models the pool and the disk.
 class BitmapStore {
  public:
   BitmapStore() = default;
@@ -72,7 +72,7 @@ class BitmapStore {
   uint64_t BitmapCount() const { return blobs_.size(); }
 
   // Materializes the bitmap (decoding if compressed). This is the CPU work
-  // charged to a scan; I/O accounting is BitmapCache's job. Aborts on a
+  // charged to a scan; I/O accounting is the buffer pool's job. Aborts on a
   // missing key or corrupt stored bytes — trusted build/bench paths only;
   // the serving path uses TryMaterialize.
   Bitvector Materialize(BitmapKey key) const;

@@ -10,7 +10,6 @@
 #include "core/bitmap_index_facade.h"
 #include "server/metrics.h"
 #include "server/query_service.h"
-#include "server/sharded_cache.h"
 #include "server/work_queue.h"
 #include "util/rng.h"
 #include "workload/column_gen.h"
@@ -111,147 +110,6 @@ TEST(LatencyHistogramTest, AddMergesCounts) {
   a.Add(b);
   EXPECT_EQ(a.count(), 3u);
   EXPECT_GE(a.Quantile(1.0), 0.07);
-}
-
-// -------------------------------------------------------- sharded cache --
-
-class ShardedCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    Rng rng(7);
-    for (uint32_t s = 0; s < 8; ++s) {
-      Bitvector bv(1000);
-      for (uint64_t i = 0; i < 1000; ++i) {
-        if (rng.Bernoulli(0.3)) bv.Set(i);
-      }
-      reference_.push_back(bv);
-      // 125 stored bytes each; 16 words (128 bytes) resident.
-      store_.PutWithCodec({1, s}, bv, CodecId::kVerbatim);
-    }
-  }
-  BitmapStore store_;
-  std::vector<Bitvector> reference_;
-};
-
-TEST_F(ShardedCacheTest, FetchReturnsStoredBitmap) {
-  ShardedBitmapCache cache(&store_, 1 << 20, 4);
-  IoStats stats;
-  for (uint32_t s = 0; s < 8; ++s) {
-    EXPECT_EQ(*cache.TryFetchDecoded({1, s}, &stats).value().plain(),
-              reference_[s]);
-  }
-  EXPECT_EQ(stats.scans, 8u);
-  EXPECT_EQ(stats.disk_reads, 8u);
-  EXPECT_EQ(stats.pool_hits, 0u);
-}
-
-TEST_F(ShardedCacheTest, SecondFetchHitsPool) {
-  ShardedBitmapCache cache(&store_, 1 << 20, 4);
-  IoStats stats;
-  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
-  EXPECT_EQ(*cache.TryFetchDecoded({1, 0}, &stats).value().plain(),
-            reference_[0]);
-  EXPECT_EQ(stats.pool_hits, 1u);
-  EXPECT_EQ(stats.disk_reads, 1u);
-  EXPECT_EQ(stats.bytes_read, 125u);
-  const auto counters = cache.TotalCounters();
-  EXPECT_EQ(counters.hits, 1u);
-  EXPECT_EQ(counters.misses, 1u);
-}
-
-TEST_F(ShardedCacheTest, CallersShareResidency) {
-  // The point of the shared pool: worker B hits on what worker A fetched.
-  ShardedBitmapCache cache(&store_, 1 << 20, 4);
-  IoStats a, b;
-  ASSERT_TRUE(cache.TryFetchDecoded({1, 3}, &a).ok());
-  ASSERT_TRUE(cache.TryFetchDecoded({1, 3}, &b).ok());
-  EXPECT_EQ(a.disk_reads, 1u);
-  EXPECT_EQ(b.pool_hits, 1u);
-  EXPECT_EQ(b.disk_reads, 0u);
-}
-
-TEST_F(ShardedCacheTest, TinyShardsEvictAndRescan) {
-  // One shard with room for a single 128-byte resident bitmap: alternating
-  // fetches evict each other and re-reads count as rescans.
-  ShardedBitmapCache cache(&store_, 130, 1);
-  IoStats stats;
-  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
-  ASSERT_TRUE(cache.TryFetchDecoded({1, 1}, &stats).ok());  // evicts 0
-  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());  // rescan
-  EXPECT_EQ(stats.disk_reads, 3u);
-  EXPECT_EQ(stats.rescans, 1u);
-  EXPECT_LE(cache.pool_bytes_used(), 130u);
-}
-
-TEST_F(ShardedCacheTest, OversizedBitmapReadsThrough) {
-  ShardedBitmapCache cache(&store_, 64, 1);  // smaller than any bitmap
-  IoStats stats;
-  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
-  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
-  EXPECT_EQ(stats.disk_reads, 2u);
-  EXPECT_EQ(cache.pool_bytes_used(), 0u);
-}
-
-TEST_F(ShardedCacheTest, DropPoolForgetsResidencyAndHistory) {
-  ShardedBitmapCache cache(&store_, 1 << 20, 4);
-  IoStats stats;
-  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
-  cache.DropPool();
-  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
-  EXPECT_EQ(stats.disk_reads, 2u);
-  EXPECT_EQ(stats.rescans, 0u);
-  EXPECT_EQ(cache.pool_bytes_used(), 128u);
-}
-
-// The budget charges what a shard keeps resident, not the stored blob.
-// Sparse BBC blobs are a small fraction of their decoded size: all sixteen
-// fit the budget in stored bytes, but only four fit decoded. Charged by
-// stored bytes, every key stayed resident and the shard held about four
-// times its budget in decoded bitmaps.
-TEST(ShardedCacheBudgetTest, ChargesDecodedBytesOfCompressedBlobs) {
-  constexpr uint64_t kBits = 64000;
-  constexpr uint32_t kKeys = 16;
-  const uint64_t decoded = Bitvector::WordCount(kBits) * sizeof(uint64_t);
-  const uint64_t budget = 4 * decoded + decoded / 2;
-  BitmapStore store;
-  uint64_t stored = 0;
-  for (uint32_t s = 0; s < kKeys; ++s) {
-    Bitvector bv(kBits);
-    for (uint64_t i = s; i < kBits; i += 997) bv.Set(i);
-    store.PutWithCodec({1, s}, bv, CodecId::kBbc);
-    stored += store.GetBlob({1, s}).bytes.size();
-  }
-  ASSERT_LE(stored, budget);
-  ShardedBitmapCache cache(&store, budget, 1);
-  for (int pass = 0; pass < 2; ++pass) {
-    IoStats stats;
-    for (uint32_t s = 0; s < kKeys; ++s) {
-      ASSERT_TRUE(cache.TryFetchDecoded({1, s}, &stats).ok());
-    }
-    EXPECT_LE(stats.pool_hits * decoded, budget) << "pass " << pass;
-    EXPECT_LE(cache.pool_bytes_used(), budget) << "pass " << pass;
-  }
-}
-
-TEST_F(ShardedCacheTest, ConcurrentFetchesReturnCorrectBitmaps) {
-  ShardedBitmapCache cache(&store_, 4 * 125, 2);  // forces some evictions
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(100 + t);
-      IoStats stats;
-      for (int i = 0; i < 200; ++i) {
-        const uint32_t s = static_cast<uint32_t>(rng.UniformInt(0, 7));
-        Result<DecodedBitmap> r = cache.TryFetchDecoded({1, s}, &stats);
-        if (!r.ok() || *r.value().plain() != reference_[s]) ++failures;
-      }
-      if (stats.scans != 200u) ++failures;
-      if (stats.pool_hits + stats.disk_reads != stats.scans) ++failures;
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
 }
 
 // -------------------------------------------------------------- service --

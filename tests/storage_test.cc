@@ -2,9 +2,13 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
 
-#include "server/sharded_cache.h"
 #include "storage/bitmap_cache.h"
 #include "storage/bitmap_store.h"
 #include "storage/fault_injector.h"
@@ -269,38 +273,80 @@ TEST(DiskModelTest, ReadSecondsIsSeekPlusTransfer) {
   EXPECT_DOUBLE_EQ(disk.ReadSeconds(500), 0.01 + 0.5);
 }
 
-class BitmapCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    // Four 125-byte bitmaps.
-    for (uint32_t s = 0; s < 4; ++s) {
-      store_.PutWithCodec({1, s}, MakeBitmap(1000, s), CodecId::kVerbatim);
-    }
-  }
-  BitmapStore store_;
-};
+// --- The buffer pool, in both forms ---------------------------------------
 
-TEST_F(BitmapCacheTest, FetchReturnsStoredBitmap) {
-  BitmapCache cache(&store_, 1 << 20);
-  IoStats stats;
-  EXPECT_EQ(*cache.TryFetchDecoded({1, 2}, &stats).value().plain(),
-            MakeBitmap(1000, 2));
+const char* FormName(PoolForm form) {
+  return form == PoolForm::kStored ? "Stored" : "Decoded";
 }
 
-TEST_F(BitmapCacheTest, SecondFetchHitsPool) {
-  BitmapCache cache(&store_, 1 << 20);
+class BufferPoolTest : public ::testing::TestWithParam<PoolForm> {
+ protected:
+  void SetUp() override {
+    // Eight 1000-bit verbatim bitmaps: 125 stored bytes, 16 words resident.
+    for (uint32_t s = 0; s < 8; ++s) {
+      reference_.push_back(MakeBitmap(1000, s));
+      store_.PutWithCodec({1, s}, reference_.back(), CodecId::kVerbatim);
+    }
+  }
+
+  ShardedBitmapCache Pool(uint64_t pool_bytes, uint32_t num_shards = 1,
+                          DiskModel disk = DiskModel{}) {
+    return ShardedBitmapCache(&store_, pool_bytes, num_shards, disk,
+                              /*io_latency_scale=*/0.0, /*clock=*/nullptr,
+                              GetParam());
+  }
+  // What one of the fixture's bitmaps is charged against the budget: its
+  // 125 stored bytes in stored form, its 16 resident words in decoded form.
+  uint64_t Charged() const {
+    return GetParam() == PoolForm::kStored ? 125u : 128u;
+  }
+
+  BitmapStore store_;
+  std::vector<Bitvector> reference_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Forms, BufferPoolTest,
+    ::testing::Values(PoolForm::kStored, PoolForm::kDecoded),
+    [](const ::testing::TestParamInfo<PoolForm>& info) {
+      return FormName(info.param);
+    });
+
+TEST_P(BufferPoolTest, FetchReturnsStoredBitmap) {
+  ShardedBitmapCache cache = Pool(1 << 20, 4);
+  IoStats stats;
+  for (uint32_t s = 0; s < 8; ++s) {
+    EXPECT_EQ(*cache.TryFetchDecoded({1, s}, &stats).value().plain(),
+              reference_[s]);
+  }
+  EXPECT_EQ(stats.scans, 8u);
+  EXPECT_EQ(stats.disk_reads, 8u);
+  EXPECT_EQ(stats.pool_hits, 0u);
+}
+
+TEST_P(BufferPoolTest, SecondFetchHitsPool) {
+  ShardedBitmapCache cache = Pool(1 << 20, 4);
   IoStats stats;
   ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
-  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  EXPECT_EQ(*cache.TryFetchDecoded({1, 0}, &stats).value().plain(),
+            reference_[0]);
   EXPECT_EQ(stats.scans, 2u);
   EXPECT_EQ(stats.disk_reads, 1u);
   EXPECT_EQ(stats.pool_hits, 1u);
   EXPECT_EQ(stats.rescans, 0u);
   EXPECT_EQ(stats.bytes_read, 125u);
+  const ShardedBitmapCache::Counters counters = cache.TotalCounters();
+  EXPECT_EQ(counters.hits, 1u);
+  EXPECT_EQ(counters.misses, 1u);
+  // The stored form decodes on every fetch; the decoded form on the miss.
+  EXPECT_EQ(counters.codec_decodes[static_cast<size_t>(CodecId::kVerbatim)],
+            GetParam() == PoolForm::kStored ? 2u : 1u);
+  EXPECT_EQ(stats.codec_decodes[static_cast<size_t>(CodecId::kVerbatim)],
+            GetParam() == PoolForm::kStored ? 2u : 1u);
 }
 
-TEST_F(BitmapCacheTest, TinyPoolCausesRescans) {
-  BitmapCache cache(&store_, 130);  // fits exactly one bitmap
+TEST_P(BufferPoolTest, TinyPoolCausesRescans) {
+  ShardedBitmapCache cache = Pool(130);  // fits exactly one bitmap
   IoStats stats;
   ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   ASSERT_TRUE(cache.TryFetchDecoded({1, 1}, &stats).ok());  // evicts 0
@@ -308,10 +354,11 @@ TEST_F(BitmapCacheTest, TinyPoolCausesRescans) {
   EXPECT_EQ(stats.disk_reads, 3u);
   EXPECT_EQ(stats.rescans, 1u);
   EXPECT_EQ(stats.pool_hits, 0u);
+  EXPECT_LE(cache.pool_bytes_used(), 130u);
 }
 
-TEST_F(BitmapCacheTest, LruEvictsLeastRecentlyUsed) {
-  BitmapCache cache(&store_, 250);  // two bitmaps fit
+TEST_P(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
+  ShardedBitmapCache cache = Pool(2 * Charged());  // two bitmaps fit
   IoStats stats;
   ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   ASSERT_TRUE(cache.TryFetchDecoded({1, 1}, &stats).ok());
@@ -325,8 +372,8 @@ TEST_F(BitmapCacheTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_EQ(stats.rescans, 1u);
 }
 
-TEST_F(BitmapCacheTest, OversizedBitmapReadsThrough) {
-  BitmapCache cache(&store_, 64);  // smaller than any bitmap
+TEST_P(BufferPoolTest, OversizedBitmapReadsThrough) {
+  ShardedBitmapCache cache = Pool(64);  // smaller than any bitmap
   IoStats stats;
   ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
@@ -335,8 +382,8 @@ TEST_F(BitmapCacheTest, OversizedBitmapReadsThrough) {
   EXPECT_EQ(cache.pool_bytes_used(), 0u);
 }
 
-TEST_F(BitmapCacheTest, DropPoolForgetsResidencyAndHistory) {
-  BitmapCache cache(&store_, 1 << 20);
+TEST_P(BufferPoolTest, DropPoolForgetsResidencyAndHistory) {
+  ShardedBitmapCache cache = Pool(1 << 20, 4);
   IoStats stats;
   ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   cache.DropPool();
@@ -344,13 +391,14 @@ TEST_F(BitmapCacheTest, DropPoolForgetsResidencyAndHistory) {
   EXPECT_EQ(stats.disk_reads, 2u);
   // History was dropped too: the re-read does not count as a rescan.
   EXPECT_EQ(stats.rescans, 0u);
+  EXPECT_EQ(cache.pool_bytes_used(), Charged());
 }
 
-TEST_F(BitmapCacheTest, IoSecondsFollowDiskModel) {
+TEST_P(BufferPoolTest, IoSecondsFollowDiskModel) {
   DiskModel disk;
   disk.seek_seconds = 0.01;
   disk.bytes_per_second = 1000.0;
-  BitmapCache cache(&store_, 1 << 20, disk);
+  ShardedBitmapCache cache = Pool(1 << 20, 1, disk);
   IoStats stats;
   ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   EXPECT_DOUBLE_EQ(stats.io_seconds, 0.01 + 125.0 / 1000.0);
@@ -359,8 +407,8 @@ TEST_F(BitmapCacheTest, IoSecondsFollowDiskModel) {
   EXPECT_DOUBLE_EQ(stats.io_seconds, 0.01 + 125.0 / 1000.0);
 }
 
-TEST_F(BitmapCacheTest, StatsAccountingInvariant) {
-  BitmapCache cache(&store_, 250);
+TEST_P(BufferPoolTest, StatsAccountingInvariant) {
+  ShardedBitmapCache cache = Pool(2 * Charged());
   IoStats s;
   Rng rng(17);
   for (int i = 0; i < 200; ++i) {
@@ -373,11 +421,11 @@ TEST_F(BitmapCacheTest, StatsAccountingInvariant) {
   EXPECT_EQ(s.bytes_read, s.disk_reads * 125u);
 }
 
-TEST_F(BitmapCacheTest, InjectedUnavailableSurfacesAndRecovers) {
+TEST_P(BufferPoolTest, InjectedUnavailableSurfacesAndRecovers) {
   FaultInjectorOptions opts;
   opts.unavailable_first_attempts = 1;
   FaultInjector inj(opts);
-  BitmapCache cache(&store_, 1 << 20);
+  ShardedBitmapCache cache = Pool(1 << 20);
   cache.SetFaultInjector(&inj);
   IoStats stats;
   Result<DecodedBitmap> first = cache.TryFetchDecoded({1, 0}, &stats);
@@ -387,17 +435,17 @@ TEST_F(BitmapCacheTest, InjectedUnavailableSurfacesAndRecovers) {
   // The retry (attempt 2) succeeds and returns the true bitmap.
   Result<DecodedBitmap> second = cache.TryFetchDecoded({1, 0}, &stats);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(*second.value().plain(), MakeBitmap(1000, 0));
+  EXPECT_EQ(*second.value().plain(), reference_[0]);
   // A later fetch is a pool hit: hits bypass the injector entirely.
   EXPECT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   EXPECT_EQ(inj.counters().reads, 2u);
 }
 
-TEST_F(BitmapCacheTest, InjectedBitFlipIsCorruptionAndNeverCached) {
+TEST_P(BufferPoolTest, InjectedBitFlipIsCorruptionAndNeverCached) {
   FaultInjectorOptions opts;
   opts.bit_flip_prob = 1.0;
   FaultInjector inj(opts);
-  BitmapCache cache(&store_, 1 << 20);
+  ShardedBitmapCache cache = Pool(1 << 20);
   cache.SetFaultInjector(&inj);
   IoStats stats;
   for (int i = 0; i < 3; ++i) {
@@ -411,21 +459,65 @@ TEST_F(BitmapCacheTest, InjectedBitFlipIsCorruptionAndNeverCached) {
   EXPECT_TRUE(store_.TryMaterialize({1, 0}).ok());
 }
 
-TEST_F(BitmapCacheTest, LatencySpikesDoNotAffectResults) {
+TEST_P(BufferPoolTest, LatencySpikesDoNotAffectResults) {
   FaultInjectorOptions opts;
   opts.latency_spike_prob = 1.0;
   opts.latency_spike_seconds = 0.0;  // keep the test instant
   FaultInjector inj(opts);
-  BitmapCache cache(&store_, 1 << 20);
+  ShardedBitmapCache cache = Pool(1 << 20);
   cache.SetFaultInjector(&inj);
   IoStats stats;
   Result<DecodedBitmap> r = cache.TryFetchDecoded({1, 1}, &stats);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r.value().plain(), MakeBitmap(1000, 1));
+  EXPECT_EQ(*r.value().plain(), reference_[1]);
   EXPECT_EQ(inj.counters().latency_spikes, 1u);
 }
 
-TEST(BitmapCacheTest2, CompressedFetchChargesDecodeEveryTime) {
+// The BitmapCacheInterface contract: a fetch accounts into the caller's
+// block, so two callers over one cache keep private breakdowns whose Add
+// roll-up is the cache's whole activity — and share residency: worker B
+// hits on what worker A fetched.
+TEST_P(BufferPoolTest, FetchAccountsIntoCallerBlock) {
+  ShardedBitmapCache cache = Pool(1 << 20, 4);
+  IoStats worker_a, worker_b;
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 3}, &worker_a).ok());
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 3}, &worker_b).ok());
+  EXPECT_EQ(worker_a.scans, 1u);
+  EXPECT_EQ(worker_a.disk_reads, 1u);
+  EXPECT_EQ(worker_b.scans, 1u);
+  EXPECT_EQ(worker_b.pool_hits, 1u);  // a's read left the bitmap resident
+  EXPECT_EQ(worker_b.disk_reads, 0u);
+  IoStats total = worker_a;
+  total.Add(worker_b);
+  EXPECT_EQ(total.scans, 2u);
+  EXPECT_EQ(total.disk_reads, 1u);
+  EXPECT_EQ(total.pool_hits, 1u);
+  EXPECT_EQ(total.bytes_read, 125u);
+}
+
+TEST_P(BufferPoolTest, ConcurrentFetchesReturnCorrectBitmaps) {
+  ShardedBitmapCache cache = Pool(4 * 125, 2);  // forces some evictions
+  std::vector<std::thread> threads;
+  std::atomic<int> failures{0};
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + t);
+      IoStats stats;
+      for (int i = 0; i < 200; ++i) {
+        const uint32_t s = static_cast<uint32_t>(rng.UniformInt(0, 7));
+        Result<DecodedBitmap> r = cache.TryFetchDecoded({1, s}, &stats);
+        if (!r.ok() || *r.value().plain() != reference_[s]) ++failures;
+      }
+      if (stats.scans != 200u) ++failures;
+      if (stats.pool_hits + stats.disk_reads != stats.scans) ++failures;
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_LE(cache.pool_bytes_used(), 4u * 125u);
+}
+
+TEST_P(BufferPoolTest, CompressedFetchChargesDecodeWheneverThePoolDecodes) {
   BitmapStore store;
   Bitvector sparse(80'000);
   sparse.Set(3);
@@ -433,26 +525,28 @@ TEST(BitmapCacheTest2, CompressedFetchChargesDecodeEveryTime) {
   const uint64_t cmp_bytes = store.StoredBytes({1, 0});
   DiskModel disk;
   disk.decompress_bytes_per_second = 1000.0;
-  BitmapCache cache(&store, 1 << 20, disk);
+  ShardedBitmapCache cache(&store, 1 << 20, 1, disk, 0.0, nullptr,
+                           GetParam());
   IoStats stats;
   ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
-  // A pool hit, but decode is paid again.
+  // A pool hit: the stored form pays its decode again, the decoded form
+  // hands out the resident handle.
   ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
+  const double decodes = GetParam() == PoolForm::kStored ? 2.0 : 1.0;
   EXPECT_DOUBLE_EQ(stats.decode_seconds,
-                   2.0 * static_cast<double>(cmp_bytes) / 1000.0);
+                   decodes * static_cast<double>(cmp_bytes) / 1000.0);
   EXPECT_EQ(stats.disk_reads, 1u);
 }
 
-TEST(BitmapCacheTest2, UncompressedFetchChargesNoDecode) {
-  BitmapStore store;
-  store.PutWithCodec({1, 0}, MakeBitmap(1000, 1), CodecId::kVerbatim);
-  BitmapCache cache(&store, 1 << 20);
+TEST_P(BufferPoolTest, UncompressedFetchChargesNoDecode) {
+  ShardedBitmapCache cache = Pool(1 << 20);
   IoStats stats;
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   EXPECT_DOUBLE_EQ(stats.decode_seconds, 0.0);
 }
 
-TEST(BitmapCacheTest2, RoaringFetchChargesScaledDecodeAndTagsCodec) {
+TEST_P(BufferPoolTest, RoaringFetchChargesScaledDecodeAndTagsCodec) {
   BitmapStore store;
   Bitvector sparse(80'000);
   sparse.Set(3);
@@ -463,7 +557,8 @@ TEST(BitmapCacheTest2, RoaringFetchChargesScaledDecodeAndTagsCodec) {
   const uint64_t roaring_bytes = store.StoredBytes({1, 0});
   DiskModel disk;
   disk.decompress_bytes_per_second = 1000.0;
-  BitmapCache cache(&store, 1 << 20, disk);
+  ShardedBitmapCache cache(&store, 1 << 20, 1, disk, 0.0, nullptr,
+                           GetParam());
   IoStats stats;
   ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &stats).ok());
   // Roaring hands out container form, so its modeled decode cost is a
@@ -473,11 +568,68 @@ TEST(BitmapCacheTest2, RoaringFetchChargesScaledDecodeAndTagsCodec) {
                        static_cast<double>(roaring_bytes) / 1000.0);
   ASSERT_TRUE(cache.TryFetchDecoded({1, 1}, &stats).ok());
   ASSERT_TRUE(cache.TryFetchDecoded({1, 2}, &stats).ok());
-  // Every fetch is tallied under its blob's codec.
+  // Every decode is tallied under its blob's codec.
   EXPECT_EQ(stats.codec_decodes[static_cast<size_t>(CodecId::kRoaring)], 1u);
   EXPECT_EQ(stats.codec_decodes[static_cast<size_t>(CodecId::kBbc)], 1u);
   EXPECT_EQ(stats.codec_decodes[static_cast<size_t>(CodecId::kVerbatim)], 1u);
   EXPECT_EQ(stats.codec_decodes[static_cast<size_t>(CodecId::kWah)], 0u);
+}
+
+// The budget gate: whatever a codec and form charge, the pool never holds
+// more than its budget. Sparse BBC and WAH blobs are a small fraction of
+// their decoded size: all sixteen fit the budget in stored bytes, but only
+// four fit decoded. Charged by stored bytes, a decoded pool kept every key
+// resident and held about four times its budget in decoded bitmaps.
+// Verbatim blobs fit four in either form, and Roaring containers stay
+// about their stored size.
+class BufferPoolBudgetTest
+    : public ::testing::TestWithParam<std::tuple<CodecId, PoolForm>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    CodecsAndForms, BufferPoolBudgetTest,
+    ::testing::Combine(::testing::Values(CodecId::kVerbatim, CodecId::kBbc,
+                                         CodecId::kWah, CodecId::kRoaring),
+                       ::testing::Values(PoolForm::kStored,
+                                         PoolForm::kDecoded)),
+    [](const ::testing::TestParamInfo<std::tuple<CodecId, PoolForm>>& info) {
+      return std::string(CodecName(std::get<0>(info.param))) + "_" +
+             FormName(std::get<1>(info.param));
+    });
+
+TEST_P(BufferPoolBudgetTest, ResidentBytesStayWithinBudget) {
+  const auto [codec, form] = GetParam();
+  constexpr uint64_t kBits = 64000;
+  constexpr uint32_t kKeys = 16;
+  const uint64_t decoded = Bitvector::WordCount(kBits) * sizeof(uint64_t);
+  const uint64_t budget = 4 * decoded + decoded / 2;
+  BitmapStore store;
+  uint64_t stored = 0;
+  for (uint32_t s = 0; s < kKeys; ++s) {
+    Bitvector bv(kBits);
+    for (uint64_t i = s; i < kBits; i += 997) bv.Set(i);
+    store.PutWithCodec({1, s}, bv, codec);
+    stored += store.GetBlob({1, s}).bytes.size();
+  }
+  if (codec != CodecId::kVerbatim) {
+    ASSERT_LE(stored, budget);
+  }
+  ShardedBitmapCache cache(&store, budget, 1, DiskModel{}, 0.0, nullptr, form);
+  for (int pass = 0; pass < 2; ++pass) {
+    IoStats stats;
+    uint64_t hit_bytes = 0;  // what the keys that hit are charged
+    for (uint32_t s = 0; s < kKeys; ++s) {
+      const uint64_t hits_before = stats.pool_hits;
+      Result<DecodedBitmap> r = cache.TryFetchDecoded({1, s}, &stats);
+      ASSERT_TRUE(r.ok());
+      if (stats.pool_hits > hits_before) {
+        hit_bytes += form == PoolForm::kStored
+                         ? store.GetBlob({1, s}).bytes.size()
+                         : r.value().resident_bytes();
+      }
+    }
+    EXPECT_LE(hit_bytes, budget) << "pass " << pass;
+    EXPECT_LE(cache.pool_bytes_used(), budget) << "pass " << pass;
+  }
 }
 
 // Field-by-field roll-up of two fully populated blocks: the merge used
@@ -528,26 +680,6 @@ TEST(IoStatsTest, AddMergesEveryFieldOfPopulatedBlocks) {
   EXPECT_DOUBLE_EQ(b.io_seconds, 0.75);
 }
 
-// The BitmapCacheInterface contract: a fetch accounts into the caller's
-// block, so two callers over one cache keep private breakdowns whose Add
-// roll-up is the cache's whole activity.
-TEST_F(BitmapCacheTest, FetchAccountsIntoCallerBlock) {
-  BitmapCache cache(&store_, 1 << 20);
-  IoStats worker_a, worker_b;
-  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &worker_a).ok());
-  ASSERT_TRUE(cache.TryFetchDecoded({1, 0}, &worker_b).ok());
-  EXPECT_EQ(worker_a.scans, 1u);
-  EXPECT_EQ(worker_a.disk_reads, 1u);
-  EXPECT_EQ(worker_b.scans, 1u);
-  EXPECT_EQ(worker_b.pool_hits, 1u);  // a's read left the bitmap resident
-  IoStats total = worker_a;
-  total.Add(worker_b);
-  EXPECT_EQ(total.scans, 2u);
-  EXPECT_EQ(total.disk_reads, 1u);
-  EXPECT_EQ(total.pool_hits, 1u);
-  EXPECT_EQ(total.bytes_read, 125u);
-}
-
 void ExpectSameIoStats(const IoStats& a, const IoStats& b) {
   EXPECT_EQ(a.scans, b.scans);
   EXPECT_EQ(a.pool_hits, b.pool_hits);
@@ -562,15 +694,15 @@ void ExpectSameIoStats(const IoStats& a, const IoStats& b) {
   }
 }
 
-// One oracle for the miss-path fault switch both caches run: the paper's
-// pool and a one-shard service cache, each on its own VirtualClock with an
-// identically seeded injector, must fail, account and sleep identically on
-// every miss of every codec. A key that succeeded is never fetched again,
-// so every fetch is a miss in both caches. The last key is a rotten blob
-// (its bytes no longer match their checksum) that never succeeds: neither
-// cache may admit it when its decode fails, so its next attempt is a miss
-// in both as well.
-TEST(CacheFaultOracleTest, BothCachesFaultAndAccountAMissIdentically) {
+// One oracle for the miss-path fault switch and accounting of both forms:
+// a stored-form pool and a decoded-form pool, each on its own VirtualClock
+// with an identically seeded injector, must fail, account and sleep
+// identically on every miss of every codec. A key that succeeded is never
+// fetched again, so every fetch is a miss in both. The last key is a
+// rotten blob (its bytes no longer match their checksum) that never
+// succeeds: neither form may admit it when its decode fails, so its next
+// attempt is a miss in both as well.
+TEST(CacheFaultOracleTest, BothFormsFaultAndAccountAMissIdentically) {
   BitmapStore store;
   const CodecId codecs[] = {CodecId::kVerbatim, CodecId::kBbc, CodecId::kWah,
                             CodecId::kRoaring};
@@ -597,32 +729,36 @@ TEST(CacheFaultOracleTest, BothCachesFaultAndAccountAMissIdentically) {
   opts.bit_flip_prob = 0.2;
   opts.latency_spike_prob = 0.2;
   opts.latency_spike_seconds = 0.004;
-  FaultInjector pool_faults(opts), shard_faults(opts);
-  VirtualClock pool_clock, shard_clock;
-  BitmapCache pool(&store, 1 << 20, DiskModel{}, &pool_clock);
-  ShardedBitmapCache shard(&store, 1 << 20, 1, DiskModel{},
-                           /*io_latency_scale=*/0.0, &shard_clock);
-  pool.SetFaultInjector(&pool_faults);
-  shard.SetFaultInjector(&shard_faults);
+  FaultInjector stored_faults(opts), decoded_faults(opts);
+  VirtualClock stored_clock, decoded_clock;
+  ShardedBitmapCache stored_pool(&store, 1 << 20, 1, DiskModel{},
+                                 /*io_latency_scale=*/0.0, &stored_clock,
+                                 PoolForm::kStored);
+  ShardedBitmapCache decoded_pool(&store, 1 << 20, 1, DiskModel{},
+                                  /*io_latency_scale=*/0.0, &decoded_clock,
+                                  PoolForm::kDecoded);
+  stored_pool.SetFaultInjector(&stored_faults);
+  decoded_pool.SetFaultInjector(&decoded_faults);
 
-  uint64_t stored_resident = 0;   // the paper pool's unit
-  uint64_t decoded_resident = 0;  // the shared cache's unit
+  uint64_t stored_resident = 0;   // the stored form's unit
+  uint64_t decoded_resident = 0;  // the decoded form's unit
   for (size_t k = 0; k < keys.size(); ++k) {
     for (int attempt = 0; attempt < 4; ++attempt) {
       SCOPED_TRACE("slot " + std::to_string(k) + " attempt " +
                    std::to_string(attempt));
-      IoStats pool_io, shard_io;
-      Result<DecodedBitmap> a = pool.TryFetchDecoded(keys[k], &pool_io);
-      Result<DecodedBitmap> b = shard.TryFetchDecoded(keys[k], &shard_io);
+      IoStats stored_io, decoded_io;
+      Result<DecodedBitmap> a = stored_pool.TryFetchDecoded(keys[k], &stored_io);
+      Result<DecodedBitmap> b =
+          decoded_pool.TryFetchDecoded(keys[k], &decoded_io);
       ASSERT_EQ(a.status().code(), b.status().code());
-      ExpectSameIoStats(pool_io, shard_io);
-      const FaultInjector::Counters pc = pool_faults.counters();
-      const FaultInjector::Counters sc = shard_faults.counters();
+      ExpectSameIoStats(stored_io, decoded_io);
+      const FaultInjector::Counters pc = stored_faults.counters();
+      const FaultInjector::Counters sc = decoded_faults.counters();
       EXPECT_EQ(pc.reads, sc.reads);
       EXPECT_EQ(pc.unavailable, sc.unavailable);
       EXPECT_EQ(pc.bit_flips, sc.bit_flips);
       EXPECT_EQ(pc.latency_spikes, sc.latency_spikes);
-      EXPECT_EQ(pool_clock.slept_seconds(), shard_clock.slept_seconds());
+      EXPECT_EQ(stored_clock.slept_seconds(), decoded_clock.slept_seconds());
       if (a.ok()) {
         EXPECT_EQ(*a.value().MaterializePlain(), reference[k]);
         EXPECT_EQ(*b.value().MaterializePlain(), reference[k]);
@@ -635,17 +771,18 @@ TEST(CacheFaultOracleTest, BothCachesFaultAndAccountAMissIdentically) {
       }
     }
   }
-  // Both caches hold the same keys, each charged in its own unit: the
-  // paper's pool keeps the stored bytes, the shared cache the decoded form
-  // (plain words, or a Roaring bitmap's containers at their stored size).
-  EXPECT_EQ(pool.pool_bytes_used(), stored_resident);
-  EXPECT_EQ(shard.pool_bytes_used(), decoded_resident);
+  // Both forms hold the same keys, each charged in its own unit: the
+  // stored form keeps the stored bytes, the decoded form the decoded
+  // bitmap (plain words, or a Roaring bitmap's containers at their stored
+  // size).
+  EXPECT_EQ(stored_pool.pool_bytes_used(), stored_resident);
+  EXPECT_EQ(decoded_pool.pool_bytes_used(), decoded_resident);
   // The oracle saw every kind of fault.
-  const FaultInjector::Counters c = pool_faults.counters();
+  const FaultInjector::Counters c = stored_faults.counters();
   EXPECT_GT(c.unavailable, 0u);
   EXPECT_GT(c.bit_flips, 0u);
   EXPECT_GT(c.latency_spikes, 0u);
-  EXPECT_GT(pool_clock.slept_seconds(), 0.0);
+  EXPECT_GT(stored_clock.slept_seconds(), 0.0);
 }
 
 TEST(IoStatsTest, AddAccumulates) {

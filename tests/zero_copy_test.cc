@@ -17,7 +17,7 @@
 #include "expr/evaluate.h"
 #include "query/executor.h"
 #include "server/query_service.h"
-#include "server/sharded_cache.h"
+#include "storage/bitmap_cache.h"
 #include "util/rng.h"
 #include "workload/column_gen.h"
 #include "workload/scan_baseline.h"
