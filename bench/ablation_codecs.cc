@@ -85,7 +85,7 @@ void Run(const bench::BenchArgs& args) {
           enc_s[ci] += Seconds(t0);
           bytes[ci] += encoded.size();
           t0 = std::chrono::steady_clock::now();
-          Bitvector decoded = codec.DecodeUnchecked(encoded, bv.size());
+          Bitvector decoded = codec.Decode(encoded, bv.size()).value();
           dec_s[ci] += Seconds(t0);
           BIX_CHECK(decoded == bv);
         }

@@ -102,10 +102,9 @@ BbcEncoded BbcEncode(const Bitvector& bv) {
 
 namespace {
 
-// Shared decode loop; returns false on malformed input (when validate is
-// true) or aborts (when validate is false, hot path).
+// Expands the atom stream into `bytes`; false on malformed input.
 bool DecodeInto(const std::vector<uint8_t>& in, uint64_t bit_count,
-                std::vector<uint8_t>* bytes, bool validate) {
+                std::vector<uint8_t>* bytes) {
   const uint64_t expected = CeilDiv(bit_count, 8);
   bytes->clear();
   bytes->reserve(expected);
@@ -115,34 +114,22 @@ bool DecodeInto(const std::vector<uint8_t>& in, uint64_t bit_count,
     const bool fill_bit = (control >> kFillBitShift) & 1;
     uint64_t fill_len = (control >> kFillLenShift) & 0x0F;
     const uint8_t literal_count = control & 0x07;
-    if (fill_len == kFillLenExtended) {
-      if (!ReadVarint(in, &pos, &fill_len)) {
-        if (validate) return false;
-        BIX_CHECK_MSG(false, "BBC: truncated varint");
-      }
+    if (fill_len == kFillLenExtended && !ReadVarint(in, &pos, &fill_len)) {
+      return false;
     }
-    if (validate) {
-      // Overflow-safe bound: fill_len comes straight from an untrusted
-      // varint and can be near 2^64, so it must never appear on the left
-      // of an addition. Checking against the remaining room also caps the
-      // allocation below at `expected` bytes total.
-      const uint64_t room = expected - bytes->size();
-      if (fill_len > room || literal_count > room - fill_len) return false;
-    }
+    // Overflow-safe bound: fill_len comes straight from an untrusted
+    // varint and can be near 2^64, so it must never appear on the left of
+    // an addition. Checking against the remaining room also caps the
+    // allocation below at `expected` bytes total.
+    const uint64_t room = expected - bytes->size();
+    if (fill_len > room || literal_count > room - fill_len) return false;
     bytes->insert(bytes->end(), fill_len, fill_bit ? 0xFF : 0x00);
-    if (pos + literal_count > in.size()) {
-      if (validate) return false;
-      BIX_CHECK_MSG(false, "BBC: truncated literals");
-    }
+    if (pos + literal_count > in.size()) return false;
     bytes->insert(bytes->end(), in.begin() + pos,
                   in.begin() + pos + literal_count);
     pos += literal_count;
   }
-  if (bytes->size() != expected) {
-    if (validate) return false;
-    BIX_CHECK_MSG(false, "BBC: decoded size mismatch");
-  }
-  return true;
+  return bytes->size() == expected;
 }
 
 }  // namespace
@@ -154,7 +141,7 @@ Result<Bitvector> BbcDecode(const BbcEncoded& enc) {
 Result<Bitvector> BbcDecode(const std::vector<uint8_t>& data,
                             uint64_t bit_count) {
   std::vector<uint8_t> bytes;
-  if (!DecodeInto(data, bit_count, &bytes, /*validate=*/true)) {
+  if (!DecodeInto(data, bit_count, &bytes)) {
     return Status::Corruption("malformed BBC atom stream");
   }
   // Validate zero padding in the final byte.
@@ -163,17 +150,6 @@ Result<Bitvector> BbcDecode(const std::vector<uint8_t>& data,
       (bytes.back() & ~((1u << tail_bits) - 1)) != 0) {
     return Status::Corruption("nonzero padding bits in BBC stream");
   }
-  return BitvectorFromBytes(bytes, bit_count);
-}
-
-Bitvector BbcDecodeUnchecked(const BbcEncoded& enc) {
-  return BbcDecodeUnchecked(enc.data, enc.bit_count);
-}
-
-Bitvector BbcDecodeUnchecked(const std::vector<uint8_t>& data,
-                             uint64_t bit_count) {
-  std::vector<uint8_t> bytes;
-  DecodeInto(data, bit_count, &bytes, /*validate=*/false);
   return BitvectorFromBytes(bytes, bit_count);
 }
 

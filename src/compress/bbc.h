@@ -55,14 +55,6 @@ Result<Bitvector> BbcDecode(const BbcEncoded& enc);
 Result<Bitvector> BbcDecode(const std::vector<uint8_t>& data,
                             uint64_t bit_count);
 
-// Decode path used on the query hot path: skips validation and aborts on
-// corrupt input (stored streams were produced by BbcEncode, so corruption
-// is an internal invariant violation).
-Bitvector BbcDecodeUnchecked(const BbcEncoded& enc);
-// Same, but borrowing the byte stream to avoid copying it into a BbcEncoded.
-Bitvector BbcDecodeUnchecked(const std::vector<uint8_t>& data,
-                             uint64_t bit_count);
-
 }  // namespace bix
 
 #endif  // BIX_COMPRESS_BBC_H_

@@ -32,11 +32,6 @@ Result<CodecId> CodecFromByte(uint8_t raw) {
   return static_cast<CodecId>(raw);
 }
 
-std::shared_ptr<const Bitvector> DecodedBitmap::MaterializePlain() const {
-  if (!is_roaring()) return plain_;
-  return std::make_shared<const Bitvector>(roaring_->ToBitvector());
-}
-
 Result<DecodedBitmap> CodecInterface::DecodeResident(
     const std::vector<uint8_t>& bytes, uint64_t bit_count) const {
   Result<Bitvector> decoded = Decode(bytes, bit_count);
@@ -56,8 +51,9 @@ class VerbatimCodec final : public CodecInterface {
   }
 
   // Structural validation mirrors what the compressed decoders enforce
-  // (exact byte count, clear padding bits), so an unchecksummed legacy
-  // blob still cannot abort or break Bitvector invariants.
+  // (exact byte count, clear padding bits), so a legacy v1 blob, whose
+  // bytes no file checksum vouched for, still cannot abort or break
+  // Bitvector invariants.
   Result<Bitvector> Decode(const std::vector<uint8_t>& bytes,
                            uint64_t bit_count) const override {
     if (bytes.size() != CeilDiv(bit_count, 8)) {
@@ -68,11 +64,6 @@ class VerbatimCodec final : public CodecInterface {
         (bytes.back() & ~((1u << tail_bits) - 1)) != 0) {
       return Status::Corruption("nonzero padding bits in verbatim bitmap");
     }
-    return BitvectorFromBytes(bytes, bit_count);
-  }
-
-  Bitvector DecodeUnchecked(const std::vector<uint8_t>& bytes,
-                            uint64_t bit_count) const override {
     return BitvectorFromBytes(bytes, bit_count);
   }
 };
@@ -88,11 +79,6 @@ class BbcCodec final : public CodecInterface {
   Result<Bitvector> Decode(const std::vector<uint8_t>& bytes,
                            uint64_t bit_count) const override {
     return BbcDecode(bytes, bit_count);
-  }
-
-  Bitvector DecodeUnchecked(const std::vector<uint8_t>& bytes,
-                            uint64_t bit_count) const override {
-    return BbcDecodeUnchecked(bytes, bit_count);
   }
 };
 

@@ -30,9 +30,8 @@ Result<CodecId> CodecFromByte(uint8_t raw);
 // A decoded-for-evaluation bitmap handle: either a plain Bitvector or a
 // Roaring bitmap still in container form. The cache hands these out so
 // Roaring blobs stay compressed end-to-end — the evaluator reads the
-// containers block by block and only MaterializePlain() (a counted full
-// decode) expands one. Cheap to copy: two shared_ptrs, exactly one
-// non-null when valid.
+// containers block by block and never expands one. Cheap to copy: two
+// shared_ptrs, exactly one non-null when valid.
 class DecodedBitmap {
  public:
   DecodedBitmap() = default;
@@ -67,10 +66,6 @@ class DecodedBitmap {
                         : plain_->words().size() * sizeof(uint64_t);
   }
 
-  // A plain-bitmap handle: free for plain handles (aliases this one), a
-  // counted full decode (RoaringStats) for Roaring handles.
-  std::shared_ptr<const Bitvector> MaterializePlain() const;
-
  private:
   std::shared_ptr<const Bitvector> plain_;
   std::shared_ptr<const RoaringBitmap> roaring_;
@@ -89,17 +84,12 @@ class CodecInterface {
   // payload).
   virtual std::vector<uint8_t> Encode(const Bitvector& bv) const = 0;
 
-  // Validating full decode: structural errors in untrusted bytes surface
-  // as Corruption. For Roaring this expands containers (counted by
-  // RoaringStats) — the cache path uses DecodeResident instead.
+  // Validating full decode, the only one a codec has: structural errors in
+  // untrusted bytes surface as Corruption. For Roaring this expands
+  // containers (counted by RoaringStats) — the cache path uses
+  // DecodeResident instead.
   virtual Result<Bitvector> Decode(const std::vector<uint8_t>& bytes,
                                    uint64_t bit_count) const = 0;
-
-  // Trusted-path full decode; aborts on corrupt input.
-  virtual Bitvector DecodeUnchecked(const std::vector<uint8_t>& bytes,
-                                    uint64_t bit_count) const {
-    return Decode(bytes, bit_count).value();
-  }
 
   // Validating decode into the form evaluation consumes: plain codecs
   // fully decode; Roaring deserializes to container form without

@@ -58,53 +58,6 @@ void AppendGroup(std::vector<uint32_t>* out, uint32_t group) {
   }
 }
 
-// Streaming reader over WAH words: yields runs of groups.
-struct WahRun {
-  bool is_fill = false;
-  bool ones = false;
-  uint32_t literal = 0;
-  uint64_t length = 0;  // groups remaining
-};
-
-class WahCursor {
- public:
-  explicit WahCursor(const WahEncoded& enc) : words_(enc.words) { Advance(); }
-
-  bool done() const { return done_; }
-  const WahRun& run() const { return run_; }
-
-  void Consume(uint64_t n) {
-    BIX_DCHECK(n <= run_.length);
-    run_.length -= n;
-    if (run_.length == 0) Advance();
-  }
-
- private:
-  void Advance() {
-    if (pos_ >= words_.size()) {
-      done_ = true;
-      run_ = WahRun{};
-      return;
-    }
-    const uint32_t w = words_[pos_++];
-    if (w & kFillFlag) {
-      run_.is_fill = true;
-      run_.ones = (w & kFillOneFlag) != 0;
-      run_.length = w & kMaxFillCount;
-      if (run_.length == 0) Advance();  // defensive: empty fill
-    } else {
-      run_.is_fill = false;
-      run_.literal = w;
-      run_.length = 1;
-    }
-  }
-
-  const std::vector<uint32_t>& words_;
-  size_t pos_ = 0;
-  WahRun run_;
-  bool done_ = false;
-};
-
 void SetGroup(Bitvector* bv, uint64_t g, uint32_t group) {
   const uint64_t bit0 = g * kGroupBits;
   const uint64_t word_idx = bit0 >> 6;
@@ -129,95 +82,31 @@ WahEncoded WahEncode(const Bitvector& bv) {
   return enc;
 }
 
-namespace {
-
-// Shared decode; returns false on malformed input when validating.
-bool DecodeImpl(const WahEncoded& enc, Bitvector* out, bool validate) {
-  const uint64_t groups = GroupCount(enc.bit_count);
-  *out = Bitvector(enc.bit_count);
-  uint64_t g = 0;
-  WahCursor cursor(enc);
-  while (!cursor.done()) {
-    const WahRun& run = cursor.run();
-    if (g + run.length > groups) {
-      if (validate) return false;
-      BIX_CHECK_MSG(false, "WAH: too many groups");
-    }
-    if (run.is_fill) {
-      if (run.ones) {
-        for (uint64_t i = 0; i < run.length; ++i) {
-          // The last group's padding must stay clear.
-          const uint64_t base = (g + i) * kGroupBits;
-          const uint64_t hi =
-              std::min<uint64_t>(base + kGroupBits, enc.bit_count);
-          if (validate && hi < base + kGroupBits && g + i + 1 < groups) {
-            return false;
-          }
-          uint32_t mask = kLiteralMask;
-          if (hi - base < kGroupBits) {
-            mask = (1u << (hi - base)) - 1;
-          }
-          SetGroup(out, g + i, mask);
-        }
-      }
-    } else {
-      SetGroup(out, g, run.literal);
-    }
-    g += run.length;
-    cursor.Consume(run.length);
-  }
-  if (g != groups) {
-    if (validate) return false;
-    BIX_CHECK_MSG(false, "WAH: group count mismatch");
-  }
-  // Validate padding of the final group.
-  const uint64_t tail = enc.bit_count % kGroupBits;
-  if (validate && tail != 0 && groups > 0) {
-    for (uint64_t b = enc.bit_count; b < groups * kGroupBits && b < out->size();
-         ++b) {
-      if (out->Get(b)) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 Result<Bitvector> WahDecode(const WahEncoded& enc) {
-  // Structural validation first: literal words must not set padding bits of
-  // the final group.
+  const uint64_t groups = GroupCount(enc.bit_count);
+  // The final group's payload bits; the rest of its 31 bits are padding.
   const uint64_t tail = enc.bit_count % kGroupBits;
-  if (tail != 0) {
-    // Find the final group's value by a dry scan.
-    uint64_t g = 0;
-    const uint64_t groups = GroupCount(enc.bit_count);
-    WahCursor cursor(enc);
-    while (!cursor.done()) {
-      const WahRun& run = cursor.run();
-      if (g + run.length > groups) return Status::Corruption("WAH: overflow");
-      if (g + run.length == groups) {
-        const uint32_t mask = ~((1u << tail) - 1) & kLiteralMask;
-        if (run.is_fill ? (run.ones && true) : ((run.literal & mask) != 0)) {
-          // Fills of ones in the tail are representable (decode masks
-          // them), but a literal with padding bits set is corrupt.
-          if (!run.is_fill) return Status::Corruption("WAH: padding set");
-        }
+  const uint32_t last_mask = tail == 0 ? kLiteralMask : (1u << tail) - 1;
+  Bitvector out(enc.bit_count);
+  uint64_t g = 0;  // groups decoded so far
+  for (const uint32_t w : enc.words) {
+    const bool fill = (w & kFillFlag) != 0;
+    const uint64_t length = fill ? (w & kMaxFillCount) : 1;
+    if (length > groups - g) return Status::Corruption("WAH: too many groups");
+    if (!fill) {
+      if (g + 1 == groups && (w & ~last_mask) != 0) {
+        return Status::Corruption("WAH: padding bits set in final literal");
       }
-      g += run.length;
-      cursor.Consume(run.length);
+      SetGroup(&out, g, w);
+    } else if ((w & kFillOneFlag) != 0) {
+      // A ones-fill may end on the final group; only its payload is set.
+      for (uint64_t i = g; i < g + length; ++i) {
+        SetGroup(&out, i, i + 1 == groups ? last_mask : kLiteralMask);
+      }
     }
-    if (g != groups) return Status::Corruption("WAH: group count mismatch");
+    g += length;
   }
-  Bitvector out;
-  if (!DecodeImpl(enc, &out, /*validate=*/true)) {
-    return Status::Corruption("malformed WAH stream");
-  }
-  return out;
-}
-
-Bitvector WahDecodeUnchecked(const WahEncoded& enc) {
-  Bitvector out;
-  DecodeImpl(enc, &out, /*validate=*/false);
+  if (g != groups) return Status::Corruption("WAH: group count mismatch");
   return out;
 }
 

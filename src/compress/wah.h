@@ -30,11 +30,10 @@ struct WahEncoded {
 
 WahEncoded WahEncode(const Bitvector& bv);
 
-// Returns Corruption on malformed input (wrong group count, set padding).
+// Decodes in one pass over the words. Returns Corruption on malformed
+// input: a stream that does not cover exactly CeilDiv(bit_count, 31)
+// groups, or a final literal with padding bits set.
 Result<Bitvector> WahDecode(const WahEncoded& enc);
-
-// Hot-path decode; aborts on corrupt input.
-Bitvector WahDecodeUnchecked(const WahEncoded& enc);
 
 }  // namespace bix
 

@@ -205,12 +205,13 @@ Result<BitmapIndex> LoadIndex(const std::string& path, IndexLoadInfo* info) {
       if (!r.ok() || computed != stored) {
         return Status::Corruption("bitmap record checksum mismatch");
       }
-      // The record checksum just vouched for the payload, so stamp the
-      // blob with its payload-only CRC: the storage layer re-verifies it
-      // on every materialization, catching in-memory rot too.
-      blob.crc32c = Crc32c(blob.bytes.data(), blob.bytes.size());
-      blob.crc_valid = true;
     }
+    // Stamp the blob with its payload-only CRC: the storage layer
+    // re-verifies it on every materialization, so in-memory rot is caught
+    // from here on. For v2+ the record checksum just vouched for these
+    // bytes; a v1 payload had no checksum on disk and relies on the
+    // validating decoders for its structure.
+    blob.crc32c = Crc32c(blob.bytes.data(), blob.bytes.size());
     if (store.Contains(key)) {
       return Status::Corruption("duplicate bitmap key in file");
     }

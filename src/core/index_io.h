@@ -27,16 +27,16 @@ namespace bix {
 // header_crc is CRC32C over every header byte from the magic through
 // bitmap_count; record_crc covers the record's metadata fields and payload
 // bytes, so a flip anywhere in the record is caught at load time. The
-// loader also stamps each blob with its payload checksum, which the
-// storage layer re-verifies on every materialization.
+// loader also stamps each blob with its payload checksum (for every file
+// version), which the storage layer re-verifies on every materialization.
 //
 // Format v3 is v4 without the row-order section (it loads with the
 // identity order); v2 is v3 with a boolean `compressed` byte in both codec
 // slots (CodecId numbering makes those bytes reinterpret in place: 0
 // verbatim, 1 BBC); v1 is v2 without either checksum. All still load —
-// legacy blobs come back tagged verbatim or BBC; v1 blobs are additionally
-// flagged unverified (Blob::crc_valid == false) and the load reports
-// checksummed == false. Saving an index whose codec the legacy formats
+// legacy blobs come back tagged verbatim or BBC; a v1 load reports
+// checksummed == false (nothing on disk vouched for its bytes, which are
+// checked from the load on). Saving an index whose codec the legacy formats
 // cannot express (WAH, Roaring, auto) as v1/v2 fails NotSupported, as
 // does saving a reordered index at v1-v3 (no slot for the permutation).
 Status SaveIndex(const BitmapIndex& index, const std::string& path);
@@ -51,7 +51,8 @@ Status SaveIndexAtVersion(const BitmapIndex& index, const std::string& path,
 struct IndexLoadInfo {
   uint32_t version = 0;
   // True when the file carried checksums that were verified during the
-  // load (v2); false for legacy v1 files, whose bitmaps stay unverified.
+  // load (v2+); false for legacy v1 files, whose bytes no checksum on disk
+  // vouched for.
   bool checksummed = false;
 };
 

@@ -411,11 +411,16 @@ Status WritableBitmapIndex::Compact(TraceSink* trace) {
     if (wal_.size_bytes() > 0) return wal_.Truncate();
     return Status::OK();
   }
-  FoldedIndex folded = [&] {
+  Result<FoldedIndex> fold = [&] {
     TraceScope fold_scope(trace, "fold");
     if (trace != nullptr) trace->Tag("delta_ops", delta_->ops());
     return FoldDelta(*base_, *delta_);
   }();
+  // A rotten base bitmap stops the fold before anything is written: the
+  // checkpoint on disk stays the last clean one, and Open() replays the
+  // WAL onto it.
+  if (!fold.ok()) return fold.status();
+  FoldedIndex& folded = fold.value();
   const uint64_t seq = applied_seq_;
   Status s = WriteCheckpoint(folded.index, values_, folded.tombstones, seq,
                              trace);

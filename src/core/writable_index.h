@@ -76,7 +76,9 @@ class WritableBitmapIndex : public IndexSnapshotProvider {
   // Folds the overlay into the bitmaps, checkpoints atomically, truncates
   // the WAL, and bumps the epoch. Writers are blocked for the duration.
   // Unavailable on an injected/real durability fault — nothing is lost
-  // and the call is safely retryable.
+  // and the call is safely retryable. Corruption when a base bitmap fails
+  // its checksum or decode: nothing is written, the epoch stays, and a
+  // later Open() replays the WAL onto the last clean checkpoint.
   Status Compact(TraceSink* trace) override;
   DurabilityStats durability() const override;
 

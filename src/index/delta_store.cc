@@ -77,7 +77,8 @@ DeltaView DeltaSnapshot::View() const {
   return view;
 }
 
-FoldedIndex FoldDelta(const BitmapIndex& base, const DeltaSnapshot& delta) {
+Result<FoldedIndex> FoldDelta(const BitmapIndex& base,
+                              const DeltaSnapshot& delta) {
   BIX_CHECK_MSG(delta.base_rows() == base.row_count(),
                 "delta does not overlay this base");
   const Decomposition& d = base.decomposition();
@@ -131,7 +132,9 @@ FoldedIndex FoldDelta(const BitmapIndex& base, const DeltaSnapshot& delta) {
     }
     for (uint32_t slot = 0; slot < num_slots; ++slot) {
       const BitmapKey key{comp, slot};
-      Bitvector bv = base.store().Materialize(key);
+      Result<Bitvector> read = base.store().TryMaterialize(key);
+      if (!read.ok()) return read.status();
+      Bitvector bv = std::move(read).value();
       bv.Resize(total_rows);
       // Clears before sets: a slot shared by a row's old and new digit
       // (interval-style encodings overlap) must end set.

@@ -101,7 +101,8 @@ class IndexSnapshotProvider {
   virtual uint64_t PendingDeltaOps() const = 0;
   // Folds the overlay into the component bitmaps, checkpoints, and bumps
   // the epoch. Serialized internally; Unavailable on injected durability
-  // faults (retryable — nothing is lost).
+  // faults (retryable — nothing is lost); Corruption when a base bitmap
+  // fails its checksum or decode (nothing is written).
   virtual Status Compact(TraceSink* trace) = 0;
   virtual DurabilityStats durability() const = 0;
 };
@@ -114,11 +115,15 @@ struct FoldedIndex {
   std::vector<uint64_t> tombstones;
 };
 
-// Folds `delta` into `base` incrementally — only the touched bitmaps are
-// re-encoded, each re-advised under the index's codec policy (kAuto blobs
-// go back through PutAuto so a density change can flip the codec). The
-// result is bit-identical to rebuilding from the updated logical column.
-FoldedIndex FoldDelta(const BitmapIndex& base, const DeltaSnapshot& delta);
+// Folds `delta` into `base`: every base bitmap is read, patched with the
+// overlay's bit diffs, grown by the appended rows and re-encoded under the
+// index's codec policy (kAuto blobs go back through PutAuto so a density
+// change can flip the codec). The result is bit-identical to rebuilding
+// from the updated logical column. The reads go through
+// BitmapStore::TryMaterialize, so a base blob that fails its checksum or
+// decode is Corruption, never re-encoded under a fresh checksum.
+Result<FoldedIndex> FoldDelta(const BitmapIndex& base,
+                              const DeltaSnapshot& delta);
 
 }  // namespace bix
 

@@ -291,6 +291,7 @@ QueryService::QueryService(const BitmapIndex* index,
     // Durability metrics exist only in writable mode, so read-only exports
     // (and the observability goldens pinned against them) are unchanged.
     m_.compactions_shed = registry_.GetCounter("compactions_shed");
+    m_.compactions_failed = registry_.GetCounter("compactions_failed");
     m_.wal_appends = registry_.GetGauge("wal_appends");
     m_.wal_bytes = registry_.GetGauge("wal_bytes");
     m_.recovered_batches = registry_.GetGauge("recovered_batches");
@@ -887,7 +888,9 @@ void QueryService::CompactionLoop() {
         continue;
       }
     }
-    (void)provider_->Compact(nullptr);
+    // The overlay keeps serving on a failed fold (nothing was lost); the
+    // counter keeps a fold that fails on every tick visible.
+    if (!provider_->Compact(nullptr).ok()) m_.compactions_failed->Increment();
   }
 }
 

@@ -171,8 +171,9 @@ struct ServiceOptions {
   // bitmaps — unless the brownout breaker is open or probing, in which
   // case the fold is skipped for that tick (compaction is the most
   // deferrable work the service owns, so overload sheds it first;
-  // compactions_shed counts the skips). 0 disables the task; CompactNow()
-  // stays available either way. Ignored in read-only mode.
+  // compactions_shed counts the skips, compactions_failed the folds that
+  // returned an error). 0 disables the task; CompactNow() stays available
+  // either way. Ignored in read-only mode.
   double compaction_interval_seconds = 0.0;
   // Background compaction folds only once this many overlay ops are
   // pending (folding a near-empty delta is all checkpoint cost, no gain).
@@ -414,6 +415,9 @@ class QueryService {
     // Writable mode only (registered by the provider constructor, so
     // read-only exports — and their goldens — are unchanged).
     MetricsCounter* compactions_shed = nullptr;
+    // Background folds whose Compact returned an error (CompactNow hands
+    // its status to the caller instead).
+    MetricsCounter* compactions_failed = nullptr;
     MetricsGauge* wal_appends = nullptr;
     MetricsGauge* wal_bytes = nullptr;
     MetricsGauge* recovered_batches = nullptr;

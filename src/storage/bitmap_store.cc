@@ -10,7 +10,13 @@ namespace {
 
 void StampCrc(BitmapStore::Blob* blob) {
   blob->crc32c = Crc32c(blob->bytes.data(), blob->bytes.size());
-  blob->crc_valid = true;
+}
+
+Status CheckBlobCrc(const BitmapStore::Blob& blob) {
+  if (Crc32c(blob.bytes.data(), blob.bytes.size()) != blob.crc32c) {
+    return Status::Corruption("bitmap blob checksum mismatch");
+  }
+  return Status::OK();
 }
 
 std::string KeyString(BitmapKey key) {
@@ -67,16 +73,10 @@ uint64_t BitmapStore::StoredBytes(BitmapKey key) const {
   return GetBlob(key).bytes.size();
 }
 
-Result<uint64_t> BitmapStore::TryStoredBytes(BitmapKey key) const {
-  Result<const Blob*> blob = TryGetBlob(key);
-  if (!blob.ok()) return blob.status();
-  return blob.value()->bytes.size();
-}
-
 void BitmapStore::PutBlob(BitmapKey key, Blob blob) {
   BIX_CHECK_MSG(!Contains(key), "duplicate bitmap key");
-  // The blob's own crc32c/crc_valid are preserved as given: the index
-  // loader marks v1 blobs unverified and v2 blobs verified.
+  // The blob's own crc32c is preserved as given: the index loader stamps
+  // each payload's checksum, and tests keep a stale one to model rot.
   total_bytes_ += blob.bytes.size();
   blobs_.emplace(key, std::move(blob));
 }
@@ -96,33 +96,17 @@ Result<const BitmapStore::Blob*> BitmapStore::TryGetBlob(BitmapKey key) const {
   return &it->second;
 }
 
-Bitvector BitmapStore::Materialize(BitmapKey key) const {
-  const Blob& blob = GetBlob(key);
-  return GetCodec(blob.codec).DecodeUnchecked(blob.bytes, blob.bit_count);
-}
-
 Result<Bitvector> BitmapStore::TryMaterialize(BitmapKey key) const {
-  Result<const Blob*> blob = TryGetBlob(key);
-  if (!blob.ok()) return blob.status();
-  return TryMaterializeBlob(*blob.value());
-}
-
-namespace {
-
-Status CheckBlobCrc(const BitmapStore::Blob& blob) {
-  if (blob.crc_valid &&
-      Crc32c(blob.bytes.data(), blob.bytes.size()) != blob.crc32c) {
-    return Status::Corruption("bitmap blob checksum mismatch");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<Bitvector> TryMaterializeBlob(const BitmapStore::Blob& blob) {
+  Result<const Blob*> blob_r = TryGetBlob(key);
+  if (!blob_r.ok()) return blob_r.status();
+  const Blob& blob = *blob_r.value();
   Status crc = CheckBlobCrc(blob);
   if (!crc.ok()) return crc;
   return GetCodec(blob.codec).Decode(blob.bytes, blob.bit_count);
+}
+
+Bitvector BitmapStore::Materialize(BitmapKey key) const {
+  return TryMaterialize(key).value();
 }
 
 Result<DecodedBitmap> TryMaterializeBlobResident(

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "bitvector/bitvector.h"
-#include "compress/bbc.h"
 #include "compress/codec.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -64,23 +63,18 @@ class BitmapStore {
 
   bool Contains(BitmapKey key) const { return blobs_.count(key) > 0; }
   uint64_t StoredBytes(BitmapKey key) const;
-  // Typed-error variant for data-dependent keys (the serving path):
-  // InvalidArgument instead of a BIX_CHECK abort when the key is unknown.
-  Result<uint64_t> TryStoredBytes(BitmapKey key) const;
   // Total stored size of the index — the paper's space metric.
   uint64_t TotalStoredBytes() const { return total_bytes_; }
   uint64_t BitmapCount() const { return blobs_.size(); }
 
-  // Materializes the bitmap (decoding if compressed). This is the CPU work
-  // charged to a scan; I/O accounting is the buffer pool's job. Aborts on a
-  // missing key or corrupt stored bytes — trusted build/bench paths only;
-  // the serving path uses TryMaterialize.
-  Bitvector Materialize(BitmapKey key) const;
-  // Integrity-checked materialization: verifies the blob checksum (when
-  // present) and uses the validating decoders, so an unknown key surfaces
-  // as InvalidArgument and corrupt stored bytes as Corruption — never an
+  // Integrity-checked materialization: verifies the blob checksum, then
+  // runs the codec's validating Decode, so an unknown key surfaces as
+  // InvalidArgument and corrupt stored bytes as Corruption — never an
   // abort on data-dependent input.
   Result<Bitvector> TryMaterialize(BitmapKey key) const;
+  // TryMaterialize(key).value(): the same verification, but aborts on a
+  // missing key or corrupt bytes — trusted build/bench paths only.
+  Bitvector Materialize(BitmapKey key) const;
 
   // Raw stored payload, for the cache's byte accounting and serialization.
   struct Blob {
@@ -91,13 +85,10 @@ class BitmapStore {
     bool auto_codec = false;
     uint64_t bit_count = 0;
     std::vector<uint8_t> bytes;
-    // CRC32C of `bytes`, stamped by the Put* paths and verified on every
-    // integrity-checked materialization. `crc_valid` is false only for
-    // blobs deserialized from a v1 index file (no stored checksums): those
-    // decode with structural validation but no integrity guarantee and are
-    // flagged "unverified" by the loader.
+    // CRC32C of `bytes`, stamped by the Put*/Replace paths and by the
+    // index loader (for every file version), and verified on every
+    // materialization.
     uint32_t crc32c = 0;
-    bool crc_valid = false;
 
     bool compressed() const { return codec != CodecId::kVerbatim; }
   };
@@ -118,16 +109,13 @@ class BitmapStore {
   uint64_t total_bytes_ = 0;
 };
 
-// Integrity-checked decode of one blob (checksum when present, then the
-// validating decoder). A free function so callers holding a blob copy —
-// e.g. the fault-injected read path, which corrupts a *copy* of the stored
-// bytes to model a torn page — run exactly the verification the store
-// itself applies in TryMaterialize.
-Result<Bitvector> TryMaterializeBlob(const BitmapStore::Blob& blob);
-
-// Same verification, decoding into the form evaluation consumes: plain
-// codecs fully decode; Roaring blobs come back in container form (no full
-// decode), which is what the caches keep resident.
+// The verification TryMaterialize applies (checksum, then the validating
+// decoder), decoding into the form evaluation consumes: plain codecs fully
+// decode; Roaring blobs come back in container form (no full decode),
+// which is what the caches keep resident. A free function so callers
+// holding a blob copy — e.g. the fault-injected read path, which corrupts
+// a *copy* of the stored bytes to model a torn page — run exactly the
+// store's own verification.
 Result<DecodedBitmap> TryMaterializeBlobResident(const BitmapStore::Blob& blob);
 
 }  // namespace bix

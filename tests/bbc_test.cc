@@ -20,7 +20,6 @@ void ExpectRoundtrip(const Bitvector& bv) {
   Result<Bitvector> dec = BbcDecode(enc);
   ASSERT_TRUE(dec.ok()) << dec.status().ToString();
   EXPECT_EQ(dec.value(), bv);
-  EXPECT_EQ(BbcDecodeUnchecked(enc), bv);
 }
 
 TEST(BytesTest, RoundtripVariousSizes) {

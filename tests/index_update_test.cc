@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <map>
 
 #include "core/writable_index.h"
 #include "merged_oracle.h"
@@ -163,6 +165,66 @@ void ExpectStoreMatchesRebuild(const WritableBitmapIndex& index,
           << "comp=" << comp << " slot=" << s;
     }
   }
+}
+
+// Every file in `dir`, by name.
+std::map<std::string, std::string> DirImage(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()].assign(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
+// A bit flipped in memory in a base bitmap's stored bytes: compaction must
+// not re-encode it under a fresh checksum. Compact refuses with Corruption
+// before writing anything, and reopening the directory replays the WAL
+// onto the clean checkpoint.
+TEST(WritableDeltaTest, CompactRefusesARottenBaseBitmap) {
+  constexpr uint32_t kC = 8;
+  Column column = GenerateZipfColumn(
+      {.rows = 200, .cardinality = kC, .zipf_z = 0.7, .seed = 61});
+  IndexConfig config;
+  config.encoding = EncodingKind::kEquality;
+  config.codec = StorageCodec::kVerbatim;
+  const std::string dir = FreshDeltaDir("rotten_base");
+  auto index = WritableBitmapIndex::Create(dir, column, config);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  UpdateBatch batch;
+  batch.inserts = {5, 2};
+  batch.updates = {{1, 0, 3}};
+  batch.deletes = {4};
+  ASSERT_TRUE(index.value()->ApplyBatch(batch).ok());
+
+  // Set row 0's bit in the equality bitmap of a value row 0 does not hold
+  // (verbatim bytes are LSB-first). The bytes live in the vector's heap
+  // buffer, not in the const index, so writing them is well defined.
+  const uint32_t wrong = (column.values[0] + 1) % kC;
+  const IndexSnapshot before = index.value()->Snapshot();
+  const BitmapStore::Blob& blob = before.base->store().GetBlob({1, wrong});
+  ASSERT_EQ(blob.bytes[0] & 0x01, 0);
+  const_cast<uint8_t&>(blob.bytes[0]) ^= 0x01;
+  const uint64_t compactions = index.value()->durability().compactions;
+  const std::map<std::string, std::string> files = DirImage(dir);
+
+  const Status s = index.value()->Compact(nullptr);
+  EXPECT_EQ(s.code(), Status::Code::kCorruption) << s.ToString();
+  EXPECT_EQ(index.value()->durability().compactions, compactions);
+  EXPECT_EQ(index.value()->Snapshot().base_epoch, before.base_epoch);
+  EXPECT_EQ(index.value()->PendingDeltaOps(), batch.ops());
+  EXPECT_EQ(DirImage(dir), files);
+
+  index.value().reset();
+  auto reopened = WritableBitmapIndex::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value()->recovery_info().recovered_batches, 1u);
+  ExpectMergedReadsMatchLogical(*reopened.value(), "reopened");
+  // The clean base folds.
+  ASSERT_TRUE(reopened.value()->Compact(nullptr).ok());
+  ExpectMergedReadsMatchLogical(*reopened.value(), "compacted");
+  ExpectStoreMatchesRebuild(*reopened.value(), config.encoding, config);
 }
 
 TEST(WritableDeltaTest, DeleteThenReinsertSameRidMatchesRebuild) {

@@ -703,6 +703,22 @@ class WritableObservabilityTest : public ::testing::Test {
     options.clock = clock;
     return options;
   }
+
+  // Polls the text export until counter `name` leaves 0 (the background
+  // compaction loop fires every millisecond), for about 2 s at most, and
+  // returns the last export.
+  std::string AwaitNonZeroCounter(const QueryService& service,
+                                  const std::string& name) const {
+    const std::string target = name + ": ";
+    std::string text;
+    for (int i = 0; i < 2000; ++i) {
+      text = service.ExportMetrics(MetricsFormat::kText);
+      const size_t pos = text.find(target);
+      if (pos == std::string::npos || text[pos + target.size()] != '0') break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return text;
+  }
 };
 
 TEST_F(WritableObservabilityTest, WriteSideSpansCarryDurabilityTags) {
@@ -787,6 +803,7 @@ TEST_F(WritableObservabilityTest, WritableMetricsAppearOnlyInWritableMode) {
   // The durability gauges reflect the provider at export time.
   std::string text = service.ExportMetrics(MetricsFormat::kText);
   EXPECT_NE(text.find("compactions_shed: 0\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("compactions_failed: 0\n"), std::string::npos);
   EXPECT_NE(text.find("wal_appends: 1.000000\n"), std::string::npos);
   EXPECT_NE(text.find("recovered_batches: 0.000000\n"), std::string::npos);
   EXPECT_NE(text.find("truncated_tail_records: 0.000000\n"),
@@ -853,21 +870,46 @@ TEST_F(WritableObservabilityTest, BackgroundCompactionShedsUnderOpenBreaker) {
   // tick must shed the fold instead of running it.
   ASSERT_TRUE(index->ApplyBatch(SixOpBatch()).ok());
 
-  // The loop fires every millisecond; wait until it sheds at least once.
+  // Wait until the loop sheds at least once.
+  const std::string text = AwaitNonZeroCounter(service, "compactions_shed");
   const std::string target = "compactions_shed: ";
-  for (int i = 0; i < 2000; ++i) {
-    const std::string text = service.ExportMetrics(MetricsFormat::kText);
-    const size_t pos = text.find(target);
-    ASSERT_NE(pos, std::string::npos);
-    if (text[pos + target.size()] != '0') break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const std::string text = service.ExportMetrics(MetricsFormat::kText);
   const size_t pos = text.find(target);
+  ASSERT_NE(pos, std::string::npos) << text;
   EXPECT_NE(text[pos + target.size()], '0') << text;
   // Nothing was folded: the overlay still holds the batch.
   EXPECT_NE(text.find("compactions: 0.000000\n"), std::string::npos);
   EXPECT_EQ(index->PendingDeltaOps(), 6u);
+}
+
+TEST_F(WritableObservabilityTest, BackgroundCompactionCountsFailedFolds) {
+  // Every checkpoint rename fails, so every background fold fails; the
+  // counter makes that visible while the overlay keeps growing. The
+  // injector is attached on reopen, so the initial checkpoint is clean.
+  const std::string dir = MakeWritable("obs_failed")->dir();
+  FaultInjector injector({.rename_fail_first_attempts = 1000000});
+  auto opened = WritableBitmapIndex::Open(dir, {.injector = &injector});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<WritableBitmapIndex> index = std::move(opened).value();
+
+  // Real clock (the compaction loop sleeps on it), tight interval.
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.queue_capacity = 64;
+  options.cache_shards = 2;
+  options.compaction_interval_seconds = 1e-3;
+  QueryService service(index.get(), options);
+  ASSERT_TRUE(index->ApplyBatch(SixOpBatch()).ok());
+
+  const std::string text = AwaitNonZeroCounter(service, "compactions_failed");
+  const std::string target = "compactions_failed: ";
+  const size_t pos = text.find(target);
+  ASSERT_NE(pos, std::string::npos) << text;
+  EXPECT_NE(text[pos + target.size()], '0') << text;
+  // The failed folds were not shed, and none committed.
+  EXPECT_NE(text.find("compactions_shed: 0\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("compactions: 0.000000\n"), std::string::npos);
+  EXPECT_EQ(index->PendingDeltaOps(), 6u);
+  EXPECT_GT(injector.counters().rename_failures, 0u);
 }
 
 }  // namespace

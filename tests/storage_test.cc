@@ -29,6 +29,12 @@ Bitvector MakeBitmap(uint64_t n, uint64_t seed, double density = 0.3) {
   return bv;
 }
 
+// A decoded handle as a plain bitmap; a Roaring handle's expansion is
+// counted by RoaringStats like any other.
+Bitvector Expand(const DecodedBitmap& d) {
+  return d.is_roaring() ? d.roaring()->ToBitvector() : *d.plain();
+}
+
 TEST(BitmapStoreTest, UncompressedRoundtrip) {
   BitmapStore store;
   Bitvector bv = MakeBitmap(1000, 1);
@@ -65,16 +71,15 @@ TEST(BitmapStoreTest, TryVariantsReportMissingKeysAsTypedErrors) {
   Bitvector bv = MakeBitmap(800, 3);
   store.PutWithCodec({1, 0}, bv, CodecId::kVerbatim);
 
-  EXPECT_EQ(store.TryStoredBytes({1, 0}).value(), store.StoredBytes({1, 0}));
   EXPECT_EQ(store.TryMaterialize({1, 0}).value(), bv);
   EXPECT_EQ(store.TryGetBlob({1, 0}).value(), &store.GetBlob({1, 0}));
 
   for (BitmapKey missing : {BitmapKey{1, 1}, BitmapKey{2, 0}}) {
-    Result<uint64_t> sb = store.TryStoredBytes(missing);
-    ASSERT_FALSE(sb.ok());
-    EXPECT_EQ(sb.status().code(), Status::Code::kInvalidArgument);
-    EXPECT_FALSE(store.TryMaterialize(missing).ok());
-    EXPECT_FALSE(store.TryGetBlob(missing).ok());
+    Result<const BitmapStore::Blob*> blob = store.TryGetBlob(missing);
+    ASSERT_FALSE(blob.ok());
+    EXPECT_EQ(blob.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_EQ(store.TryMaterialize(missing).status().code(),
+              Status::Code::kInvalidArgument);
   }
   // The error names the offending key.
   EXPECT_NE(store.TryGetBlob({3, 7}).status().ToString().find("component=3"),
@@ -96,25 +101,35 @@ TEST(BitmapStoreTest, TryMaterializeDetectsBitRot) {
   EXPECT_EQ(r.status().code(), Status::Code::kCorruption);
 }
 
-TEST(BitmapStoreTest, TryMaterializeValidatesUnverifiedBlobs) {
-  // Blobs without a checksum (v1 index files) still go through the
+TEST(BitmapStoreTest, TryMaterializeValidatesChecksummedGarbage) {
+  // A checksum only says the bytes are the ones stamped (a v1 index file's
+  // payloads are stamped at load with no checksum on disk behind them), so
+  // malformed bytes under a matching checksum still go through the
   // validating decoders: garbage can fail, but it cannot abort.
+  const auto put = [](BitmapStore* store, uint32_t slot, CodecId codec,
+                      uint64_t bit_count, std::vector<uint8_t> bytes) {
+    BitmapStore::Blob blob;
+    blob.codec = codec;
+    blob.bit_count = bit_count;
+    blob.bytes = std::move(bytes);
+    blob.crc32c = Crc32c(blob.bytes.data(), blob.bytes.size());
+    store->PutBlob({1, slot}, std::move(blob));
+  };
   BitmapStore store;
-  BitmapStore::Blob garbage;
-  garbage.codec = CodecId::kBbc;
-  garbage.bit_count = 1000;
-  garbage.bytes = {0x7F, 0x01, 0x02};  // malformed BBC atom stream
-  store.PutBlob({1, 0}, std::move(garbage));
-  BitmapStore::Blob short_verbatim;
-  short_verbatim.codec = CodecId::kVerbatim;
-  short_verbatim.bit_count = 1000;
-  short_verbatim.bytes.assign(100, 0);  // needs 125 bytes
-  store.PutBlob({1, 1}, std::move(short_verbatim));
+  // A malformed BBC atom stream.
+  put(&store, 0, CodecId::kBbc, 1000, {0x7F, 0x01, 0x02});
+  // A verbatim payload 25 bytes short.
+  put(&store, 1, CodecId::kVerbatim, 1000, std::vector<uint8_t>(100, 0));
+  // A WAH literal that sets bit 20 of a 10-bit bitmap.
+  put(&store, 2, CodecId::kWah, 10, {0x00, 0x00, 0x10, 0x00});
 
-  for (uint32_t slot : {0u, 1u}) {
+  for (uint32_t slot : {0u, 1u, 2u}) {
     Result<Bitvector> r = store.TryMaterialize({1, slot});
     ASSERT_FALSE(r.ok()) << slot;
     EXPECT_EQ(r.status().code(), Status::Code::kCorruption) << slot;
+    // The decoder rejected it; the checksum matched.
+    EXPECT_EQ(r.status().ToString().find("checksum"), std::string::npos)
+        << r.status().ToString();
   }
 }
 
@@ -150,13 +165,13 @@ TEST(BitmapStoreTest, PutWithCodecTagsAndRoundTripsEveryCodec) {
     const BitmapStore::Blob& blob = store.GetBlob(key);
     EXPECT_EQ(blob.codec, codec);
     EXPECT_FALSE(blob.auto_codec);
-    EXPECT_TRUE(blob.crc_valid);
+    EXPECT_EQ(blob.crc32c, Crc32c(blob.bytes.data(), blob.bytes.size()));
     EXPECT_EQ(store.TryMaterialize(key).value(), bv) << CodecName(codec);
     // The resident form only stays compressed for Roaring.
     Result<DecodedBitmap> resident = TryMaterializeBlobResident(blob);
     ASSERT_TRUE(resident.ok());
     EXPECT_EQ(resident.value().is_roaring(), codec == CodecId::kRoaring);
-    EXPECT_EQ(*resident.value().MaterializePlain(), bv);
+    EXPECT_EQ(Expand(resident.value()), bv);
   }
   EXPECT_EQ(store.BitmapCount(), static_cast<uint64_t>(kNumCodecs));
 }
@@ -459,6 +474,48 @@ TEST_P(BufferPoolTest, InjectedBitFlipIsCorruptionAndNeverCached) {
   EXPECT_TRUE(store_.TryMaterialize({1, 0}).ok());
 }
 
+// Rot of a resident key's stored bytes after admission. The stored form
+// decodes on every fetch, so the next fetch fails its checksum and evicts
+// the key, and the miss after it is not admitted either. The decoded form
+// hands out the handle it verified at admission, with no decode.
+TEST_P(BufferPoolTest, BlobRotAfterAdmission) {
+  ShardedBitmapCache cache = Pool(1 << 20);
+  IoStats warm;
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 2}, &warm).ok());
+  ASSERT_TRUE(cache.TryFetchDecoded({1, 3}, &warm).ok());
+  ASSERT_EQ(cache.pool_bytes_used(), 2 * Charged());
+  // The fixture owns the (non-const) store, so the blob may be written in
+  // place; a store offers no other way to rot a blob after admission.
+  const_cast<std::vector<uint8_t>&>(store_.GetBlob({1, 3}).bytes)[17] ^= 0x10;
+
+  const size_t verbatim = static_cast<size_t>(CodecId::kVerbatim);
+  IoStats io;
+  Result<DecodedBitmap> rotten = cache.TryFetchDecoded({1, 3}, &io);
+  EXPECT_EQ(io.pool_hits, 1u);
+  if (GetParam() == PoolForm::kStored) {
+    ASSERT_FALSE(rotten.ok());
+    EXPECT_EQ(rotten.status().code(), Status::Code::kCorruption);
+    EXPECT_EQ(io.codec_decodes[verbatim], 1u);
+    EXPECT_EQ(cache.pool_bytes_used(), Charged());  // {1, 3} evicted
+    IoStats again;
+    EXPECT_EQ(cache.TryFetchDecoded({1, 3}, &again).status().code(),
+              Status::Code::kCorruption);
+    EXPECT_EQ(again.disk_reads, 1u);
+    EXPECT_EQ(again.pool_hits, 0u);
+    EXPECT_EQ(cache.pool_bytes_used(), Charged());  // not admitted
+  } else {
+    ASSERT_TRUE(rotten.ok()) << rotten.status().ToString();
+    EXPECT_EQ(*rotten.value().plain(), reference_[3]);
+    EXPECT_EQ(io.codec_decodes[verbatim], 0u);
+    EXPECT_EQ(cache.pool_bytes_used(), 2 * Charged());
+  }
+  // The untouched key is unaffected in both forms.
+  IoStats clean;
+  EXPECT_EQ(*cache.TryFetchDecoded({1, 2}, &clean).value().plain(),
+            reference_[2]);
+  EXPECT_EQ(clean.pool_hits, 1u);
+}
+
 TEST_P(BufferPoolTest, LatencySpikesDoNotAffectResults) {
   FaultInjectorOptions opts;
   opts.latency_spike_prob = 1.0;
@@ -718,7 +775,6 @@ TEST(CacheFaultOracleTest, BothFormsFaultAndAccountAMissIdentically) {
   rotten.bytes =
       GetCodec(CodecId::kVerbatim).Encode(MakeBitmap(4000, 12, 0.05));
   rotten.crc32c = Crc32c(rotten.bytes.data(), rotten.bytes.size());
-  rotten.crc_valid = true;
   rotten.bytes[7] ^= 0x10;
   keys.push_back({1, 12});
   reference.emplace_back();  // never compared: every fetch fails
@@ -760,8 +816,8 @@ TEST(CacheFaultOracleTest, BothFormsFaultAndAccountAMissIdentically) {
       EXPECT_EQ(pc.latency_spikes, sc.latency_spikes);
       EXPECT_EQ(stored_clock.slept_seconds(), decoded_clock.slept_seconds());
       if (a.ok()) {
-        EXPECT_EQ(*a.value().MaterializePlain(), reference[k]);
-        EXPECT_EQ(*b.value().MaterializePlain(), reference[k]);
+        EXPECT_EQ(Expand(a.value()), reference[k]);
+        EXPECT_EQ(Expand(b.value()), reference[k]);
         const uint64_t stored = store.GetBlob(keys[k]).bytes.size();
         stored_resident += stored;
         decoded_resident += b.value().is_roaring()

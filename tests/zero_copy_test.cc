@@ -129,8 +129,7 @@ TEST(CopyTripwireTest, CachedComponentWiseMembershipCopiesNothing) {
 // Roaring-stored bitmaps reads each container one block at a time — bitset
 // words in place, array and run containers expanded block by block — and
 // performs ZERO full decodes of stored bitmaps (RoaringStats counts every
-// whole-bitmap expansion: ToBitvector, MaterializePlain, and the codec
-// Decode path).
+// whole-bitmap expansion: ToBitvector and the codec Decode path).
 TEST(CopyTripwireTest, WarmedRoaringAndPerformsZeroFullDecodes) {
   Column col = GenerateZipfColumn(
       {.rows = 30000, .cardinality = 36, .zipf_z = 1.2, .seed = 13});
