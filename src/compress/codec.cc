@@ -51,9 +51,9 @@ class VerbatimCodec final : public CodecInterface {
   }
 
   // Structural validation mirrors what the compressed decoders enforce
-  // (exact byte count, clear padding bits), so a legacy v1 blob, whose
-  // bytes no file checksum vouched for, still cannot abort or break
-  // Bitvector invariants.
+  // (exact byte count, clear padding bits), so bytes that match their
+  // checksum but are malformed (a crafted file) still cannot abort or
+  // break Bitvector invariants.
   Result<Bitvector> Decode(const std::vector<uint8_t>& bytes,
                            uint64_t bit_count) const override {
     if (bytes.size() != CeilDiv(bit_count, 8)) {
@@ -176,18 +176,20 @@ BitmapShape AnalyzeBitmap(const Bitvector& bv) {
   return shape;
 }
 
-CodecId AdviseCodec(const BitmapShape& shape,
-                    const CodecAdvisorOptions& options) {
+CodecId AdviseCodec(const BitmapShape& shape) {
   if (shape.bit_count == 0) return CodecId::kVerbatim;
   if (shape.set_bits == 0) return CodecId::kRoaring;  // empty: 4 bytes
   const double d = shape.density();
-  const double r = shape.avg_run_length();
-  if (d < options.sparse_density) return CodecId::kRoaring;
-  if (r >= options.clustered_run_length) return CodecId::kRoaring;
-  // Short runs at non-trivial density: effectively incompressible noise.
+  // Below density 1/512, array containers (2 bytes per set bit) win
+  // outright: under 1/32 of a verbatim bit per row.
+  if (d < 1.0 / 512) return CodecId::kRoaring;
+  // Runs averaging 16 or more set bits: run containers (4 bytes per run,
+  // so at most 2 bits per set bit) win outright.
+  if (shape.avg_run_length() >= 16.0) return CodecId::kRoaring;
+  // Short runs at density 1/64 or more: effectively incompressible noise.
   // Verbatim is within ~2% of the best size here and its kernels are the
-  // fastest, so compression buys nothing.
-  if (d >= options.noise_density) return CodecId::kVerbatim;
+  // fastest, so compression buys nothing. Below 1/64 Roaring still pays.
+  if (d >= 1.0 / 64) return CodecId::kVerbatim;
   return CodecId::kRoaring;
 }
 

@@ -12,9 +12,7 @@
 namespace bix {
 
 // Every storage codec a bitmap blob can be encoded with. The numeric
-// values are the on-disk tags (index_io v3) and deliberately extend the
-// historical v1/v2 `compressed` byte: 0 stayed verbatim, 1 stayed BBC, so
-// legacy files reinterpret cleanly.
+// values are the per-bitmap codec tags of the index file (core/index_io).
 enum class CodecId : uint8_t {
   kVerbatim = 0,  // raw bytes, LSB-first per byte (compress/bytes.h)
   kBbc = 1,       // Byte-aligned Bitmap Code (compress/bbc.h)
@@ -120,23 +118,13 @@ struct BitmapShape {
 };
 BitmapShape AnalyzeBitmap(const Bitvector& bv);
 
-// Thresholds for AdviseCodec (DESIGN.md section 14). The advisor picks
-// between verbatim (incompressible mid-density noise: every codec breaks
-// even on space and the plain kernels are fastest) and Roaring (sparse or
-// clustered bitmaps: containers are smaller *and* operate compressed).
-// BBC/WAH stay explicit choices — they exist to reproduce the paper's
-// space-time points, not to win the advisor.
-struct CodecAdvisorOptions {
-  // Below this density, array containers win outright.
-  double sparse_density = 1.0 / 512;
-  // At or above this average run length, run containers win outright.
-  double clustered_run_length = 16.0;
-  // Between the two: densities at or above this are incompressible noise
-  // (store verbatim); below it Roaring still pays.
-  double noise_density = 1.0 / 64;
-};
-CodecId AdviseCodec(const BitmapShape& shape,
-                    const CodecAdvisorOptions& options = {});
+// The storage advisor (DESIGN.md section 14) picks between verbatim
+// (incompressible mid-density noise: every codec breaks even on space and
+// the plain kernels are fastest) and Roaring (sparse or clustered
+// bitmaps: containers are smaller *and* operate compressed). BBC/WAH stay
+// explicit choices — they exist to reproduce the paper's space-time
+// points, not to win the advisor.
+CodecId AdviseCodec(const BitmapShape& shape);
 
 }  // namespace bix
 

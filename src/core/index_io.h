@@ -27,42 +27,16 @@ namespace bix {
 // header_crc is CRC32C over every header byte from the magic through
 // bitmap_count; record_crc covers the record's metadata fields and payload
 // bytes, so a flip anywhere in the record is caught at load time. The
-// loader also stamps each blob with its payload checksum (for every file
-// version), which the storage layer re-verifies on every materialization.
-//
-// Format v3 is v4 without the row-order section (it loads with the
-// identity order); v2 is v3 with a boolean `compressed` byte in both codec
-// slots (CodecId numbering makes those bytes reinterpret in place: 0
-// verbatim, 1 BBC); v1 is v2 without either checksum. All still load —
-// legacy blobs come back tagged verbatim or BBC; a v1 load reports
-// checksummed == false (nothing on disk vouched for its bytes, which are
-// checked from the load on). Saving an index whose codec the legacy formats
-// cannot express (WAH, Roaring, auto) as v1/v2 fails NotSupported, as
-// does saving a reordered index at v1-v3 (no slot for the permutation).
+// loader also stamps each blob with its payload checksum, which the
+// storage layer re-verifies on every materialization.
 Status SaveIndex(const BitmapIndex& index, const std::string& path);
 
-// Writes the given format version (1, 2, 3 or 4). SaveIndex writes the
-// current version; this exists so tests and migration tooling can produce
-// legacy files.
-Status SaveIndexAtVersion(const BitmapIndex& index, const std::string& path,
-                          uint32_t version);
-
-// What LoadIndex found on disk.
-struct IndexLoadInfo {
-  uint32_t version = 0;
-  // True when the file carried checksums that were verified during the
-  // load (v2+); false for legacy v1 files, whose bytes no checksum on disk
-  // vouched for.
-  bool checksummed = false;
-};
-
-// Validates the header and the bitmap inventory against the configuration,
-// and for v2 files verifies every checksum; returns a typed
+// Loads a v4 file (any other version is NotSupported). Verifies the header
+// and every record checksum and validates the header and the bitmap
+// inventory against the configuration; returns a typed
 // Corruption/InvalidArgument/NotSupported status on malformed files
-// instead of aborting. `info`, when non-null, reports the file version and
-// whether it was checksummed.
-Result<BitmapIndex> LoadIndex(const std::string& path,
-                              IndexLoadInfo* info = nullptr);
+// instead of aborting.
+Result<BitmapIndex> LoadIndex(const std::string& path);
 
 }  // namespace bix
 

@@ -414,11 +414,17 @@ Status WritableBitmapIndex::Compact(TraceSink* trace) {
   Result<FoldedIndex> fold = [&] {
     TraceScope fold_scope(trace, "fold");
     if (trace != nullptr) trace->Tag("delta_ops", delta_->ops());
-    return FoldDelta(*base_, *delta_);
+    Result<FoldedIndex> folded = FoldDelta(*base_, *delta_);
+    if (folded.status().code() != Status::Code::kCorruption) return folded;
+    // A base bitmap rotted in memory. base_ is the index the current
+    // checkpoint file holds, and that file's record checksums vouch for
+    // it: fold again from the file.
+    Result<BitmapIndex> clean = LoadIndex(dir_ + "/" + index_file_);
+    if (!clean.ok()) return folded;
+    return FoldDelta(clean.value(), *delta_);
   }();
-  // A rotten base bitmap stops the fold before anything is written: the
-  // checkpoint on disk stays the last clean one, and Open() replays the
-  // WAL onto it.
+  // A base that also fails from the checkpoint stops the fold before
+  // anything is written: the checkpoint stays the last clean one on disk.
   if (!fold.ok()) return fold.status();
   FoldedIndex& folded = fold.value();
   const uint64_t seq = applied_seq_;

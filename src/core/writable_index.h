@@ -76,9 +76,11 @@ class WritableBitmapIndex : public IndexSnapshotProvider {
   // Folds the overlay into the bitmaps, checkpoints atomically, truncates
   // the WAL, and bumps the epoch. Writers are blocked for the duration.
   // Unavailable on an injected/real durability fault — nothing is lost
-  // and the call is safely retryable. Corruption when a base bitmap fails
-  // its checksum or decode: nothing is written, the epoch stays, and a
-  // later Open() replays the WAL onto the last clean checkpoint.
+  // and the call is safely retryable. A base bitmap that fails its
+  // checksum or decode in memory is healed: the fold reruns over the
+  // current checkpoint file, whose record checksums vouch for the base.
+  // Corruption only when that file fails its checks too: nothing is
+  // written and the epoch stays.
   Status Compact(TraceSink* trace) override;
   DurabilityStats durability() const override;
 

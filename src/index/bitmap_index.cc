@@ -85,53 +85,4 @@ BitmapIndex BitmapIndex::FromParts(Decomposition d, EncodingKind encoding,
   return index;
 }
 
-uint64_t BitmapIndex::Append(const std::vector<uint32_t>& values) {
-  if (values.empty()) return 0;
-  const EncodingScheme& scheme = encoding();
-  const uint64_t old_rows = row_count_;
-  const uint64_t new_rows = old_rows + values.size();
-  uint64_t touched = 0;
-
-  for (uint32_t comp = 1; comp <= decomposition_.num_components(); ++comp) {
-    const uint32_t base = decomposition_.base(comp);
-    const uint32_t num_slots = scheme.NumBitmaps(base);
-    std::vector<std::vector<uint32_t>> slots_by_digit(base);
-    for (uint32_t digit = 0; digit < base; ++digit) {
-      scheme.SlotsForValue(base, digit, &slots_by_digit[digit]);
-    }
-    // New set-bit positions per slot.
-    std::vector<std::vector<uint64_t>> new_bits(num_slots);
-    for (uint64_t i = 0; i < values.size(); ++i) {
-      BIX_CHECK(values[i] < decomposition_.cardinality());
-      const uint32_t digit = decomposition_.Digit(values[i], comp);
-      for (uint32_t slot : slots_by_digit[digit]) {
-        new_bits[slot].push_back(old_rows + i);
-      }
-    }
-    for (uint32_t slot = 0; slot < num_slots; ++slot) {
-      const BitmapKey key{comp, slot};
-      Bitvector bv = store_.Materialize(key);
-      bv.Resize(new_rows);
-      for (uint64_t pos : new_bits[slot]) bv.Set(pos);
-      store_.Replace(key, bv);
-      if (!new_bits[slot].empty()) ++touched;
-    }
-  }
-  row_count_ = new_rows;
-  return touched;
-}
-
-uint32_t BitmapIndex::UpdateTouchCount(uint32_t value) const {
-  const EncodingScheme& scheme = encoding();
-  uint32_t touched = 0;
-  std::vector<uint32_t> slots;
-  for (uint32_t comp = 1; comp <= decomposition_.num_components(); ++comp) {
-    slots.clear();
-    scheme.SlotsForValue(decomposition_.base(comp),
-                         decomposition_.Digit(value, comp), &slots);
-    touched += static_cast<uint32_t>(slots.size());
-  }
-  return touched;
-}
-
 }  // namespace bix

@@ -14,8 +14,8 @@ namespace bix {
 // How a built index stores its bitmaps: one explicit codec for every
 // bitmap, or a per-bitmap advisor pick (kAuto — each bitmap's
 // density/run shape chooses between verbatim and Roaring; see
-// CodecAdvisorOptions). Values 0-3 coincide with CodecId; 4 is the
-// index_io v3 storage-policy byte for advisor-chosen indexes.
+// AdviseCodec). Values 0-3 coincide with CodecId; 4 is the index file's
+// storage-policy byte for advisor-chosen indexes.
 enum class StorageCodec : uint8_t {
   kVerbatim = 0,
   kBbc = 1,
@@ -49,13 +49,6 @@ class BitmapIndex {
   static BitmapIndex FromParts(Decomposition d, EncodingKind encoding,
                                StorageCodec codec, uint64_t row_count,
                                BitmapStore store);
-  static BitmapIndex FromParts(Decomposition d, EncodingKind encoding,
-                               bool compressed, uint64_t row_count,
-                               BitmapStore store) {
-    return FromParts(std::move(d), encoding,
-                     compressed ? StorageCodec::kBbc : StorageCodec::kVerbatim,
-                     row_count, std::move(store));
-  }
 
   BitmapIndex(BitmapIndex&&) = default;
   BitmapIndex& operator=(BitmapIndex&&) = default;
@@ -85,18 +78,6 @@ class BitmapIndex {
   // The paper's space metric: total stored bytes of all bitmaps.
   uint64_t TotalStoredBytes() const { return store_.TotalStoredBytes(); }
   uint64_t BitmapCount() const { return store_.BitmapCount(); }
-
-  // Number of stored bitmaps that have a bit set for a record with the
-  // given value — the per-record update cost of Section 4.2. Pure.
-  uint32_t UpdateTouchCount(uint32_t value) const;
-
-  // Appends records to the indexed relation (batched index maintenance,
-  // the regime Section 4.2 says DSS systems use). Every stored bitmap
-  // grows by values.size() bits; bitmaps representing any of the new
-  // values additionally get bits set. Returns the number of bitmaps that
-  // received at least one new set bit ("touched" in the paper's
-  // update-cost metric). Aborts on out-of-domain values.
-  uint64_t Append(const std::vector<uint32_t>& values);
 
  private:
   BitmapIndex(Decomposition d, EncodingKind encoding, StorageCodec codec,

@@ -101,8 +101,9 @@ class IndexSnapshotProvider {
   virtual uint64_t PendingDeltaOps() const = 0;
   // Folds the overlay into the component bitmaps, checkpoints, and bumps
   // the epoch. Serialized internally; Unavailable on injected durability
-  // faults (retryable — nothing is lost); Corruption when a base bitmap
-  // fails its checksum or decode (nothing is written).
+  // faults (retryable — nothing is lost). A base bitmap that fails its
+  // checksum or decode is re-read from the durable checkpoint; Corruption
+  // (nothing is written) only when that copy fails its checks too.
   virtual Status Compact(TraceSink* trace) = 0;
   virtual DurabilityStats durability() const = 0;
 };

@@ -9,8 +9,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "util/backoff.h"
-
 namespace bix {
 
 namespace {
@@ -87,15 +85,12 @@ class QueryService::FaultPolicyCache : public BitmapCacheInterface {
   // policy cache increments them directly (relaxed atomic adds) so the hot
   // path never funnels through a service-level lock.
   FaultPolicyCache(BitmapCacheInterface* inner, uint32_t max_retries,
-                   double backoff_seconds, uint64_t jitter_seed,
-                   double backoff_cap_seconds, ClockInterface* clock,
+                   double backoff_seconds, ClockInterface* clock,
                    const BrownoutBreaker* breaker, MetricsCounter* retries,
                    MetricsCounter* corruptions, MetricsCounter* quarantined)
       : inner_(inner),
         max_retries_(max_retries),
         backoff_seconds_(backoff_seconds),
-        jitter_seed_(jitter_seed),
-        backoff_cap_seconds_(backoff_cap_seconds),
         clock_(clock),
         breaker_(breaker),
         retries_(retries),
@@ -122,19 +117,6 @@ class QueryService::FaultPolicyCache : public BitmapCacheInterface {
       }
     }
     double backoff = backoff_seconds_;
-    // Jittered mode: each policy-level fetch gets its own draw stream, so
-    // two workers retrying the *same* unavailable key sleep different
-    // durations and stop re-arriving at storage in phase (the retry storm
-    // the decorrelated schedule exists to break). The stream id mixes the
-    // key with a per-fetch sequence number; with a fixed seed and a fixed
-    // fetch order the whole schedule replays exactly.
-    const uint64_t stream =
-        jitter_seed_ != 0
-            ? key.Packed() ^ (0x9E3779B97F4A7C15ull *
-                              fetch_seq_.fetch_add(1,
-                                                   std::memory_order_relaxed))
-            : 0;
-    uint64_t sleep_index = 0;
     for (uint32_t attempt = 0;; ++attempt) {
       if (cancel != nullptr) {
         Status budget = cancel->CheckAt(clock_->Now());
@@ -182,16 +164,7 @@ class QueryService::FaultPolicyCache : public BitmapCacheInterface {
         // VirtualClock).
         TraceScope backoff_span(trace, "backoff");
         clock_->SleepFor(backoff, cancel);
-        // The first sleep is always `base` in both schedules; from the
-        // second on, jittered mode draws from [base, 3 * previous] (capped)
-        // while legacy mode doubles deterministically.
-        if (jitter_seed_ != 0) {
-          backoff = DecorrelatedJitterBackoff(jitter_seed_, stream,
-                                              ++sleep_index, backoff_seconds_,
-                                              backoff, backoff_cap_seconds_);
-        } else {
-          backoff *= 2.0;
-        }
+        backoff *= 2.0;
       }
     }
   }
@@ -203,9 +176,6 @@ class QueryService::FaultPolicyCache : public BitmapCacheInterface {
   BitmapCacheInterface* const inner_;
   const uint32_t max_retries_;
   const double backoff_seconds_;
-  const uint64_t jitter_seed_;         // 0 = legacy doubling schedule
-  const double backoff_cap_seconds_;   // 0 = uncapped
-  std::atomic<uint64_t> fetch_seq_{0};
   ClockInterface* const clock_;
   const BrownoutBreaker* const breaker_;  // null when brownout disabled
   MetricsCounter* const retries_;
@@ -334,8 +304,7 @@ std::shared_ptr<QueryService::EpochCache> QueryService::MakeEpochCache(
   }
   ec->policy = std::make_unique<FaultPolicyCache>(
       ec->cache.get(), options_.max_fetch_retries,
-      options_.retry_backoff_seconds, options_.retry_jitter_seed,
-      options_.retry_backoff_max_seconds, clock_, breaker_.get(), m_.retries,
+      options_.retry_backoff_seconds, clock_, breaker_.get(), m_.retries,
       m_.corruptions, m_.quarantined);
   return ec;
 }

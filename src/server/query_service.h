@@ -134,18 +134,6 @@ struct ServiceOptions {
   // known-bad storage.
   uint32_t max_fetch_retries = 3;
   double retry_backoff_seconds = 100e-6;
-  // Retry-storm decorrelation (DESIGN.md section 11): when nonzero, every
-  // backoff sleep after the first draws from the decorrelated-jitter
-  // schedule (util/backoff.h) seeded here, instead of deterministic
-  // doubling — concurrent retry loops against one unavailable blob stop
-  // re-arriving in phase. The schedule is a pure function of (seed,
-  // per-fetch stream, sleep index), so a fixed seed replays exact sleep
-  // sequences under a VirtualClock; 0 keeps the legacy exponential
-  // schedule (and the observability goldens pinned against it).
-  uint64_t retry_jitter_seed = 0;
-  // Cap on a single jittered backoff sleep; 0 = uncapped. Ignored by the
-  // legacy doubling schedule.
-  double retry_backoff_max_seconds = 0.0;
   // Optional deterministic fault injection on the shared cache's read path
   // (chaos tests, resilience benches). Not owned; must outlive the
   // service. nullptr serves clean.
@@ -198,8 +186,8 @@ enum class MetricsFormat : uint8_t { kText, kJson };
 // process or poisons other queries' results.
 //
 // Read-only mode (the BitmapIndex constructor): the index must be
-// immutable while the service is running (no Append); it is read
-// concurrently without locks.
+// immutable while the service is running; it is read concurrently without
+// locks.
 //
 // Writable mode (the IndexSnapshotProvider constructor): every query pins
 // an epoch-consistent {base index, delta overlay} snapshot before

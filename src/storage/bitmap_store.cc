@@ -24,11 +24,9 @@ std::string KeyString(BitmapKey key) {
          " slot=" + std::to_string(key.slot);
 }
 
-BitmapStore::Blob EncodeBlob(const Bitvector& bv, CodecId codec,
-                             bool auto_codec) {
+BitmapStore::Blob EncodeBlob(const Bitvector& bv, CodecId codec) {
   BitmapStore::Blob blob;
   blob.codec = codec;
-  blob.auto_codec = auto_codec;
   blob.bit_count = bv.size();
   blob.bytes = GetCodec(codec).Encode(bv);
   StampCrc(&blob);
@@ -39,34 +37,13 @@ BitmapStore::Blob EncodeBlob(const Bitvector& bv, CodecId codec,
 
 void BitmapStore::PutWithCodec(BitmapKey key, const Bitvector& bv,
                                CodecId codec) {
-  BIX_CHECK_MSG(!Contains(key), "duplicate bitmap key");
-  Blob blob = EncodeBlob(bv, codec, /*auto_codec=*/false);
-  total_bytes_ += blob.bytes.size();
-  blobs_.emplace(key, std::move(blob));
+  PutBlob(key, EncodeBlob(bv, codec));
 }
 
-CodecId BitmapStore::PutAuto(BitmapKey key, const Bitvector& bv,
-                             const CodecAdvisorOptions& options) {
-  BIX_CHECK_MSG(!Contains(key), "duplicate bitmap key");
-  const CodecId codec = AdviseCodec(AnalyzeBitmap(bv), options);
-  Blob blob = EncodeBlob(bv, codec, /*auto_codec=*/true);
-  total_bytes_ += blob.bytes.size();
-  blobs_.emplace(key, std::move(blob));
+CodecId BitmapStore::PutAuto(BitmapKey key, const Bitvector& bv) {
+  const CodecId codec = AdviseCodec(AnalyzeBitmap(bv));
+  PutWithCodec(key, bv, codec);
   return codec;
-}
-
-void BitmapStore::Replace(BitmapKey key, const Bitvector& bv) {
-  auto it = blobs_.find(key);
-  BIX_CHECK_MSG(it != blobs_.end(), "Replace of unknown bitmap key");
-  Blob& blob = it->second;
-  total_bytes_ -= blob.bytes.size();
-  const CodecId codec =
-      blob.auto_codec ? AdviseCodec(AnalyzeBitmap(bv)) : blob.codec;
-  blob.codec = codec;
-  blob.bit_count = bv.size();
-  blob.bytes = GetCodec(codec).Encode(bv);
-  StampCrc(&blob);
-  total_bytes_ += blob.bytes.size();
 }
 
 uint64_t BitmapStore::StoredBytes(BitmapKey key) const {

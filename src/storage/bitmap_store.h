@@ -51,15 +51,8 @@ class BitmapStore {
   // Stores `bv` encoded with the given codec.
   void PutWithCodec(BitmapKey key, const Bitvector& bv, CodecId codec);
   // Advisor-driven storage: analyzes the bitmap's density/run shape and
-  // stores it under AdviseCodec's pick. Returns the chosen codec. Blobs
-  // stored this way re-run the advisor on Replace (the shape may have
-  // changed), where PutWithCodec blobs keep their explicit codec.
-  CodecId PutAuto(BitmapKey key, const Bitvector& bv,
-                  const CodecAdvisorOptions& options = {});
-  // Replaces an existing bitmap. Explicitly-coded blobs keep their codec
-  // (index maintenance preserves the storage form); advisor-chosen blobs
-  // re-pick, since an append can change the bitmap's shape.
-  void Replace(BitmapKey key, const Bitvector& bv);
+  // stores it under AdviseCodec's pick. Returns the chosen codec.
+  CodecId PutAuto(BitmapKey key, const Bitvector& bv);
 
   bool Contains(BitmapKey key) const { return blobs_.count(key) > 0; }
   uint64_t StoredBytes(BitmapKey key) const;
@@ -78,19 +71,13 @@ class BitmapStore {
 
   // Raw stored payload, for the cache's byte accounting and serialization.
   struct Blob {
-    // How `bytes` is encoded; the per-blob tag index_io v3 persists.
+    // How `bytes` is encoded; the per-blob tag the index file persists.
     CodecId codec = CodecId::kVerbatim;
-    // True when the codec was chosen by the advisor (PutAuto): Replace
-    // re-runs the advisor instead of keeping the codec.
-    bool auto_codec = false;
     uint64_t bit_count = 0;
     std::vector<uint8_t> bytes;
-    // CRC32C of `bytes`, stamped by the Put*/Replace paths and by the
-    // index loader (for every file version), and verified on every
-    // materialization.
+    // CRC32C of `bytes`, stamped by the Put* paths and by the index
+    // loader, and verified on every materialization.
     uint32_t crc32c = 0;
-
-    bool compressed() const { return codec != CodecId::kVerbatim; }
   };
   const Blob& GetBlob(BitmapKey key) const;
   // Typed-error lookup: InvalidArgument on a missing key (the returned

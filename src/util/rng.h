@@ -16,8 +16,8 @@ constexpr uint64_t Mix64(uint64_t z) {
 }
 
 // One SplitMix64 output for state `x`: the seeded hash behind the fault
-// schedules, the backoff jitter and BitmapKeyHash. A pure function, so a
-// fixed seed replays the same sequence regardless of thread interleaving.
+// schedules and BitmapKeyHash. A pure function, so a fixed seed replays
+// the same sequence regardless of thread interleaving.
 constexpr uint64_t SplitMix64(uint64_t x) {
   return Mix64(x + 0x9E3779B97F4A7C15ull);
 }

@@ -1,4 +1,4 @@
-// Byte-exact goldens for every stored and wire format: index files (v1-v4),
+// Byte-exact goldens for every stored and wire format: index files (v4),
 // the writable index's state sidecar and MANIFEST, WAL records, wire
 // frames, WAH word images and Roaring blobs. Each fixed input is
 // serialized and the output's length and 64-bit FNV-1a hash compared with
@@ -84,22 +84,12 @@ Column LcgColumn(uint64_t rows, uint32_t cardinality, uint64_t seed) {
 // Index files list their records in the store's hash-map iteration order,
 // so the index constants also pin BitmapKeyHash and the standard library's
 // unordered_map (they were captured with libstdc++).
-std::vector<uint8_t> SavedIndex(const BitmapIndex& index, uint32_t version) {
+std::vector<uint8_t> SavedIndex(const BitmapIndex& index) {
   const std::string path = ::testing::TempDir() + "/golden_index.bix";
-  EXPECT_TRUE(SaveIndexAtVersion(index, path, version).ok()) << version;
+  EXPECT_TRUE(SaveIndex(index, path).ok());
   std::vector<uint8_t> bytes = FileBytes(path);
   std::remove(path.c_str());
   return bytes;
-}
-
-TEST(FormatGolden, IndexFilesV1ToV3FromBbcIndex) {
-  const BitmapIndex index =
-      BitmapIndex::Build(LcgColumn(500, 10, 1),
-                         Decomposition::Make(10, {5, 2}).value(),
-                         EncodingKind::kRange, StorageCodec::kBbc);
-  ExpectGolden(SavedIndex(index, 1), {516, 0xac74d0a83e4dc9cbull}, "index v1");
-  ExpectGolden(SavedIndex(index, 2), {540, 0x6d8cd31980306a4aull}, "index v2");
-  ExpectGolden(SavedIndex(index, 3), {540, 0x736fb28898bd5ec1ull}, "index v3");
 }
 
 TEST(FormatGolden, IndexFileV4FromReorderedAutoIndex) {
@@ -121,7 +111,7 @@ TEST(FormatGolden, IndexFileV4FromReorderedAutoIndex) {
         verbatim |= blob.codec == CodecId::kVerbatim;
       });
   ASSERT_TRUE(roaring && verbatim);
-  ExpectGolden(SavedIndex(index.value(), 4), {21134, 0xe1d7651bb327daf5ull}, "index v4");
+  ExpectGolden(SavedIndex(index.value()), {21134, 0xe1d7651bb327daf5ull}, "index v4");
 }
 
 TEST(FormatGolden, WritableIndexCheckpointFiles) {

@@ -104,12 +104,16 @@ TEST_F(IndexIoCorruption, RejectsBadMagic) {
 }
 
 TEST_F(IndexIoCorruption, RejectsBadVersion) {
-  std::vector<char> bad = bytes_;
-  bad[4] = 99;
-  WriteBack(bad);
-  Result<BitmapIndex> r = LoadIndex(path_);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), Status::Code::kNotSupported);
+  // v4 is the only version: the retired v1-v3 layouts and an unknown
+  // future one are all NotSupported.
+  for (int version : {99, 1, 2, 3, 5}) {
+    std::vector<char> bad = bytes_;
+    bad[4] = static_cast<char>(version);
+    WriteBack(bad);
+    Result<BitmapIndex> r = LoadIndex(path_);
+    ASSERT_FALSE(r.ok()) << version;
+    EXPECT_EQ(r.status().code(), Status::Code::kNotSupported) << version;
+  }
 }
 
 TEST_F(IndexIoCorruption, RejectsTruncatedFile) {
@@ -133,7 +137,7 @@ TEST_F(IndexIoCorruption, RejectsMissingFile) {
 
 TEST_F(IndexIoCorruption, EverySingleByteFlipRejectedCleanly) {
   // The tentpole integrity property: flip one byte at *every* offset of a
-  // v2 file and the load must fail with a typed status -- never a crash,
+  // v4 file and the load must fail with a typed status -- never a crash,
   // an abort, or a silently wrong index. A flip in the version field may
   // legitimately yield NotSupported; everything else must surface as
   // Corruption or InvalidArgument (a header flip can reach structural
@@ -189,11 +193,8 @@ class IndexIoVersions : public ::testing::Test {
 TEST_F(IndexIoVersions, CurrentFormatIsChecksummed) {
   const std::string path = TempPath("v4.bix");
   ASSERT_TRUE(SaveIndex(*index_, path).ok());
-  IndexLoadInfo info;
-  Result<BitmapIndex> loaded = LoadIndex(path, &info);
+  Result<BitmapIndex> loaded = LoadIndex(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(info.version, 4u);
-  EXPECT_TRUE(info.checksummed);
   // Every loaded blob carries its payload checksum, which the storage
   // layer re-checks on materialization.
   loaded.value().store().ForEachBlob(
@@ -202,88 +203,6 @@ TEST_F(IndexIoVersions, CurrentFormatIsChecksummed) {
       });
   ExpectQueriesMatch(loaded.value());
   std::remove(path.c_str());
-}
-
-TEST_F(IndexIoVersions, LegacyV1FilesStillLoadUnverified) {
-  const std::string path = TempPath("v1.bix");
-  ASSERT_TRUE(SaveIndexAtVersion(*index_, path, 1).ok());
-  IndexLoadInfo info;
-  Result<BitmapIndex> loaded = LoadIndex(path, &info);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(info.version, 1u);
-  EXPECT_FALSE(info.checksummed);
-  // No checksum on disk vouched for the payloads, but the loader stamps
-  // them all the same: from the load on they are checked like any other.
-  loaded.value().store().ForEachBlob(
-      [](const BitmapKey&, const BitmapStore::Blob& blob) {
-        EXPECT_EQ(blob.crc32c, Crc32c(blob.bytes.data(), blob.bytes.size()));
-      });
-  ExpectQueriesMatch(loaded.value());
-  std::remove(path.c_str());
-}
-
-TEST_F(IndexIoVersions, V1ToV2MigrationRoundTrip) {
-  // Load a legacy file, save it back at the current version: the rewrite
-  // gains checksums and the stored bytes are unchanged.
-  const std::string v1_path = TempPath("migrate_v1.bix");
-  const std::string v2_path = TempPath("migrate_v2.bix");
-  ASSERT_TRUE(SaveIndexAtVersion(*index_, v1_path, 1).ok());
-  Result<BitmapIndex> legacy = LoadIndex(v1_path);
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_TRUE(SaveIndex(legacy.value(), v2_path).ok());
-  IndexLoadInfo info;
-  Result<BitmapIndex> migrated = LoadIndex(v2_path, &info);
-  ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
-  EXPECT_TRUE(info.checksummed);
-  EXPECT_EQ(migrated.value().TotalStoredBytes(), index_->TotalStoredBytes());
-  ExpectQueriesMatch(migrated.value());
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
-}
-
-TEST_F(IndexIoVersions, RejectsSavingUnknownVersion) {
-  Status s = SaveIndexAtVersion(*index_, TempPath("v99.bix"), 99);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), Status::Code::kNotSupported);
-}
-
-TEST_F(IndexIoVersions, V2FilesStillLoadWithCodecTags) {
-  // The previous on-disk format (boolean `compressed` slots) keeps loading;
-  // its bitmaps come back tagged with the matching CodecId.
-  const std::string path = TempPath("compat_v2.bix");
-  ASSERT_TRUE(SaveIndexAtVersion(*index_, path, 2).ok());
-  IndexLoadInfo info;
-  Result<BitmapIndex> loaded = LoadIndex(path, &info);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(info.version, 2u);
-  EXPECT_TRUE(info.checksummed);
-  EXPECT_EQ(loaded.value().storage_codec(), StorageCodec::kBbc);
-  loaded.value().store().ForEachBlob(
-      [](const BitmapKey&, const BitmapStore::Blob& blob) {
-        EXPECT_EQ(blob.codec, CodecId::kBbc);
-        EXPECT_FALSE(blob.auto_codec);
-      });
-  ExpectQueriesMatch(loaded.value());
-  std::remove(path.c_str());
-}
-
-TEST_F(IndexIoVersions, LegacyFormatsCannotCarryNewCodecs) {
-  // WAH, Roaring, and advisor-chosen storage have no representation in the
-  // boolean v1/v2 `compressed` slots; saving must fail loudly rather than
-  // silently mislabel the bytes.
-  for (StorageCodec codec : {StorageCodec::kWah, StorageCodec::kRoaring,
-                             StorageCodec::kAuto}) {
-    BitmapIndex index =
-        BitmapIndex::Build(col_, Decomposition::Make(16, {4, 4}).value(),
-                           EncodingKind::kRange, codec);
-    for (uint32_t version : {1u, 2u}) {
-      Status s = SaveIndexAtVersion(index, TempPath("legacy_codec.bix"),
-                                    version);
-      ASSERT_FALSE(s.ok())
-          << StorageCodecName(codec) << " as v" << version;
-      EXPECT_EQ(s.code(), Status::Code::kNotSupported);
-    }
-  }
 }
 
 class IndexIoCodecSweep : public ::testing::TestWithParam<StorageCodec> {};
@@ -298,15 +217,13 @@ TEST_P(IndexIoCodecSweep, CurrentRoundTripPreservesCodecTags) {
 
   const std::string path = TempPath("codec_roundtrip.bix");
   ASSERT_TRUE(SaveIndex(original, path).ok());
-  IndexLoadInfo info;
-  Result<BitmapIndex> loaded = LoadIndex(path, &info);
+  Result<BitmapIndex> loaded = LoadIndex(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(info.version, 4u);
   EXPECT_EQ(loaded.value().storage_codec(), codec);
   EXPECT_EQ(loaded.value().TotalStoredBytes(), original.TotalStoredBytes());
 
   // Every blob keeps its exact codec tag and stored bytes across the
-  // round trip; under kAuto the loader re-flags blobs as advisor-managed.
+  // round trip.
   size_t count = 0;
   loaded.value().store().ForEachBlob([&](const BitmapKey& key,
                                          const BitmapStore::Blob& blob) {
@@ -315,51 +232,11 @@ TEST_P(IndexIoCodecSweep, CurrentRoundTripPreservesCodecTags) {
     ASSERT_TRUE(orig.ok());
     EXPECT_EQ(blob.codec, orig.value()->codec);
     EXPECT_EQ(blob.bytes, orig.value()->bytes);
-    EXPECT_EQ(blob.auto_codec, codec == StorageCodec::kAuto);
     if (codec != StorageCodec::kAuto) {
       EXPECT_EQ(blob.codec, static_cast<CodecId>(codec));
     }
   });
   EXPECT_GT(count, 0u);
-
-  QueryExecutor exec(&loaded.value(), {});
-  for (uint32_t lo = 0; lo < 20; lo += 3) {
-    EXPECT_EQ(exec.EvaluateInterval({lo, 19}),
-              NaiveEvaluateInterval(col, {lo, 19}));
-  }
-  std::remove(path.c_str());
-}
-
-// A v3 file (no row-order section) written for every codec must load under
-// the v4 reader with the identity order, its codec tags intact, and
-// identical query results — the migration path for every pre-reorder file
-// in the wild.
-TEST_P(IndexIoCodecSweep, V3FilesLoadUnderV4Reader) {
-  const StorageCodec codec = GetParam();
-  Column col = GenerateZipfColumn(
-      {.rows = 3000, .cardinality = 20, .zipf_z = 1.2, .seed = 84});
-  BitmapIndex original =
-      BitmapIndex::Build(col, Decomposition::Make(20, {5, 4}).value(),
-                         EncodingKind::kInterval, codec);
-
-  const std::string path = TempPath("v3_codec.bix");
-  ASSERT_TRUE(SaveIndexAtVersion(original, path, 3).ok());
-  IndexLoadInfo info;
-  Result<BitmapIndex> loaded = LoadIndex(path, &info);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(info.version, 3u);
-  EXPECT_TRUE(info.checksummed);
-  EXPECT_FALSE(loaded.value().reordered());
-  EXPECT_EQ(loaded.value().storage_codec(), codec);
-  EXPECT_EQ(loaded.value().TotalStoredBytes(), original.TotalStoredBytes());
-  loaded.value().store().ForEachBlob(
-      [&](const BitmapKey& key, const BitmapStore::Blob& blob) {
-        Result<const BitmapStore::Blob*> orig =
-            original.store().TryGetBlob(key);
-        ASSERT_TRUE(orig.ok());
-        EXPECT_EQ(blob.codec, orig.value()->codec);
-        EXPECT_EQ(blob.bytes, orig.value()->bytes);
-      });
 
   QueryExecutor exec(&loaded.value(), {});
   for (uint32_t lo = 0; lo < 20; lo += 3) {

@@ -178,22 +178,21 @@ TEST(BitmapIndexTest, CompressedStoresSmallerOnSkewedData) {
   }
 }
 
-TEST(BitmapIndexTest, UpdateTouchCountMatchesEncoding) {
-  Column col = PaperExampleColumn();
-  BitmapIndex e = BitmapIndex::Build(col, Decomposition::SingleComponent(10),
-                                     EncodingKind::kEquality, false);
-  BitmapIndex r = BitmapIndex::Build(col, Decomposition::SingleComponent(10),
-                                     EncodingKind::kRange, false);
-  BitmapIndex i = BitmapIndex::Build(col, Decomposition::SingleComponent(10),
-                                     EncodingKind::kInterval, false);
-  // Section 4.2: E touches 1; R touches C-1 for value 0, 1 for C-2 wait --
-  // value v touches bitmaps R^v..R^{C-2}, i.e. C-1-v of them.
-  EXPECT_EQ(e.UpdateTouchCount(3), 1u);
-  EXPECT_EQ(r.UpdateTouchCount(0), 9u);
-  EXPECT_EQ(r.UpdateTouchCount(9), 0u);
-  EXPECT_EQ(i.UpdateTouchCount(0), 1u);   // only I^0
-  EXPECT_EQ(i.UpdateTouchCount(4), 5u);   // I^0..I^4 (m = 4)
-  EXPECT_EQ(i.UpdateTouchCount(9), 0u);   // in no interval bitmap
+TEST(BitmapIndexTest, RecordTouchesMatchEncoding) {
+  // Section 4.2's update cost: the bitmaps a record with value v sets a
+  // bit in, over a single component of base 10.
+  const auto touched = [](EncodingKind kind, uint32_t v) {
+    std::vector<uint32_t> slots;
+    GetEncoding(kind).SlotsForValue(10, v, &slots);
+    return slots.size();
+  };
+  // E touches 1; value v touches R^v..R^{C-2}, i.e. C-1-v of them.
+  EXPECT_EQ(touched(EncodingKind::kEquality, 3), 1u);
+  EXPECT_EQ(touched(EncodingKind::kRange, 0), 9u);
+  EXPECT_EQ(touched(EncodingKind::kRange, 9), 0u);
+  EXPECT_EQ(touched(EncodingKind::kInterval, 0), 1u);  // only I^0
+  EXPECT_EQ(touched(EncodingKind::kInterval, 4), 5u);  // I^0..I^4 (m = 4)
+  EXPECT_EQ(touched(EncodingKind::kInterval, 9), 0u);  // in no interval bitmap
 }
 
 }  // namespace

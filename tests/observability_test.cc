@@ -28,6 +28,7 @@
 #include "util/clock.h"
 #include "util/trace.h"
 #include "workload/column_gen.h"
+#include "workload/scan_baseline.h"
 
 namespace bix {
 namespace {
@@ -704,7 +705,7 @@ class WritableObservabilityTest : public ::testing::Test {
     return options;
   }
 
-  // Polls the text export until counter `name` leaves 0 (the background
+  // Polls the text export until metric `name` leaves 0 (the background
   // compaction loop fires every millisecond), for about 2 s at most, and
   // returns the last export.
   std::string AwaitNonZeroCounter(const QueryService& service,
@@ -910,6 +911,45 @@ TEST_F(WritableObservabilityTest, BackgroundCompactionCountsFailedFolds) {
   EXPECT_NE(text.find("compactions: 0.000000\n"), std::string::npos);
   EXPECT_EQ(index->PendingDeltaOps(), 6u);
   EXPECT_GT(injector.counters().rename_failures, 0u);
+}
+
+TEST_F(WritableObservabilityTest, BackgroundCompactionHealsARottenBase) {
+  // A base bitmap rots in memory before the service starts (so no thread
+  // races the flip): row 0's bit set in the equality bitmap of a value row
+  // 0 does not hold. The background fold heals it from the checkpoint
+  // file: a compaction commits, none fails, and a read of the key answers
+  // like the naive scan.
+  std::unique_ptr<WritableBitmapIndex> index = MakeWritable("obs_heal");
+  ASSERT_TRUE(index->ApplyBatch(SixOpBatch()).ok());
+  const uint32_t wrong = (index->LogicalValues()[0] + 1) % 8;
+  const IndexSnapshot rotten = index->Snapshot();
+  const BitmapStore::Blob& blob = rotten.base->store().GetBlob({1, wrong});
+  ASSERT_EQ(blob.bytes[0] & 0x01, 0);
+  const_cast<uint8_t&>(blob.bytes[0]) ^= 0x01;
+
+  // Real clock (the compaction loop sleeps on it), tight interval.
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.queue_capacity = 64;
+  options.cache_shards = 2;
+  options.compaction_interval_seconds = 1e-3;
+  QueryService service(index.get(), options);
+
+  const std::string text = AwaitNonZeroCounter(service, "compactions");
+  EXPECT_EQ(text.find("compactions: 0.000000\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("compactions_failed: 0\n"), std::string::npos) << text;
+  EXPECT_EQ(index->PendingDeltaOps(), 0u);
+
+  Column logical;
+  logical.cardinality = 8;
+  logical.values = index->LogicalValues();
+  const IntervalQuery q{wrong, wrong, false};
+  Bitvector expected = NaiveEvaluateInterval(logical, q);
+  expected.AndWith(index->LiveMask());
+  QueryResult r = service.Submit(ServiceQuery::Interval(q)).get();
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.rows, expected);
+  EXPECT_EQ(r.count, expected.Count());
 }
 
 }  // namespace

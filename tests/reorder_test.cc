@@ -339,11 +339,8 @@ TEST(ReorderPersistenceTest, V4RoundTripCarriesThePermutation) {
 
     const std::string path = TempPath("reordered_v4.bix");
     ASSERT_TRUE(SaveIndex(built.value(), path).ok());
-    IndexLoadInfo info;
-    Result<BitmapIndex> loaded = LoadIndex(path, &info);
+    Result<BitmapIndex> loaded = LoadIndex(path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(info.version, 4u);
-    EXPECT_TRUE(info.checksummed);
     EXPECT_EQ(loaded.value().row_order(), built.value().row_order());
     EXPECT_EQ(loaded.value().TotalStoredBytes(),
               built.value().TotalStoredBytes());
@@ -354,24 +351,6 @@ TEST(ReorderPersistenceTest, V4RoundTripCarriesThePermutation) {
                 NaiveEvaluateInterval(col, {lo, 19}));
     }
     std::remove(path.c_str());
-  }
-}
-
-TEST(ReorderPersistenceTest, LegacyVersionsCannotCarryAPermutation) {
-  Column col = GenerateZipfColumn(
-      {.rows = 400, .cardinality = 10, .zipf_z = 1.0, .seed = 3});
-  IndexConfig config;
-  config.codec = StorageCodec::kBbc;
-  config.reorder = ReorderStrategy::kGrayCode;
-  Result<BitmapIndex> built = BuildIndex(col, config);
-  ASSERT_TRUE(built.ok());
-  ASSERT_TRUE(built.value().reordered());
-  for (uint32_t version : {1u, 2u, 3u}) {
-    Status s =
-        SaveIndexAtVersion(built.value(), TempPath("reordered_legacy.bix"),
-                           version);
-    ASSERT_FALSE(s.ok()) << "v" << version;
-    EXPECT_EQ(s.code(), Status::Code::kNotSupported) << "v" << version;
   }
 }
 

@@ -20,7 +20,6 @@
 #include "server/query_service.h"
 #include "server/work_queue.h"
 #include "storage/fault_injector.h"
-#include "util/backoff.h"
 #include "util/cancel_token.h"
 #include "util/clock.h"
 #include "workload/column_gen.h"
@@ -447,108 +446,26 @@ TEST_F(ServiceDeadlineTest, BreakerOpeningShedsQueuedBacklog) {
   EXPECT_LT(stats.retries, 40u);
 }
 
-// --------------------------------------------------- jittered backoff --
+// ------------------------------------------------------------ backoff --
 
-// The decorrelated-jitter schedule (DESIGN.md section 11) is a pure
-// function of (seed, stream, sleep_index): replaying the same inputs pins
-// the exact sleep sequence, every draw respects the [base, max(base,
-// 3*prev)) envelope and the cap, and distinct streams/seeds decorrelate.
-TEST(JitterBackoffTest, ScheduleIsPureBoundedAndDecorrelated) {
+// The retry schedule doubles: with one failing fetch and three retries the
+// worker sleeps base, 2 * base and 4 * base of virtual time, exactly.
+TEST_F(ServiceDeadlineTest, RetrySleepsDoubleUnderVirtualClock) {
   constexpr double kBase = 100e-6;
-  constexpr double kCap = 0.0;  // uncapped
-  auto sequence = [&](uint64_t seed, uint64_t stream, double cap) {
-    std::vector<double> sleeps;
-    double prev = kBase;
-    for (uint64_t i = 1; i <= 8; ++i) {
-      prev = DecorrelatedJitterBackoff(seed, stream, i, kBase, prev, cap);
-      sleeps.push_back(prev);
-    }
-    return sleeps;
-  };
-
-  const std::vector<double> a = sequence(42, 7, kCap);
-  const std::vector<double> replay = sequence(42, 7, kCap);
-  EXPECT_EQ(a, replay) << "same inputs must replay the exact sequence";
-
-  double prev = kBase;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_GE(a[i], kBase) << "sleep " << i << " under base";
-    EXPECT_LT(a[i], std::max(kBase, 3.0 * prev)) << "sleep " << i;
-    prev = a[i];
-  }
-
-  // Two retry loops over the same key but different streams must not march
-  // in phase — that is the whole point of decorrelation.
-  EXPECT_NE(a, sequence(42, 8, kCap));
-  EXPECT_NE(a, sequence(43, 7, kCap));
-
-  // The cap clamps every draw.
-  for (double s : sequence(42, 7, 2.0 * kBase)) {
-    EXPECT_LE(s, 2.0 * kBase);
-  }
-}
-
-// Service-level determinism: with a fixed retry_jitter_seed, the virtual
-// time a retrying query sleeps is exactly reproducible run to run, stays
-// inside the jitter envelope, and differs from the legacy doubling
-// schedule (which seed = 0 preserves bit-for-bit).
-TEST_F(ServiceDeadlineTest, JitterSeedPinsRetrySleepsUnderVirtualClock) {
-  constexpr double kBase = 100e-6;
-  // One failing fetch, three retries: the worker sleeps before each retry.
-  auto run = [&](uint64_t jitter_seed) {
-    VirtualClock clock;
-    FaultInjectorOptions fault_opts;
-    fault_opts.unavailable_first_attempts = 1'000'000;
-    FaultInjector injector(fault_opts);
-    ServiceOptions options = DeterministicService(&clock);
-    options.fault_injector = &injector;
-    options.max_fetch_retries = 3;
-    options.retry_backoff_seconds = kBase;
-    options.retry_jitter_seed = jitter_seed;
-    options.brownout.enabled = false;
-    QueryService service(&*index_, options);
-    QueryResult r =
-        service.Submit(ServiceQuery::Interval(IntervalQuery{3, 3, false}))
-            .get();
-    EXPECT_EQ(r.status.code(), Status::Code::kUnavailable);
-    return clock.slept_seconds();
-  };
-
-  // Legacy exponential doubling: base + 2*base + 4*base, exactly.
-  EXPECT_DOUBLE_EQ(run(0), 7.0 * kBase);
-
-  const double jittered = run(1999);
-  EXPECT_DOUBLE_EQ(run(1999), jittered) << "fixed seed must replay exactly";
-  // First sleep stays base; draws 2 and 3 land in [base, 3*prev): total in
-  // [3*base, base + 3*base + 9*base).
-  EXPECT_GE(jittered, 3.0 * kBase);
-  EXPECT_LT(jittered, 13.0 * kBase);
-  EXPECT_NE(jittered, 7.0 * kBase) << "seeded schedule should not mimic "
-                                      "the legacy doubling sequence";
-  // A different seed gives a different (still pinned) schedule.
-  EXPECT_NE(run(2000), jittered);
-
-  // The cap bounds every jittered sleep: with cap == base the whole
-  // schedule collapses to base per sleep, deterministically.
-  {
-    VirtualClock clock;
-    FaultInjectorOptions fault_opts;
-    fault_opts.unavailable_first_attempts = 1'000'000;
-    FaultInjector injector(fault_opts);
-    ServiceOptions options = DeterministicService(&clock);
-    options.fault_injector = &injector;
-    options.max_fetch_retries = 3;
-    options.retry_backoff_seconds = kBase;
-    options.retry_jitter_seed = 1999;
-    options.retry_backoff_max_seconds = kBase;
-    options.brownout.enabled = false;
-    QueryService service(&*index_, options);
-    QueryResult r =
-        service.Submit(ServiceQuery::Interval(IntervalQuery{3, 3, false}))
-            .get();
-    EXPECT_EQ(r.status.code(), Status::Code::kUnavailable);
-    EXPECT_DOUBLE_EQ(clock.slept_seconds(), 3.0 * kBase);
-  }
+  VirtualClock clock;
+  FaultInjectorOptions fault_opts;
+  fault_opts.unavailable_first_attempts = 1'000'000;
+  FaultInjector injector(fault_opts);
+  ServiceOptions options = DeterministicService(&clock);
+  options.fault_injector = &injector;
+  options.max_fetch_retries = 3;
+  options.retry_backoff_seconds = kBase;
+  options.brownout.enabled = false;
+  QueryService service(&*index_, options);
+  QueryResult r =
+      service.Submit(ServiceQuery::Interval(IntervalQuery{3, 3, false})).get();
+  EXPECT_EQ(r.status.code(), Status::Code::kUnavailable);
+  EXPECT_DOUBLE_EQ(clock.slept_seconds(), 7.0 * kBase);
 }
 
 }  // namespace

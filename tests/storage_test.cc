@@ -133,28 +133,6 @@ TEST(BitmapStoreTest, TryMaterializeValidatesChecksummedGarbage) {
   }
 }
 
-TEST(BitmapStoreTest, ReplaceKeepsTotalBytesConsistent) {
-  BitmapStore store;
-  Bitvector sparse(50'000);
-  sparse.Set(12);
-  store.PutWithCodec({1, 0}, sparse, CodecId::kBbc);
-  store.PutWithCodec({1, 1}, MakeBitmap(1000, 5), CodecId::kVerbatim);
-
-  // Replace the compressed bitmap with a much denser one (stored size
-  // grows) and the uncompressed one with a same-size bitmap.
-  store.Replace({1, 0}, MakeBitmap(50'000, 6, 0.5));
-  store.Replace({1, 1}, MakeBitmap(1000, 7));
-  EXPECT_EQ(store.TotalStoredBytes(),
-            store.StoredBytes({1, 0}) + store.StoredBytes({1, 1}));
-
-  // Shrink it back; the accounting must follow both directions.
-  store.Replace({1, 0}, sparse);
-  EXPECT_EQ(store.TotalStoredBytes(),
-            store.StoredBytes({1, 0}) + store.StoredBytes({1, 1}));
-  // Replaced blobs are re-stamped: materialization still verifies.
-  EXPECT_EQ(store.TryMaterialize({1, 0}).value(), sparse);
-}
-
 TEST(BitmapStoreTest, PutWithCodecTagsAndRoundTripsEveryCodec) {
   BitmapStore store;
   Bitvector bv = MakeBitmap(20'000, 8, 0.02);
@@ -164,7 +142,6 @@ TEST(BitmapStoreTest, PutWithCodecTagsAndRoundTripsEveryCodec) {
     store.PutWithCodec(key, bv, codec);
     const BitmapStore::Blob& blob = store.GetBlob(key);
     EXPECT_EQ(blob.codec, codec);
-    EXPECT_FALSE(blob.auto_codec);
     EXPECT_EQ(blob.crc32c, Crc32c(blob.bytes.data(), blob.bytes.size()));
     EXPECT_EQ(store.TryMaterialize(key).value(), bv) << CodecName(codec);
     // The resident form only stays compressed for Roaring.
@@ -176,7 +153,7 @@ TEST(BitmapStoreTest, PutWithCodecTagsAndRoundTripsEveryCodec) {
   EXPECT_EQ(store.BitmapCount(), static_cast<uint64_t>(kNumCodecs));
 }
 
-TEST(BitmapStoreTest, PutAutoFollowsAdvisorAndReplaceReAdvises) {
+TEST(BitmapStoreTest, PutAutoFollowsAdvisor) {
   BitmapStore store;
   // Sparse: the advisor picks Roaring.
   Bitvector sparse(100'000);
@@ -184,23 +161,15 @@ TEST(BitmapStoreTest, PutAutoFollowsAdvisorAndReplaceReAdvises) {
   sparse.Set(50'000);
   EXPECT_EQ(store.PutAuto({1, 0}, sparse), CodecId::kRoaring);
   EXPECT_EQ(store.GetBlob({1, 0}).codec, CodecId::kRoaring);
-  EXPECT_TRUE(store.GetBlob({1, 0}).auto_codec);
+  EXPECT_EQ(store.TryMaterialize({1, 0}).value(), sparse);
 
-  // Replace with incompressible noise: the advisor re-picks verbatim.
+  // Incompressible noise: the advisor picks verbatim.
   Bitvector noise = MakeBitmap(100'000, 9, 0.5);
-  store.Replace({1, 0}, noise);
-  EXPECT_EQ(store.GetBlob({1, 0}).codec, CodecId::kVerbatim);
-  EXPECT_TRUE(store.GetBlob({1, 0}).auto_codec);
-  EXPECT_EQ(store.TryMaterialize({1, 0}).value(), noise);
-
-  // An explicitly-coded blob keeps its codec across the same replacement.
-  store.PutWithCodec({1, 1}, sparse, CodecId::kBbc);
-  store.Replace({1, 1}, noise);
-  EXPECT_EQ(store.GetBlob({1, 1}).codec, CodecId::kBbc);
-  EXPECT_FALSE(store.GetBlob({1, 1}).auto_codec);
+  EXPECT_EQ(store.PutAuto({1, 1}, noise), CodecId::kVerbatim);
+  EXPECT_EQ(store.GetBlob({1, 1}).codec, CodecId::kVerbatim);
   EXPECT_EQ(store.TryMaterialize({1, 1}).value(), noise);
 
-  // Accounting stays consistent through the codec flips.
+  // Accounting covers both codecs.
   EXPECT_EQ(store.TotalStoredBytes(),
             store.StoredBytes({1, 0}) + store.StoredBytes({1, 1}));
 }
