@@ -2,7 +2,7 @@
 // index and push a mixed batch of interval/membership queries through a
 // worker pool sharing a sharded bitmap cache. Shows the three serving-layer
 // features — batch execution, admission control, and per-query metrics
-// rolled up into service stats.
+// rolled up into the service's metrics registry.
 //
 //   $ ./concurrent_serving
 
@@ -63,10 +63,10 @@ int main() {
       service.Submit(bix::ServiceQuery::Interval({0, 10'000, false})).get();
   std::printf("out-of-domain query -> %s\n", bad.status.ToString().c_str());
 
-  // Service-level roll-up: counters, shared-cache hit rate, latency tails.
+  // Service-level roll-up: counters, the I/O roll-up behind the
+  // shared-cache hit rate, latency tails — the service's metrics registry.
   service.Drain();
-  bix::ServiceStats stats = service.Stats();
-  std::printf("service: %s\n", stats.ToString().c_str());
+  std::printf("service metrics:\n%s", service.ExportMetrics().c_str());
 
   service.Shutdown();
   std::printf("OK\n");

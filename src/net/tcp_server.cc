@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -82,9 +83,21 @@ struct TcpServer::WriteJob {
 };
 
 TcpServer::TcpServer(QueryService* service, TcpServerOptions options)
-    : service_(service),
-      options_(options),
-      clock_(options.clock != nullptr ? options.clock : RealClock::Get()) {}
+    : service_(service), options_(options), clock_(service->clock()) {
+  MetricsRegistry& registry = service->metrics();
+  s_.accepted = registry.GetCounter("net_accepted");
+  s_.rejected_overload = registry.GetCounter("net_rejected_overload");
+  s_.closed = registry.GetCounter("net_closed");
+  s_.frames_received = registry.GetCounter("net_frames_received");
+  s_.responses_sent = registry.GetCounter("net_responses_sent");
+  s_.parse_errors = registry.GetCounter("net_parse_errors");
+  s_.disconnect_cancels = registry.GetCounter("net_disconnect_cancels");
+  s_.idle_timeouts = registry.GetCounter("net_idle_timeouts");
+  s_.read_timeouts = registry.GetCounter("net_read_timeouts");
+  s_.write_timeouts = registry.GetCounter("net_write_timeouts");
+  s_.force_closes = registry.GetCounter("net_force_closes");
+  s_.write_batches = registry.GetCounter("net_write_batches");
+}
 
 TcpServer::~TcpServer() { Shutdown(); }
 
@@ -177,18 +190,22 @@ void TcpServer::Shutdown() {
 
 TcpServerStats TcpServer::stats() const {
   TcpServerStats out;
-  out.accepted = s_.accepted.load();
-  out.rejected_overload = s_.rejected_overload.load();
-  out.active = s_.active.load();
-  out.frames_received = s_.frames_received.load();
-  out.responses_sent = s_.responses_sent.load();
-  out.parse_errors = s_.parse_errors.load();
-  out.disconnect_cancels = s_.disconnect_cancels.load();
-  out.idle_timeouts = s_.idle_timeouts.load();
-  out.read_timeouts = s_.read_timeouts.load();
-  out.write_timeouts = s_.write_timeouts.load();
-  out.force_closes = s_.force_closes.load();
-  out.write_batches = s_.write_batches.load();
+  // Closed before accepted: both only grow and a connection counts as
+  // accepted before it counts as closed, so active cannot go negative
+  // (the min guards a weakly ordered read of the two).
+  out.closed = s_.closed->Value();
+  out.accepted = s_.accepted->Value();
+  out.active = out.accepted - std::min(out.closed, out.accepted);
+  out.rejected_overload = s_.rejected_overload->Value();
+  out.frames_received = s_.frames_received->Value();
+  out.responses_sent = s_.responses_sent->Value();
+  out.parse_errors = s_.parse_errors->Value();
+  out.disconnect_cancels = s_.disconnect_cancels->Value();
+  out.idle_timeouts = s_.idle_timeouts->Value();
+  out.read_timeouts = s_.read_timeouts->Value();
+  out.write_timeouts = s_.write_timeouts->Value();
+  out.force_closes = s_.force_closes->Value();
+  out.write_batches = s_.write_batches->Value();
   return out;
 }
 
@@ -261,7 +278,7 @@ void TcpServer::LoopThread() {
         rest.reserve(conns_.size());
         for (auto& [fd, c] : conns_) rest.push_back(c);
         for (auto& c : rest) {
-          s_.force_closes.fetch_add(1);
+          s_.force_closes->Increment();
           CloseConnection(c, /*peer_gone=*/false);
         }
         break;
@@ -283,7 +300,7 @@ void TcpServer::AcceptPending(ClockInterface::TimePoint now) {
         service_->OverloadBrownout()) {
       // Accept backpressure: answer with one typed frame, then close. The
       // client learns *why* instead of timing out against a silent drop.
-      s_.rejected_overload.fetch_add(1);
+      s_.rejected_overload->Increment();
       NetResponse reject;
       reject.request_id = 0;
       reject.code = Status::Code::kUnavailable;
@@ -311,8 +328,7 @@ void TcpServer::AcceptPending(ClockInterface::TimePoint now) {
     ev.data.fd = cfd;
     (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, cfd, &ev);
     conns_.emplace(cfd, std::move(conn));
-    s_.accepted.fetch_add(1);
-    s_.active.fetch_add(1);
+    s_.accepted->Increment();
   }
 }
 
@@ -356,7 +372,7 @@ void TcpServer::HandleReadable(const std::shared_ptr<Connection>& conn,
     if (!fed.ok()) {
       // The stream is unframeable: answer with one typed error frame
       // (request_id unknowable), stop reading, close once it flushes.
-      s_.parse_errors.fetch_add(1);
+      s_.parse_errors->Increment();
       NetResponse err;
       err.request_id = 0;
       err.code = fed.code();
@@ -375,13 +391,13 @@ void TcpServer::HandleReadable(const std::shared_ptr<Connection>& conn,
 
 void TcpServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
                               Frame frame, ClockInterface::TimePoint now) {
-  s_.frames_received.fetch_add(1);
+  s_.frames_received->Increment();
   Result<NetRequest> decoded = DecodeRequest(frame);
   if (!decoded.ok()) {
     // Framing was intact (CRC passed) but the schema wasn't: typed error,
     // close after flush — the peer is confused, and re-sync is not worth
     // trusting.
-    s_.parse_errors.fetch_add(1);
+    s_.parse_errors->Increment();
     NetResponse err;
     err.request_id = frame.header.request_id;
     err.code = decoded.status().code();
@@ -413,7 +429,7 @@ void TcpServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
         EnqueueOutbound(conn, EncodeResponse(resp));
         return;
       }
-      s_.write_batches.fetch_add(1);
+      s_.write_batches->Increment();
       {
         std::lock_guard<std::mutex> lock(conn->mu);
         ++conn->in_flight;
@@ -536,7 +552,7 @@ void TcpServer::FlushConnection(const std::shared_ptr<Connection>& conn,
         if (conn->out_offset == front.size()) {
           conn->outbound.pop_front();
           conn->out_offset = 0;
-          s_.responses_sent.fetch_add(1);
+          s_.responses_sent->Increment();
         }
         continue;
       }
@@ -577,7 +593,7 @@ void TcpServer::CheckDeadlines(ClockInterface::TimePoint now) {
     if (has_out &&
         SecondsSince(backlog_since, now) > options_.write_timeout_seconds) {
       // Peer not draining its responses: cut it, cancel anything pending.
-      s_.write_timeouts.fetch_add(1);
+      s_.write_timeouts->Increment();
       CloseConnection(c, /*peer_gone=*/true);
       continue;
     }
@@ -585,13 +601,13 @@ void TcpServer::CheckDeadlines(ClockInterface::TimePoint now) {
         SecondsSince(c->last_read_progress, now) >
             options_.read_timeout_seconds) {
       // Slowloris: a frame was started and abandoned.
-      s_.read_timeouts.fetch_add(1);
+      s_.read_timeouts->Increment();
       CloseConnection(c, /*peer_gone=*/true);
       continue;
     }
     if (!busy && !has_out && !c->parser.mid_frame() &&
         SecondsSince(c->last_activity, now) > options_.idle_timeout_seconds) {
-      s_.idle_timeouts.fetch_add(1);
+      s_.idle_timeouts->Increment();
       CloseConnection(c, /*peer_gone=*/false);
     }
   }
@@ -616,13 +632,15 @@ void TcpServer::CloseConnection(const std::shared_ptr<Connection>& conn,
   // waiting on conn->mu right now.
   for (auto& t : cancels) t->Cancel();
   if (peer_gone && in_flight > 0) {
-    s_.disconnect_cancels.fetch_add(in_flight);
+    s_.disconnect_cancels->Increment(in_flight);
   }
+  // Counted before the close, so a peer that sees the socket close also
+  // sees the connection leave `active`.
+  s_.closed->Increment();
   (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
   conns_.erase(conn->fd);
   conn->fd = -1;
-  s_.active.fetch_sub(1);
 }
 
 void TcpServer::WriterThread() {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "net/frame.h"
+#include "server/metrics_registry.h"
 #include "server/query_service.h"
 #include "util/clock.h"
 #include "util/status.h"
@@ -22,10 +23,11 @@ namespace bix {
 class WritableBitmapIndex;
 
 // Tuning for the serving tier's front end. All timeouts are measured on
-// `clock` (the service's ClockInterface), so every lifecycle decision —
-// idle cull, stuck-reader cut, wedged-writer cut, drain deadline — is
-// deterministic under a VirtualClock; the event loop's real epoll tick
-// (~10ms) only bounds how fast a virtual expiry is noticed.
+// the service's clock (QueryService::clock()), so every lifecycle
+// decision — idle cull, stuck-reader cut, wedged-writer cut, drain
+// deadline — is deterministic under a VirtualClock and agrees with the
+// request deadlines about "now"; the event loop's real epoll tick (~10ms)
+// only bounds how fast a virtual expiry is noticed.
 struct TcpServerOptions {
   // 0 = kernel-assigned ephemeral port (tests); read it back via port().
   uint16_t port = 0;
@@ -54,19 +56,19 @@ struct TcpServerOptions {
   // When > 0, shrink the server-side socket send buffer (tests use this to
   // force write backlogs deterministically).
   int sndbuf_bytes = 0;
-  // null = RealClock. Must be the same clock the QueryService uses, or
-  // request deadlines and connection deadlines disagree about "now".
-  ClockInterface* clock = nullptr;
   // When set, kWriteBatch requests apply durably through this index (on a
   // dedicated writer thread; ApplyBatch fsyncs). When null, write requests
   // get a typed NotSupported response.
   WritableBitmapIndex* writable = nullptr;
 };
 
+// A snapshot of the server's net_* counters in its service's metrics
+// registry (ExportMetrics shows the same numbers).
 struct TcpServerStats {
   uint64_t accepted = 0;
   uint64_t rejected_overload = 0;  // conn cap, brownout, or draining
-  uint64_t active = 0;
+  uint64_t closed = 0;             // accepted connections since closed
+  uint64_t active = 0;             // accepted - closed
   uint64_t frames_received = 0;
   uint64_t responses_sent = 0;
   uint64_t parse_errors = 0;
@@ -144,7 +146,7 @@ class TcpServer {
 
   QueryService* const service_;
   const TcpServerOptions options_;
-  ClockInterface* const clock_;
+  ClockInterface* const clock_;  // the service's
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
@@ -178,19 +180,22 @@ class TcpServer {
   std::condition_variable outstanding_cv_;
   uint64_t outstanding_ = 0;
 
+  // The net_* counters, registered in the service's registry. Counters
+  // only, never a read gauge: the registry owns them, so a dump stays safe
+  // after this server is destroyed. Servers sharing a service share them.
   struct {
-    std::atomic<uint64_t> accepted{0};
-    std::atomic<uint64_t> rejected_overload{0};
-    std::atomic<uint64_t> frames_received{0};
-    std::atomic<uint64_t> responses_sent{0};
-    std::atomic<uint64_t> parse_errors{0};
-    std::atomic<uint64_t> disconnect_cancels{0};
-    std::atomic<uint64_t> idle_timeouts{0};
-    std::atomic<uint64_t> read_timeouts{0};
-    std::atomic<uint64_t> write_timeouts{0};
-    std::atomic<uint64_t> force_closes{0};
-    std::atomic<uint64_t> write_batches{0};
-    std::atomic<uint64_t> active{0};
+    MetricsCounter* accepted;
+    MetricsCounter* rejected_overload;
+    MetricsCounter* closed;
+    MetricsCounter* frames_received;
+    MetricsCounter* responses_sent;
+    MetricsCounter* parse_errors;
+    MetricsCounter* disconnect_cancels;
+    MetricsCounter* idle_timeouts;
+    MetricsCounter* read_timeouts;
+    MetricsCounter* write_timeouts;
+    MetricsCounter* force_closes;
+    MetricsCounter* write_batches;
   } s_;
 };
 

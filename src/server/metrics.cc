@@ -1,7 +1,6 @@
 #include "server/metrics.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace bix {
 
@@ -48,32 +47,6 @@ double LatencyHistogram::Quantile(double q) const {
     if (seen >= rank && seen > 0) return BucketUpperEdge(i);
   }
   return BucketUpperEdge(kBuckets - 1);
-}
-
-std::string ServiceStats::ToString() const {
-  char buf[640];
-  std::snprintf(
-      buf, sizeof(buf),
-      "submitted=%llu rejected_invalid=%llu rejected_overload=%llu "
-      "completed=%llu hit_rate=%.3f p50=%.3fms p95=%.3fms p99=%.3fms "
-      "retries=%llu corruptions=%llu quarantined=%llu degraded=%llu "
-      "deadline_exceeded=%llu cancelled=%llu shed_in_queue=%llu "
-      "breaker_opens=%llu breaker_open_s=%.3f breaker_state=%u",
-      static_cast<unsigned long long>(submitted),
-      static_cast<unsigned long long>(rejected_invalid),
-      static_cast<unsigned long long>(rejected_overload),
-      static_cast<unsigned long long>(completed), CacheHitRate(),
-      latency.p50() * 1e3, latency.p95() * 1e3, latency.p99() * 1e3,
-      static_cast<unsigned long long>(retries),
-      static_cast<unsigned long long>(corruptions_detected),
-      static_cast<unsigned long long>(quarantined_bitmaps),
-      static_cast<unsigned long long>(degraded_queries),
-      static_cast<unsigned long long>(deadline_exceeded),
-      static_cast<unsigned long long>(cancelled),
-      static_cast<unsigned long long>(shed_in_queue),
-      static_cast<unsigned long long>(breaker_opens), breaker_open_seconds,
-      breaker_state);
-  return std::string(buf);
 }
 
 }  // namespace bix

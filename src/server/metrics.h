@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "storage/io_stats.h"
 
@@ -112,8 +111,6 @@ struct ServiceStats {
                ? 0.0
                : static_cast<double>(io.pool_hits) / static_cast<double>(io.scans);
   }
-
-  std::string ToString() const;  // one-line human-readable summary
 };
 
 }  // namespace bix

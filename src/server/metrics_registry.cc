@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <functional>
 #include <thread>
+#include <utility>
 
 namespace bix {
 
@@ -63,11 +64,10 @@ MetricsCounter* MetricsRegistry::GetCounter(const std::string& name) {
   return slot.get();
 }
 
-MetricsGauge* MetricsRegistry::GetGauge(const std::string& name) {
+void MetricsRegistry::RegisterGauge(const std::string& name,
+                                    std::function<double()> read) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<MetricsGauge>();
-  return slot.get();
+  gauges_[name] = std::move(read);
 }
 
 StripedLatencyHistogram* MetricsRegistry::GetHistogram(
@@ -78,7 +78,24 @@ StripedLatencyHistogram* MetricsRegistry::GetHistogram(
   return slot.get();
 }
 
+std::vector<std::pair<std::string, std::string>> MetricsRegistry::ReadGauges()
+    const {
+  std::vector<std::pair<std::string, std::function<double()>>> reads;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    reads.assign(gauges_.begin(), gauges_.end());
+  }
+  std::vector<std::pair<std::string, std::string>> values;
+  values.reserve(reads.size());
+  for (auto& [name, read] : reads) {
+    values.emplace_back(std::move(name), FormatGauge(read()));
+  }
+  return values;
+}
+
 std::string MetricsRegistry::DumpText() const {
+  const std::vector<std::pair<std::string, std::string>> gauges =
+      ReadGauges();
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   for (const auto& [name, counter] : counters_) {
@@ -87,10 +104,10 @@ std::string MetricsRegistry::DumpText() const {
     out += std::to_string(counter->Value());
     out += '\n';
   }
-  for (const auto& [name, gauge] : gauges_) {
+  for (const auto& [name, value] : gauges) {
     out += name;
     out += ": ";
-    out += FormatGauge(gauge->Value());
+    out += value;
     out += '\n';
   }
   for (const auto& [name, histogram] : histograms_) {
@@ -105,6 +122,8 @@ std::string MetricsRegistry::DumpText() const {
 }
 
 std::string MetricsRegistry::DumpJson() const {
+  const std::vector<std::pair<std::string, std::string>> gauges =
+      ReadGauges();
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\"counters\":{";
   bool first = true;
@@ -115,10 +134,10 @@ std::string MetricsRegistry::DumpJson() const {
   }
   out += "},\"gauges\":{";
   first = true;
-  for (const auto& [name, gauge] : gauges_) {
+  for (const auto& [name, value] : gauges) {
     if (!first) out += ',';
     first = false;
-    out += '"' + name + "\":" + FormatGauge(gauge->Value());
+    out += '"' + name + "\":" + value;
   }
   out += "},\"histograms\":{";
   first = true;

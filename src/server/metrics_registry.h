@@ -4,10 +4,12 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "server/metrics.h"
@@ -27,16 +29,6 @@ class MetricsCounter {
 
  private:
   std::atomic<uint64_t> value_{0};
-};
-
-// A point-in-time value (breaker state, pool residency). Last write wins.
-class MetricsGauge {
- public:
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
 };
 
 // A LatencyHistogram striped across independently locked copies: each
@@ -61,14 +53,16 @@ class StripedLatencyHistogram {
   std::array<Stripe, kStripes> stripes_;
 };
 
-// A named registry of counters, gauges, and striped latency histograms
-// with varz-style text and JSON exporters. Get* registers on first use and
-// returns a stable pointer; callers cache the pointer at setup time and
-// update through it lock-free (counters/gauges) or stripe-locked
+// A named registry of counters, read gauges, and striped latency
+// histograms with varz-style text and JSON exporters. Get* registers on
+// first use and returns a stable pointer; callers cache the pointer at
+// setup time and update through it lock-free (counters) or stripe-locked
 // (histograms) — the registry mutex guards only registration and dumps.
-// Names sort lexicographically in both exporters, so output is
-// deterministic for a deterministic workload (the observability suite
-// pins DumpText/DumpJson against golden strings under a VirtualClock).
+// A gauge holds no value of its own: it is a read of the state that owns
+// the number, called when a dump walks the registry. Names sort
+// lexicographically in both exporters, so output is deterministic for a
+// deterministic workload (the observability suite pins DumpText/DumpJson
+// against golden strings under a VirtualClock).
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -76,7 +70,10 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   MetricsCounter* GetCounter(const std::string& name);
-  MetricsGauge* GetGauge(const std::string& name);
+  // Registers (or replaces) the gauge `name`. Every dump calls `read`,
+  // outside the registry mutex; whatever it reads must outlive the
+  // registry.
+  void RegisterGauge(const std::string& name, std::function<double()> read);
   StripedLatencyHistogram* GetHistogram(const std::string& name);
 
   // One "name: value" line per metric, sorted by name; histograms expand
@@ -87,9 +84,14 @@ class MetricsRegistry {
   std::string DumpJson() const;
 
  private:
+  // Each gauge's name and formatted value, in name order. The reads take
+  // their owners' locks, so they run after the registry mutex is
+  // released.
+  std::vector<std::pair<std::string, std::string>> ReadGauges() const;
+
   mutable std::mutex mu_;  // registration + dump walks; never metric updates
   std::map<std::string, std::unique_ptr<MetricsCounter>> counters_;
-  std::map<std::string, std::unique_ptr<MetricsGauge>> gauges_;
+  std::map<std::string, std::function<double()>> gauges_;
   std::map<std::string, std::unique_ptr<StripedLatencyHistogram>> histograms_;
 };
 

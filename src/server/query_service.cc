@@ -237,21 +237,39 @@ QueryService::QueryService(const BitmapIndex* index,
   m_.retries = registry_.GetCounter("fetch_retries");
   m_.corruptions = registry_.GetCounter("corruptions_detected");
   m_.quarantined = registry_.GetCounter("quarantined_bitmaps");
-  m_.breaker_state = registry_.GetGauge("breaker_state");
-  m_.breaker_opens = registry_.GetGauge("breaker_opens");
-  m_.breaker_open_seconds = registry_.GetGauge("breaker_open_seconds");
-  m_.pool_bytes_used = registry_.GetGauge("pool_bytes_used");
-  m_.io_scans = registry_.GetGauge("io_scans");
-  m_.io_pool_hits = registry_.GetGauge("io_pool_hits");
-  m_.io_disk_reads = registry_.GetGauge("io_disk_reads");
-  m_.io_rescans = registry_.GetGauge("io_rescans");
-  m_.io_bytes_read = registry_.GetGauge("io_bytes_read");
-  m_.io_seconds = registry_.GetGauge("io_seconds");
-  m_.io_decode_seconds = registry_.GetGauge("io_decode_seconds");
-  m_.io_cpu_seconds = registry_.GetGauge("io_cpu_seconds");
+  // Gauges copy nothing in: each is a read of the state that owns the
+  // number, called when a dump walks the registry.
+  registry_.RegisterGauge("breaker_state", [this] {
+    return breaker_ == nullptr ? 0.0 : static_cast<double>(breaker_->state());
+  });
+  registry_.RegisterGauge("breaker_opens", [this] {
+    return breaker_ == nullptr ? 0.0 : static_cast<double>(breaker_->opens());
+  });
+  registry_.RegisterGauge("breaker_open_seconds", [this] {
+    return breaker_ == nullptr ? 0.0
+                               : breaker_->OpenSecondsTotal(clock_->Now());
+  });
+  registry_.RegisterGauge("pool_bytes_used", [this] {
+    std::lock_guard<std::mutex> lock(epoch_mu_);
+    return static_cast<double>(epoch_cache_->cache->pool_bytes_used());
+  });
+  const auto io_gauge = [this](const char* name, auto field) {
+    registry_.RegisterGauge(name, [this, field] {
+      return static_cast<double>(IoTotal().*field);
+    });
+  };
+  io_gauge("io_scans", &IoStats::scans);
+  io_gauge("io_pool_hits", &IoStats::pool_hits);
+  io_gauge("io_disk_reads", &IoStats::disk_reads);
+  io_gauge("io_rescans", &IoStats::rescans);
+  io_gauge("io_bytes_read", &IoStats::bytes_read);
+  io_gauge("io_seconds", &IoStats::io_seconds);
+  io_gauge("io_decode_seconds", &IoStats::decode_seconds);
+  io_gauge("io_cpu_seconds", &IoStats::cpu_seconds);
   for (size_t i = 0; i < kNumCodecs; ++i) {
-    m_.io_codec_decodes[i] = registry_.GetGauge(
-        std::string("io_decodes_") + CodecName(static_cast<CodecId>(i)));
+    registry_.RegisterGauge(
+        std::string("io_decodes_") + CodecName(static_cast<CodecId>(i)),
+        [this, i] { return static_cast<double>(IoTotal().codec_decodes[i]); });
   }
   m_.stage_queue = registry_.GetHistogram("latency_queue");
   m_.stage_rewrite = registry_.GetHistogram("latency_rewrite");
@@ -262,12 +280,19 @@ QueryService::QueryService(const BitmapIndex* index,
     // (and the observability goldens pinned against them) are unchanged.
     m_.compactions_shed = registry_.GetCounter("compactions_shed");
     m_.compactions_failed = registry_.GetCounter("compactions_failed");
-    m_.wal_appends = registry_.GetGauge("wal_appends");
-    m_.wal_bytes = registry_.GetGauge("wal_bytes");
-    m_.recovered_batches = registry_.GetGauge("recovered_batches");
-    m_.truncated_tail_records = registry_.GetGauge("truncated_tail_records");
-    m_.compactions = registry_.GetGauge("compactions");
-    m_.delta_rows = registry_.GetGauge("delta_rows");
+    const auto durability_gauge = [this](const char* name,
+                                         uint64_t DurabilityStats::*field) {
+      registry_.RegisterGauge(name, [this, field] {
+        return static_cast<double>(provider_->durability().*field);
+      });
+    };
+    durability_gauge("wal_appends", &DurabilityStats::wal_appends);
+    durability_gauge("wal_bytes", &DurabilityStats::wal_bytes);
+    durability_gauge("recovered_batches", &DurabilityStats::recovered_batches);
+    durability_gauge("truncated_tail_records",
+                     &DurabilityStats::truncated_tail_records);
+    durability_gauge("compactions", &DurabilityStats::compactions);
+    durability_gauge("delta_rows", &DurabilityStats::delta_rows);
   }
   // The per-epoch policy cache increments registry counters, so the first
   // epoch is built after the handles above (and before any worker runs).
@@ -512,10 +537,7 @@ ServiceStats QueryService::Stats() const {
     snapshot.breaker_open_seconds = breaker_->OpenSecondsTotal(clock_->Now());
     snapshot.breaker_state = static_cast<uint32_t>(breaker_->state());
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    snapshot.io = io_total_;
-  }
+  snapshot.io = IoTotal();
   // Per-stage totals are the striped histograms' sums: the histograms are
   // the source of truth and this struct is the derived view.
   snapshot.queue_seconds_total = m_.stage_queue->Merged().sum_seconds();
@@ -525,47 +547,12 @@ ServiceStats QueryService::Stats() const {
   return snapshot;
 }
 
-void QueryService::RefreshGauges() const {
-  if (breaker_ != nullptr) {
-    m_.breaker_state->Set(static_cast<double>(breaker_->state()));
-    m_.breaker_opens->Set(static_cast<double>(breaker_->opens()));
-    m_.breaker_open_seconds->Set(breaker_->OpenSecondsTotal(clock_->Now()));
-  }
-  {
-    std::lock_guard<std::mutex> lock(epoch_mu_);
-    m_.pool_bytes_used->Set(
-        static_cast<double>(epoch_cache_->cache->pool_bytes_used()));
-  }
-  if (provider_ != nullptr) {
-    const DurabilityStats d = provider_->durability();
-    m_.wal_appends->Set(static_cast<double>(d.wal_appends));
-    m_.wal_bytes->Set(static_cast<double>(d.wal_bytes));
-    m_.recovered_batches->Set(static_cast<double>(d.recovered_batches));
-    m_.truncated_tail_records->Set(
-        static_cast<double>(d.truncated_tail_records));
-    m_.compactions->Set(static_cast<double>(d.compactions));
-    m_.delta_rows->Set(static_cast<double>(d.delta_rows));
-  }
-  IoStats io;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    io = io_total_;
-  }
-  m_.io_scans->Set(static_cast<double>(io.scans));
-  m_.io_pool_hits->Set(static_cast<double>(io.pool_hits));
-  m_.io_disk_reads->Set(static_cast<double>(io.disk_reads));
-  m_.io_rescans->Set(static_cast<double>(io.rescans));
-  m_.io_bytes_read->Set(static_cast<double>(io.bytes_read));
-  m_.io_seconds->Set(io.io_seconds);
-  m_.io_decode_seconds->Set(io.decode_seconds);
-  m_.io_cpu_seconds->Set(io.cpu_seconds);
-  for (size_t i = 0; i < kNumCodecs; ++i) {
-    m_.io_codec_decodes[i]->Set(static_cast<double>(io.codec_decodes[i]));
-  }
+IoStats QueryService::IoTotal() const {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  return io_total_;
 }
 
 std::string QueryService::ExportMetrics(MetricsFormat format) const {
-  RefreshGauges();
   if (format == MetricsFormat::kJson) return registry_.DumpJson();
   std::string out = registry_.DumpText();
   const std::string slow = slow_log_.Render();

@@ -245,19 +245,26 @@ class QueryService {
   // joined, not just the one that got there first.
   void Shutdown();
 
-  // Point-in-time aggregate counters (thread-safe). A compatibility view
-  // assembled from the metrics registry: the ad-hoc per-field accounting
-  // this struct used to own now lives in named registry counters and
-  // per-stage striped histograms, and Stats() reads them back (per-stage
-  // seconds totals are the histograms' sums).
+  // Point-in-time aggregate counters (thread-safe): a typed snapshot of
+  // the numbers ExportMetrics shows — registry counters, the per-stage
+  // histograms (per-stage seconds totals are their sums), the breaker and
+  // the I/O roll-up.
   ServiceStats Stats() const;
 
   // Varz-style dump of every registered metric — query counters, per-stage
   // latency histograms (count/sum/p50/p95/p99), degradation and breaker
-  // gauges, I/O roll-up — plus, in text form, the slow-query log with each
-  // retained query's rendered trace. Deterministic for a deterministic
-  // workload under a VirtualClock (the observability suite pins goldens).
+  // gauges, I/O roll-up, and the net_* counters of any TcpServer over this
+  // service — plus, in text form, the slow-query log with each retained
+  // query's rendered trace. Deterministic for a deterministic workload
+  // under a VirtualClock (the observability suite pins goldens).
   std::string ExportMetrics(MetricsFormat format = MetricsFormat::kText) const;
+
+  // The registry ExportMetrics dumps. Front ends register their counters
+  // here (the TCP tier's net_*), so one export covers every layer.
+  MetricsRegistry& metrics() { return registry_; }
+  // The service's time source (ServiceOptions::clock, or the real steady
+  // clock); front ends run their own deadlines on it.
+  ClockInterface* clock() const { return clock_; }
 
   // True while the brownout breaker is not closed (open or probing). The
   // network front end uses this as accept-backpressure: while the service
@@ -333,10 +340,8 @@ class QueryService {
   QueryResult Execute(QueryExecutor* executor, const Task& task,
                       const IndexSnapshot* snap);
   void RecordCompletion(const Task& task, const QueryResult& result);
-  // Refreshes the point-in-time export gauges (breaker, degradation
-  // counters owned by the policy cache, I/O roll-up, pool residency) just
-  // before a dump, so exporters never read stale snapshots.
-  void RefreshGauges() const;
+  // A copy of the IoStats roll-up, taken under stats_mu_.
+  IoStats IoTotal() const;
   // Resolves `tasks`, shed from the queue without executing, with
   // `status` decided at `now`: releases them from the pending count, and
   // a traced task gets its admission and queue waits plus the tags
@@ -362,12 +367,13 @@ class QueryService {
   std::thread compaction_thread_;
   std::shared_ptr<CancelToken> compaction_cancel_;
 
-  // Named metrics (DESIGN.md section 13). Counter/gauge/histogram handles
-  // are registered once in the constructor and cached here, so hot-path
+  // Named metrics (DESIGN.md section 13). Counter/histogram handles are
+  // registered once in the constructor and cached here, so hot-path
   // updates are relaxed atomic adds (counters) or one striped-lock Record
   // (histograms) — the registry mutex is only ever taken at registration
-  // and dump time. `mutable` so const exporters can refresh gauges.
-  mutable MetricsRegistry registry_;
+  // and dump time. Gauges cache nothing: the registry reads them at dump
+  // time.
+  MetricsRegistry registry_;
   SlowQueryLog slow_log_;
   struct Handles {
     MetricsCounter* submitted;
@@ -382,20 +388,6 @@ class QueryService {
     MetricsCounter* retries;
     MetricsCounter* corruptions;
     MetricsCounter* quarantined;
-    MetricsGauge* breaker_state;
-    MetricsGauge* breaker_opens;
-    MetricsGauge* breaker_open_seconds;
-    MetricsGauge* pool_bytes_used;
-    MetricsGauge* io_scans;
-    MetricsGauge* io_pool_hits;
-    MetricsGauge* io_disk_reads;
-    MetricsGauge* io_rescans;
-    MetricsGauge* io_bytes_read;
-    MetricsGauge* io_seconds;
-    MetricsGauge* io_decode_seconds;
-    MetricsGauge* io_cpu_seconds;
-    // Stored-form decodes by codec (io_decodes_<codec>), indexed by CodecId.
-    MetricsGauge* io_codec_decodes[kNumCodecs];
     StripedLatencyHistogram* stage_queue;
     StripedLatencyHistogram* stage_rewrite;
     StripedLatencyHistogram* stage_eval;
@@ -406,12 +398,6 @@ class QueryService {
     // Background folds whose Compact returned an error (CompactNow hands
     // its status to the caller instead).
     MetricsCounter* compactions_failed = nullptr;
-    MetricsGauge* wal_appends = nullptr;
-    MetricsGauge* wal_bytes = nullptr;
-    MetricsGauge* recovered_batches = nullptr;
-    MetricsGauge* truncated_tail_records = nullptr;
-    MetricsGauge* compactions = nullptr;
-    MetricsGauge* delta_rows = nullptr;
   };
   Handles m_{};
 

@@ -80,13 +80,17 @@ Result<DecodedBitmap> ShardedBitmapCache::TryFetchDecoded(
   ++stats->scans;
   Shard& shard = ShardFor(key);
 
-  // Hit path. In decoded form, hand out the resident handle itself — no
-  // payload copy; the shared_ptr keeps the entry's bitmap alive for the
-  // query even if it is evicted meanwhile. Cached entries were
+  // One critical section settles residency and the pool's counters. A
+  // decoded-form hit hands out the resident handle itself — no payload
+  // copy, no store lookup; the shared_ptr keeps the entry's bitmap alive
+  // for the query even if it is evicted meanwhile. Any other fetch looks
+  // its blob up here to count the codec (the store is immutable after
+  // build, so the blob outlives the lock). Cached entries were
   // integrity-checked when inserted, so hits need no re-verification and
   // are never faulted (faults model the disk).
   bool hit = false;
   DecodedBitmap cached;
+  const BitmapStore::Blob* blob = nullptr;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.resident.find(key);
@@ -100,18 +104,23 @@ Result<DecodedBitmap> ShardedBitmapCache::TryFetchDecoded(
       shard.lru.splice(shard.lru.begin(), shard.lru, e.lru_it);
       cached = e.bitmap;
     }
+    if (!cached.valid()) {
+      Result<const BitmapStore::Blob*> blob_r = store_->TryGetBlob(key);
+      if (!blob_r.ok()) return blob_r.status();
+      blob = blob_r.value();
+      ++shard.counters.codec_decodes[static_cast<size_t>(blob->codec)];
+      if (!hit) {
+        ++shard.counters.misses;
+        if (!shard.read_before.insert(key.Packed()).second) ++stats->rescans;
+      }
+    }
   }
   if (hit && trace != nullptr) trace->Tag("outcome", "hit");
   if (cached.valid()) return cached;
 
-  // A stored-form hit or any miss decodes the blob. The store is immutable
-  // after build, so blob access and materialization need no lock; only
-  // the accounting and the pool updates take the shard mutex.
-  Result<const BitmapStore::Blob*> blob_r = store_->TryGetBlob(key);
-  if (!blob_r.ok()) return blob_r.status();
-  const BitmapStore::Blob& blob = *blob_r.value();
-  const uint64_t stored_bytes = blob.bytes.size();
-  const size_t codec = static_cast<size_t>(blob.codec);
+  // A stored-form hit or any miss decodes the blob, outside the lock.
+  const uint64_t stored_bytes = blob->bytes.size();
+  const size_t codec = static_cast<size_t>(blob->codec);
   double io_s = 0.0;
   if (!hit) {
     ++stats->disk_reads;
@@ -121,7 +130,7 @@ Result<DecodedBitmap> ShardedBitmapCache::TryFetchDecoded(
   }
   // The decode charge is codec-aware: verbatim is free, Roaring pays only
   // the container-parse fraction.
-  const double decode_s = disk_.DecodeSeconds(stored_bytes, blob.codec);
+  const double decode_s = disk_.DecodeSeconds(stored_bytes, blob->codec);
   stats->decode_seconds += decode_s;
   ++stats->codec_decodes[codec];
   if (trace != nullptr) {
@@ -129,15 +138,7 @@ Result<DecodedBitmap> ShardedBitmapCache::TryFetchDecoded(
       trace->Tag("outcome", "miss");
       trace->Tag("bytes", stored_bytes);
     }
-    trace->Tag("codec", CodecName(blob.codec));
-  }
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    ++shard.counters.codec_decodes[codec];
-    if (!hit) {
-      ++shard.counters.misses;
-      if (!shard.read_before.insert(key.Packed()).second) ++stats->rescans;
-    }
+    trace->Tag("codec", CodecName(blob->codec));
   }
   if (io_latency_scale_ > 0.0) {
     // The modeled wait is split so the trace attributes disk transfer and
@@ -154,12 +155,12 @@ Result<DecodedBitmap> ShardedBitmapCache::TryFetchDecoded(
   // The pool never sees a faulted read, so cached state stays verified.
   if (!hit && injector_ != nullptr) {
     std::optional<Result<DecodedBitmap>> faulted =
-        InjectReadFault(injector_, key, blob, clock_, cancel, trace);
+        InjectReadFault(injector_, key, *blob, clock_, cancel, trace);
     if (faulted.has_value()) return *std::move(faulted);
   }
   Result<DecodedBitmap> decoded = [&] {
     TraceScope materialize_span(trace, "materialize");
-    return TryMaterializeBlobResident(blob);
+    return TryMaterializeBlobResident(*blob);
   }();
   // Only bytes that passed their integrity check stay in the pool: a
   // failed decode evicts a resident key and never admits a missed one.

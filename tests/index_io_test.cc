@@ -5,9 +5,12 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/index_io.h"
 #include "query/executor.h"
+#include "util/byte_io.h"
 #include "util/crc32c.h"
 #include "workload/column_gen.h"
 #include "workload/scan_baseline.h"
@@ -166,6 +169,125 @@ TEST_F(IndexIoCorruption, PayloadBitFlipIsCorruption) {
   Result<BitmapIndex> r = LoadIndex(path_);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kCorruption);
+}
+
+// Writes `index` as a v4 file laid out exactly as SaveIndex lays it out,
+// but with the given row order, bitmap count and record keys in place of
+// the index's own. Every checksum is valid, so a load passes both CRC
+// checks and only the structural checks behind them can refuse the file.
+// A key the index lacks gets the blob of the first of `keys`.
+void WriteV4(const std::string& path, const BitmapIndex& index,
+             const std::vector<uint32_t>& row_order, uint64_t bitmap_count,
+             const std::vector<BitmapKey>& keys) {
+  FileWriter w(path);
+  ASSERT_TRUE(w.is_open());
+  w.Bytes("BIXI", 4);
+  w.Le32(4);
+  w.U8(static_cast<uint8_t>(index.encoding_kind()));
+  w.U8(static_cast<uint8_t>(index.storage_codec()));
+  w.Le32(index.decomposition().cardinality());
+  w.Le64(index.row_count());
+  const std::vector<uint32_t> bases = index.decomposition().BasesMsbFirst();
+  w.Le32(static_cast<uint32_t>(bases.size()));
+  w.Le32s(bases.data(), bases.size());
+  w.Le64(row_order.size());
+  w.Le32s(row_order.data(), row_order.size());
+  w.Le64(bitmap_count);
+  w.Le32(w.crc());
+  const BitmapStore& store = index.store();
+  for (const BitmapKey& key : keys) {
+    const BitmapStore::Blob& blob =
+        store.GetBlob(store.Contains(key) ? key : keys.front());
+    w.ResetCrc();
+    w.Le32(key.component);
+    w.Le32(key.slot);
+    w.U8(static_cast<uint8_t>(blob.codec));
+    w.Le64(blob.bit_count);
+    w.Le64(blob.bytes.size());
+    w.Bytes(blob.bytes.data(), blob.bytes.size());
+    w.Le32(w.crc());
+  }
+  ASSERT_TRUE(w.Close());
+}
+
+// Pins the four structural checks LoadIndex runs on a checksum-valid file:
+// each CRC-valid file below breaks exactly one of them.
+class IndexIoStructure : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Column col = GenerateZipfColumn(
+        {.rows = 300, .cardinality = 10, .zipf_z = 1.0, .seed = 85});
+    index_ = std::make_unique<BitmapIndex>(
+        BitmapIndex::Build(col, Decomposition::SingleComponent(10),
+                           EncodingKind::kEquality, false));
+    index_->SetRowOrder(ReverseOrder());
+    index_->store().ForEachBlob(
+        [&](const BitmapKey& key, const BitmapStore::Blob&) {
+          keys_.push_back(key);
+        });
+    path_ = TempPath("structure.bix");
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  std::vector<uint32_t> ReverseOrder() const {
+    std::vector<uint32_t> order(300);
+    for (uint32_t i = 0; i < order.size(); ++i) order[i] = 299 - i;
+    return order;
+  }
+
+  // Writes the parts, loads them, and expects Corruption saying `message`.
+  void ExpectCorruption(const std::vector<uint32_t>& row_order,
+                        uint64_t bitmap_count,
+                        const std::vector<BitmapKey>& keys,
+                        const std::string& message) {
+    WriteV4(path_, *index_, row_order, bitmap_count, keys);
+    Result<BitmapIndex> r = LoadIndex(path_);
+    ASSERT_FALSE(r.ok()) << message;
+    EXPECT_EQ(r.status().code(), Status::Code::kCorruption);
+    EXPECT_EQ(r.status().message(), message);
+  }
+
+  std::unique_ptr<BitmapIndex> index_;
+  std::vector<BitmapKey> keys_;
+  std::string path_;
+};
+
+TEST_F(IndexIoStructure, HelperWritesWhatSaveIndexWrites) {
+  ASSERT_TRUE(SaveIndex(*index_, path_).ok());
+  std::ifstream saved_in(path_, std::ios::binary);
+  const std::vector<char> saved(std::istreambuf_iterator<char>(saved_in), {});
+  WriteV4(path_, *index_, ReverseOrder(), keys_.size(), keys_);
+  std::ifstream written_in(path_, std::ios::binary);
+  const std::vector<char> written(std::istreambuf_iterator<char>(written_in),
+                                  {});
+  EXPECT_EQ(written, saved);
+  EXPECT_TRUE(LoadIndex(path_).ok());
+}
+
+TEST_F(IndexIoStructure, RowOrderNotAPermutation) {
+  std::vector<uint32_t> order = ReverseOrder();
+  order[1] = order[0];
+  ExpectCorruption(order, keys_.size(), keys_,
+                   "row order is not a permutation");
+}
+
+TEST_F(IndexIoStructure, BitmapCountDisagreesWithDecomposition) {
+  ExpectCorruption(ReverseOrder(), keys_.size() + 1, keys_,
+                   "bitmap inventory mismatch");
+}
+
+TEST_F(IndexIoStructure, RepeatedKey) {
+  std::vector<BitmapKey> keys = keys_;
+  keys.back() = keys.front();
+  ExpectCorruption(ReverseOrder(), keys.size(), keys,
+                   "duplicate bitmap key in file");
+}
+
+TEST_F(IndexIoStructure, KeyOutsideItsComponent) {
+  std::vector<BitmapKey> keys = keys_;
+  keys.back() = BitmapKey{1, 10};  // equality over 10 values: slots 0-9
+  ExpectCorruption(ReverseOrder(), keys.size(), keys,
+                   "bitmap key out of range");
 }
 
 class IndexIoVersions : public ::testing::Test {

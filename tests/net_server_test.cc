@@ -3,9 +3,10 @@
 // QueryService. Covers the query round trip (responses bit-identical to a
 // direct QueryExecutor run), typed rejection of malformed input, accept
 // backpressure, write batches, connection-lifecycle deadlines under a
-// VirtualClock, client-disconnect cancellation, and graceful drain — both
-// the "in-flight work finishes and flushes" half and the "wedged peer is
-// force-closed at the drain deadline" half.
+// VirtualClock, client-disconnect cancellation, graceful drain — both the
+// "in-flight work finishes and flushes" half and the "wedged peer is
+// force-closed at the drain deadline" half — and the net_* counters the
+// server registers in its service's metrics export.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -21,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -345,6 +347,90 @@ TEST(NetServerTest, ConnectionCapRejectsWithTypedOverloadError) {
   EXPECT_TRUE(a.Call(ping).ok());
 }
 
+// Every "net_*" counter of an ExportMetrics(kJson) dump, by name.
+std::map<std::string, uint64_t> NetCounters(const std::string& json) {
+  std::map<std::string, uint64_t> out;
+  for (size_t pos = json.find("\"net_"); pos != std::string::npos;
+       pos = json.find("\"net_", pos + 1)) {
+    const size_t colon = json.find("\":", pos);
+    out[json.substr(pos + 1, colon - pos - 1)] =
+        std::stoull(json.substr(colon + 2));
+  }
+  return out;
+}
+
+// The net tier is scrapeable: its counters live in the service's registry,
+// so ExportMetrics reports exactly what stats() does — and keeps reporting
+// it after the server is gone.
+TEST(NetServerTest, NetCountersAppearInServiceExport) {
+  TcpServerOptions opts;
+  opts.max_connections = 2;
+  ServeSetup setup(opts);
+  NetRequest ping;
+  ping.type = FrameType::kPing;
+  {
+    NetClient a = setup.Client();
+    ASSERT_TRUE(a.Call(ping).ok());
+    ASSERT_EQ(a.Call(Interval(0, 3, 9)).value().code, Status::Code::kOk);
+    // One unframeable stream: a typed error, then the server closes it.
+    NetClient junk = setup.Client();
+    const uint8_t bytes[] = {0x00, 0x01, 0x02, 0x03};
+    ASSERT_TRUE(junk.SendBytes(bytes, sizeof(bytes)).ok());
+    EXPECT_EQ(junk.ReadResponse().value().code,
+              Status::Code::kInvalidArgument);
+    ASSERT_TRUE(WaitUntil([&] { return setup.server->stats().closed == 1; }));
+    // One connection refused at max_connections.
+    NetClient b = setup.Client();
+    ASSERT_TRUE(b.Call(ping).ok());
+    NetClient refused = setup.Client();
+    EXPECT_EQ(refused.ReadResponse().value().code, Status::Code::kUnavailable);
+  }
+  // Every client has hung up; once the server has closed them all, no
+  // counter moves again.
+  ASSERT_TRUE(WaitUntil([&] { return setup.server->stats().active == 0; }));
+  const TcpServerStats s = setup.server->stats();
+  EXPECT_EQ(s.accepted, 3u);
+  EXPECT_EQ(s.closed, 3u);
+  EXPECT_EQ(s.rejected_overload, 1u);
+  EXPECT_EQ(s.parse_errors, 1u);
+  EXPECT_EQ(s.responses_sent, 4u);  // two for a, the parse error, one for b
+  const std::map<std::string, uint64_t> want = {
+      {"net_accepted", s.accepted},
+      {"net_rejected_overload", s.rejected_overload},
+      {"net_closed", s.closed},
+      {"net_frames_received", s.frames_received},
+      {"net_responses_sent", s.responses_sent},
+      {"net_parse_errors", s.parse_errors},
+      {"net_disconnect_cancels", s.disconnect_cancels},
+      {"net_idle_timeouts", s.idle_timeouts},
+      {"net_read_timeouts", s.read_timeouts},
+      {"net_write_timeouts", s.write_timeouts},
+      {"net_force_closes", s.force_closes},
+      {"net_write_batches", s.write_batches},
+  };
+  EXPECT_EQ(NetCounters(setup.service->ExportMetrics(MetricsFormat::kJson)),
+            want);
+  setup.server.reset();
+  EXPECT_EQ(NetCounters(setup.service->ExportMetrics(MetricsFormat::kJson)),
+            want);
+}
+
+TEST(NetServerTest, ServiceWithoutServerExportsNoNetCounters) {
+  ColumnSpec spec;
+  spec.rows = 2'000;
+  spec.cardinality = 16;
+  spec.seed = 3;
+  const BitmapIndex index =
+      BuildIndex(GenerateZipfColumn(spec), IndexConfig{}).value();
+  QueryService service(&index, ServiceOptions{});
+  ASSERT_TRUE(
+      service.Submit(ServiceQuery::Interval({2, 7, false})).get().status.ok());
+  EXPECT_EQ(service.ExportMetrics(MetricsFormat::kText).find("net_"),
+            std::string::npos);
+  EXPECT_EQ(service.ExportMetrics(MetricsFormat::kJson).find("net_"),
+            std::string::npos);
+}
+
 TEST(NetServerTest, WriteBatchAppliesDurablyAndServesMergedReads) {
   const std::string dir = ::testing::TempDir() + "/net_write_batch";
   std::filesystem::remove_all(dir);
@@ -410,7 +496,6 @@ TEST(NetServerTest, IdleConnectionCulledOnVirtualClock) {
   opts.idle_timeout_seconds = 30.0;
   opts.read_timeout_seconds = 1000.0;
   opts.write_timeout_seconds = 1000.0;
-  opts.clock = &vclock;
   ServiceOptions svc;
   svc.clock = &vclock;
   ServeSetup setup(opts, svc);
@@ -434,7 +519,6 @@ TEST(NetServerTest, StalledMidFramePeerCutByReadDeadline) {
   opts.idle_timeout_seconds = 1000.0;
   opts.read_timeout_seconds = 5.0;
   opts.write_timeout_seconds = 1000.0;
-  opts.clock = &vclock;
   ServiceOptions svc;
   svc.clock = &vclock;
   ServeSetup setup(opts, svc);
@@ -457,7 +541,6 @@ TEST(NetServerTest, StuckReaderCutByWriteDeadline) {
   opts.read_timeout_seconds = 1000.0;
   opts.write_timeout_seconds = 5.0;
   opts.sndbuf_bytes = 4096;
-  opts.clock = &vclock;
   ServiceOptions svc;
   svc.clock = &vclock;
   ServeSetup setup(opts, svc);
@@ -513,7 +596,6 @@ TEST(NetServerTest, GracefulDrainFlushesInFlightAndRejectsNewConnects) {
   opts.write_timeout_seconds = 1000.0;
   opts.drain_deadline_seconds = 60.0;
   opts.sndbuf_bytes = 4096;
-  opts.clock = &vclock;
   ServiceOptions svc;
   svc.clock = &vclock;
   ServeSetup setup(opts, svc);
@@ -564,7 +646,6 @@ TEST(NetServerTest, DrainDeadlineForceClosesWedgedPeer) {
   opts.write_timeout_seconds = 1000.0;
   opts.drain_deadline_seconds = 5.0;
   opts.sndbuf_bytes = 4096;
-  opts.clock = &vclock;
   ServiceOptions svc;
   svc.clock = &vclock;
   ServeSetup setup(opts, svc);

@@ -138,7 +138,7 @@ TEST(MetricsRegistryTest, DumpTextMatchesGolden) {
   MetricsRegistry registry;
   registry.GetCounter("b_counter")->Increment(7);
   registry.GetCounter("a_counter")->Increment();
-  registry.GetGauge("my_gauge")->Set(2.5);
+  registry.RegisterGauge("my_gauge", [] { return 2.5; });
   StripedLatencyHistogram* h = registry.GetHistogram("stage");
   h->Record(100e-6);  // bucket upper edge 128us
   h->Record(100e-6);
@@ -158,7 +158,7 @@ TEST(MetricsRegistryTest, DumpTextMatchesGolden) {
 TEST(MetricsRegistryTest, DumpJsonMatchesGolden) {
   MetricsRegistry registry;
   registry.GetCounter("hits")->Increment(3);
-  registry.GetGauge("rate")->Set(0.5);
+  registry.RegisterGauge("rate", [] { return 0.5; });
   registry.GetHistogram("lat")->Record(1e-6);  // bucket 0, upper edge 1us
 
   EXPECT_EQ(registry.DumpJson(),

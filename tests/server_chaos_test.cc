@@ -152,8 +152,10 @@ TEST(ServerChaosTest, MixedFaultsNeverCrashOrCorruptResults) {
     EXPECT_GT(stats.quarantined_bitmaps, 0u);
   }
   EXPECT_LE(stats.quarantined_bitmaps, stats.corruptions_detected);
-  // The stats line renders the failure counters without truncation.
-  EXPECT_NE(stats.ToString().find("degraded="), std::string::npos);
+  // The export renders the failure counters.
+  EXPECT_NE(service.ExportMetrics().find(
+                "queries_degraded: " + std::to_string(stats.degraded_queries)),
+            std::string::npos);
 }
 
 // Same chaos mix over a BBC-compressed index: bit flips now hit encoded

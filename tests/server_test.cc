@@ -203,7 +203,6 @@ TEST_F(QueryServiceTest, ServiceStatsRollUpPerQueryBlocks) {
   // The repeated interval query hits bitmaps its first run fetched.
   EXPECT_GT(stats.io.pool_hits, 0u);
   EXPECT_GT(stats.CacheHitRate(), 0.0);
-  EXPECT_FALSE(stats.ToString().empty());
 }
 
 TEST_F(QueryServiceTest, InvalidQueriesAreRejectedWithStatus) {
